@@ -3,7 +3,7 @@
     lcalim <verify|sample|conditions|selftest> --config <path> [--out DIR] [--seed U64]
 
 ``--config`` takes a file path or the name of a bundled example config
-(see ``lcalim.examples``).  LCALIM_THREADS caps the sampler worker count.
+(see ``lcalim.examples``).
 """
 
 from __future__ import annotations

@@ -11,12 +11,17 @@ never grows against 2*pi.
 p-adic elements are residues mod p^(depth+1) held as Python integers, so
 group arithmetic on them is exact.  Observables that would need digits
 beyond the working depth raise instead of approximating.
+
+The ``*_block`` functions are the same operations on a block of elements
+of one group, held as one numpy array of their turns or residues.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -346,6 +351,95 @@ def char_eval(chi: Character, x: GroupElement) -> complex:
     if chi.d > g.depth:
         raise DepthOverflowError(f"character depth {chi.d} beyond working depth {g.depth}")
     return _cis_turns(chi.ell * coordinate_turns(x, chi.d))
+
+
+# Blocks: many elements of one group in one numpy array, as float64 turns
+# (torus, solenoid) or residues (padic).  Residues are int64 while the
+# product of two of them fits, i.e. while p^(depth+1) < 2^31, and Python
+# ints in an object array beyond that.
+_INT64_MODULUS_LIMIT = 2**31
+
+
+def block_dtype(group: GroupId):
+    """numpy dtype of a block of elements of the group."""
+    if group.kind != PADIC:
+        return np.float64
+    return np.int64 if group.modulus < _INT64_MODULUS_LIMIT else object
+
+
+def element_value(x: GroupElement):
+    """The block entry that stands for x: its turns, or its residue."""
+    return x.residue if x.group.kind == PADIC else x.turns
+
+
+def block_element(group: GroupId, v) -> GroupElement:
+    """The element that the block entry v stands for."""
+    if group.kind == PADIC:
+        return GroupElement(group, residue=int(v))
+    return GroupElement(group, turns=float(v))
+
+
+def reduce_turns_block(t: np.ndarray) -> np.ndarray:
+    """reduce_turns of every entry."""
+    r = t - np.floor(t + 0.5)
+    return np.where(r >= 0.5, r - 1.0, r)
+
+
+def add_block(group: GroupId, u, v) -> np.ndarray:
+    """Entrywise group sum of two blocks; either may be a single entry."""
+    if group.kind == PADIC:
+        return (u + v) % group.modulus
+    return reduce_turns_block(u + v)
+
+
+def scale_block(counts: np.ndarray, x: GroupElement) -> np.ndarray:
+    """The block of count * x, one entry per integer count.  On padic
+    groups the count is reduced mod the modulus first, so the int64
+    product cannot overflow."""
+    g = x.group
+    if g.kind == PADIC:
+        m = g.modulus
+        return (counts.astype(block_dtype(g), copy=False) % m) * x.residue % m
+    return reduce_turns_block(counts * x.turns)
+
+
+def cis_turns_block(t: np.ndarray) -> np.ndarray:
+    """_cis_turns of every entry, with the same quarter-turn folding."""
+    t = reduce_turns_block(t)
+    q = np.rint(4.0 * t)
+    a = TWO_PI * (t - 0.25 * q)
+    c, s = np.cos(a), np.sin(a)
+    q = q.astype(np.int64) % 4
+    out = np.empty(t.shape, dtype=complex)
+    out.real = np.choose(q, (c, -s, -c, s))
+    out.imag = np.choose(q, (s, c, -s, -c))
+    return out
+
+
+def _char_turns_block(chi: Character, values: np.ndarray) -> np.ndarray:
+    g = chi.group
+    if g.kind == TORUS:
+        return chi.ell * values
+    if chi.d > g.depth:
+        raise DepthOverflowError(f"character depth {chi.d} beyond working depth {g.depth}")
+    if g.kind == PADIC:
+        q = g.p ** (chi.d + 1)
+        return chi.ell * (values % q) % q / q
+    t = values  # coordinate_turns(., chi.d) of every entry
+    for _ in range(g.depth - chi.d):
+        t = reduce_turns_block(t * g.p)
+    return chi.ell * t
+
+
+def char_eval_block(group: GroupId, chars, values: np.ndarray) -> np.ndarray:
+    """char_eval of every character at every element of a block: the
+    len(values) x len(chars) matrix of character values."""
+    phases = np.empty((len(values), len(chars)))
+    for k, chi in enumerate(chars):
+        if chi.group != group:
+            raise GroupMismatchError("character and element on different groups")
+        phases[:, k] = _char_turns_block(chi, values)
+    return cis_turns_block(phases)
 
 
 def local_inner(x: GroupElement, chi: Character) -> float:

@@ -8,6 +8,7 @@ check failed, 2 invalid configuration, 3 I/O failure.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -31,10 +32,10 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_ft_table(report: ConvergenceReport, path: str) -> None:

@@ -1,16 +1,16 @@
 """Seeded Monte Carlo simulation of row sums and limit laws, with
 empirical characteristic functions to cross-validate the exact engine.
 
-Every replicate draws from its own stream derived from (master seed,
-derivation path), so results are bit-identical for a fixed configuration
-regardless of how replicates are scheduled across workers.
+An estimate over M replicates runs in fixed blocks of BLOCK_SIZE
+replicates.  Block j draws all of its replicates as numpy vectors from
+one generator, that of the derived stream (path + (j,)), and the block
+sums merge in block order, so results depend only on the configuration
+and the seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,20 +19,27 @@ from .arrays import TriangularArraySpec
 from .groups import (
     PADIC,
     SOLENOID,
+    SUBGROUP_CYCLIC,
+    SUBGROUP_LAMBDA,
     TORUS,
+    TWO_PI,
     Character,
+    CompactSubgroup,
     GroupElement,
-    add,
-    char_eval,
-    identity,
+    add_block,
+    block_dtype,
+    block_element,
+    char_eval_block,
+    element_value,
     neg,
-    reduce_turns,
-    scale,
+    reduce_turns_block,
+    scale_block,
 )
 from .measures import LimitLaw, local_mean
 
 DEFAULT_DIRECT_BUDGET = 10_000_000
-_BLOCK = 1024  # replicate-block size; fixed so worker count never changes results
+BLOCK_SIZE = 1024  # replicates per block; fixed, so results never depend on it
+_MAX_TEMP = 65_536  # entries in any temporary array of the direct path
 
 
 class SamplingBudgetError(ValueError):
@@ -62,13 +69,129 @@ def derive_seed(master: int, path=()) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _draw_atom(atoms, total: float, u: float) -> GroupElement:
-    acc = 0.0
-    for x, w in atoms:
-        acc += w / total
-        if u < acc:
-            return x
-    return atoms[-1][0]
+def _combine(group, counts: np.ndarray, xs) -> np.ndarray:
+    """Block of sums over atoms of count * atom; column a of counts holds
+    the counts of xs[a]."""
+    out = np.zeros(len(counts), dtype=block_dtype(group))
+    for a, x in enumerate(xs):
+        out = add_block(group, out, scale_block(counts[:, a], x))
+    return out
+
+
+def _row_sampler(
+    array: TriangularArraySpec,
+    n: int,
+    budget: int = DEFAULT_DIRECT_BUDGET,
+    force_direct: bool = False,
+):
+    """A function (gen, size) -> block of `size` independent row sums of
+    row n.
+
+    For i.i.d. rows the atom occupation counts are drawn in one shot
+    (binomial for two-point rows, multinomial otherwise) and combined as
+    count * atom, so the cost is independent of K_n.  Other rows are
+    drawn entry by entry, subject to the budget, from atom and
+    cumulative-weight tables built here once.
+    """
+    g = array.group
+    K = array.row_count(n)
+    if array.is_iid() and not force_direct:
+        dist = array.iid_dist(n)
+        xs = [x for x, _ in dist.atoms]
+        total = dist.measure.total_mass()
+        pvals = [w / total for _, w in dist.atoms]
+
+        def draw_counts(gen, size):
+            if len(xs) == 1:
+                counts = np.full((size, 1), K, dtype=np.int64)
+            elif len(xs) == 2:
+                c = gen.binomial(K, pvals[0], size=size)
+                counts = np.stack([c, K - c], axis=1)
+            else:
+                counts = gen.multinomial(K, pvals, size=size)
+            return _combine(g, counts, xs)
+
+        return draw_counts
+
+    if K > budget:
+        raise SamplingBudgetError(f"direct sampling of K_n={K} entries exceeds budget {budget}")
+    dists = (array.iid_dist(n),) if array.is_iid() else array.rows(n)
+    width = max((len(d.atoms) for d in dists), default=1)
+    # entry k with uniform u takes the atom whose index is the number of
+    # boundaries cum[k, :] <= u; boundaries past an entry's second-to-last
+    # atom stay +inf, so its last atom also takes any rounding remainder
+    cum = np.full((len(dists), width - 1), np.inf)
+    vals = np.zeros((len(dists), width), dtype=block_dtype(g))
+    for k, d in enumerate(dists):
+        total, acc = d.measure.total_mass(), 0.0
+        for a, (x, w) in enumerate(d.atoms):
+            vals[k, a] = element_value(x)
+            if a < len(d.atoms) - 1:
+                acc += w / total
+                cum[k, a] = acc
+
+    def draw_entries(gen, size):
+        out = np.zeros(size, dtype=block_dtype(g))
+        step = max(1, _MAX_TEMP // size)
+        for k0 in range(0, K, step):
+            k1 = min(k0 + step, K)
+            rows = np.zeros(k1 - k0, dtype=np.intp) if len(dists) == 1 else np.arange(k0, k1)
+            u = gen.random((size, k1 - k0))
+            idx = np.zeros(u.shape, dtype=np.intp)
+            for a in range(width - 1):
+                idx += u >= cum[rows, a]
+            out = add_block(g, out, vals[rows, idx].sum(axis=1))
+        return out
+
+    return draw_entries
+
+
+def _haar_block(H: CompactSubgroup, gen: np.random.Generator, size: int) -> np.ndarray:
+    """A block of draws from the normalized Haar measure of a compact
+    subgroup (torus and padic subgroups only)."""
+    g = H.group
+    if H.is_trivial():
+        return np.zeros(size, dtype=block_dtype(g))
+    if g.kind == TORUS:
+        if H.kind == SUBGROUP_CYCLIC:
+            return reduce_turns_block(gen.integers(H.r, size=size) / H.r)
+        return reduce_turns_block(gen.random(size) - 0.5)
+    if g.kind == PADIC and H.kind == SUBGROUP_LAMBDA:
+        u = gen.integers(g.p ** (g.depth + 1 - H.r), size=size)
+        return u.astype(block_dtype(g)) * g.p**H.r
+    raise ValueError(f"Haar sampling not supported for {H.describe()} on {g.describe()}")
+
+
+def _law_sampler(law: LimitLaw):
+    """A function (gen, size) -> block of `size` independent draws from
+    the quadruplet law, by independent factor draws.
+
+    The Gauss factor on the torus is the wrapped normal with variance b
+    (its FT at integer frequencies equals the Gauss factor exactly); the
+    generalized Poisson factor is a compound Poisson draw shifted by the
+    negated local mean.  Solenoid laws are not samplable here: the Gauss
+    factor would need coordinates beyond any finite depth.
+    """
+    g = law.group
+    if g.kind == SOLENOID:
+        raise ValueError("solenoid limit laws are verified exactly, not sampled")
+    a = element_value(law.a)
+    sigma = math.sqrt(law.b.b)
+    xs = [x for x, _ in law.eta.atoms]
+    rates = [w for _, w in law.eta.atoms]
+    eta_shift = element_value(neg(local_mean(law.eta.measure)))
+
+    def draw(gen, size):
+        out = add_block(g, _haar_block(law.H, gen, size), a)
+        if sigma > 0.0:
+            theta = gen.normal(0.0, sigma, size=size)
+            out = add_block(g, out, reduce_turns_block(theta / TWO_PI))
+        if xs:
+            counts = np.stack([gen.poisson(w, size=size) for w in rates], axis=1)
+            out = add_block(g, out, add_block(g, _combine(g, counts, xs), eta_shift))
+        return out
+
+    return draw
 
 
 def sample_row_sum(
@@ -78,42 +201,16 @@ def sample_row_sum(
     budget: int = DEFAULT_DIRECT_BUDGET,
     force_direct: bool = False,
 ) -> GroupElement:
-    """One draw of the row sum of row n.
+    """One draw of the row sum of row n: a block of one from the stream's
+    generator (see _row_sampler)."""
+    draw = _row_sampler(array, n, budget, force_direct)
+    return block_element(array.group, draw(stream.generator(), 1)[0])
 
-    For i.i.d. rows the atom occupation counts are drawn in one shot
-    (binomial for two-point rows, multinomial otherwise) and combined as
-    count * atom, so the cost is independent of K_n.  Non-i.i.d. rows are
-    sampled entry by entry, subject to the budget.
-    """
-    gen = stream.generator()
-    K = array.row_count(n)
-    if array.is_iid() and not force_direct:
-        dist = array.iid_dist(n)
-        atoms = dist.atoms
-        if len(atoms) == 1:
-            return scale(K, atoms[0][0])
-        if len(atoms) == 2:
-            (x0, w0), (x1, _) = atoms
-            c = int(gen.binomial(K, w0 / dist.measure.total_mass()))
-            return add(scale(c, x0), scale(K - c, x1))
-        total = dist.measure.total_mass()
-        counts = gen.multinomial(K, [w / total for _, w in atoms])
-        out = identity(array.group)
-        for (x, _), c in zip(atoms, counts):
-            out = add(out, scale(int(c), x))
-        return out
-    if K > budget:
-        raise SamplingBudgetError(f"direct sampling of K_n={K} entries exceeds budget {budget}")
-    out = identity(array.group)
-    if array.is_iid():
-        dist = array.iid_dist(n)
-        atoms, total = dist.atoms, dist.measure.total_mass()
-        for _ in range(K):
-            out = add(out, _draw_atom(atoms, total, gen.random()))
-        return out
-    for dist in array.rows(n):
-        out = add(out, _draw_atom(dist.atoms, dist.measure.total_mass(), gen.random()))
-    return out
+
+def sample_limit_law(law: LimitLaw, stream: SeededStream) -> GroupElement:
+    """One draw from the quadruplet law: a block of one from the stream's
+    generator (see _law_sampler)."""
+    return block_element(law.group, _law_sampler(law)(stream.generator(), 1)[0])
 
 
 @dataclass(frozen=True)
@@ -133,37 +230,17 @@ class EmpiricalFT:
         return self.estimates[self.chars.index(chi)]
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("LCALIM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _accumulate_blocks(draw_one, chars, M: int, threads: int | None):
-    """Sum char values over replicates in fixed-size blocks, merging block
-    partial sums in index order so the schedule cannot change the result."""
-    blocks = [(lo, min(lo + _BLOCK, M)) for lo in range(0, M, _BLOCK)]
-
-    def block_sum(bounds):
-        lo, hi = bounds
-        acc = np.zeros(len(chars), dtype=complex)
-        for m in range(lo, hi):
-            s = draw_one(m)
-            for j, chi in enumerate(chars):
-                acc[j] += char_eval(chi, s)
-        return acc
-
-    workers = threads if threads is not None else _worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(block_sum, blocks))
-    else:
-        partials = [block_sum(b) for b in blocks]
+def _estimate(draw, group, chars, M: int, stream: SeededStream) -> EmpiricalFT:
+    """Average chi over M draws, block j of BLOCK_SIZE drawn from the
+    derived stream (path + (j,)), merging block sums in block order."""
+    if M < 1:
+        raise ValueError("need at least one replicate")
+    chars = tuple(chars)
     total = np.zeros(len(chars), dtype=complex)
-    for part in partials:
-        total += part
-    return total
+    for j, lo in enumerate(range(0, M, BLOCK_SIZE)):
+        block = draw(stream.child(j).generator(), min(BLOCK_SIZE, M - lo))
+        total += char_eval_block(group, chars, block).sum(axis=0)
+    return EmpiricalFT(chars, tuple(complex(z) for z in total / M), M)
 
 
 def empirical_ft(
@@ -172,79 +249,14 @@ def empirical_ft(
     chars,
     M: int,
     stream: SeededStream,
-    threads: int | None = None,
     force_direct: bool = False,
 ) -> EmpiricalFT:
     """Estimate the row-sum FT by averaging chi over M independent row-sum
-    draws, replicate m using the derived stream (path + (m,))."""
-    if M < 1:
-        raise ValueError("need at least one replicate")
-    chars = tuple(chars)
-
-    def draw_one(m: int) -> GroupElement:
-        return sample_row_sum(array, n, stream.child(m), force_direct=force_direct)
-
-    total = _accumulate_blocks(draw_one, chars, M, threads)
-    return EmpiricalFT(chars, tuple(complex(z) for z in total / M), M)
+    draws."""
+    draw = _row_sampler(array, n, force_direct=force_direct)
+    return _estimate(draw, array.group, chars, M, stream)
 
 
-def sample_haar(H, stream_gen: np.random.Generator) -> GroupElement:
-    """One draw from the normalized Haar measure of a compact subgroup
-    (torus and padic subgroups only)."""
-    from .groups import SUBGROUP_CYCLIC, SUBGROUP_LAMBDA, from_turns
-
-    g = H.group
-    if H.is_trivial():
-        return identity(g)
-    if g.kind == TORUS:
-        if H.kind == SUBGROUP_CYCLIC:
-            j = int(stream_gen.integers(H.r))
-            return from_turns(g, j / H.r)
-        return from_turns(g, stream_gen.random() - 0.5)
-    if g.kind == PADIC and H.kind == SUBGROUP_LAMBDA:
-        free = g.p ** (g.depth + 1 - H.r)
-        u = int(stream_gen.integers(free))
-        return GroupElement(g, residue=u * g.p**H.r)
-    raise ValueError(f"Haar sampling not supported for {H.describe()} on {g.describe()}")
-
-
-def sample_limit_law(law: LimitLaw, stream: SeededStream) -> GroupElement:
-    """One draw from the quadruplet law by independent factor draws.
-
-    Gauss factor on the torus is the wrapped normal with variance b (its FT
-    at integer frequencies equals the Gauss factor exactly); the
-    generalized Poisson factor is a compound Poisson draw shifted by the
-    negated local mean.  Solenoid laws are not samplable here: the Gauss
-    factor would need coordinates beyond any finite depth.
-    """
-    g = law.group
-    if g.kind == SOLENOID:
-        raise ValueError("solenoid limit laws are verified exactly, not sampled")
-    gen = stream.generator()
-    out = sample_haar(law.H, gen)
-    out = add(out, law.a)
-    if law.b.b > 0.0:
-        theta = gen.normal(0.0, math.sqrt(law.b.b))
-        out = add(out, GroupElement(g, turns=reduce_turns(theta / (2.0 * math.pi))))
-    if law.eta.atoms:
-        acc = identity(g)
-        for x, w in law.eta.atoms:
-            c = int(gen.poisson(w))
-            acc = add(acc, scale(c, x))
-        out = add(out, add(acc, neg(local_mean(law.eta.measure))))
-    return out
-
-
-def empirical_law_ft(
-    law: LimitLaw, chars, M: int, stream: SeededStream, threads: int | None = None
-) -> EmpiricalFT:
+def empirical_law_ft(law: LimitLaw, chars, M: int, stream: SeededStream) -> EmpiricalFT:
     """Estimate the law's FT by averaging chi over M independent draws."""
-    if M < 1:
-        raise ValueError("need at least one replicate")
-    chars = tuple(chars)
-
-    def draw_one(m: int) -> GroupElement:
-        return sample_limit_law(law, stream.child(m))
-
-    total = _accumulate_blocks(draw_one, chars, M, threads)
-    return EmpiricalFT(chars, tuple(complex(z) for z in total / M), M)
+    return _estimate(_law_sampler(law), law.group, chars, M, stream)

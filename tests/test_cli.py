@@ -11,7 +11,7 @@ from lcalim.config import parse_config
 from lcalim.groups import character
 from lcalim.measures import limit_law_ft
 from lcalim.runner import run_conditions, run_sample, run_verify
-from lcalim.verify import ConfigError
+from lcalim.verify import ConfigError, check_theorem
 
 FAST_CLT = """
 {
@@ -174,6 +174,68 @@ class TestRunners:
                 assert value == ft_sup_distance(
                     cfg.array, cfg.law, n, cfg.settings.characters
                 )
+
+    @pytest.mark.parametrize("name", cli.bundled_example_names())
+    def test_every_output_round_trips(self, tmp_path, name):
+        # padic and solenoid char_ids, neighbourhood labels and cylinder
+        # names contain commas; every file must still parse field for field
+        cfg = parse_config(cli.load_config_text(name))
+        chars = {chi.char_id: chi for chi in cfg.settings.characters}
+        out = tmp_path / name
+        run_verify(cfg, str(out / "verify"))
+        run_conditions(cfg, str(out / "conditions"))
+        run_sample(cfg, str(out / "sample"))
+        paths = sorted(out.rglob("*.csv"))
+        assert [p.relative_to(out).as_posix() for p in paths] == [
+            "conditions/conditions.csv",
+            "sample/mc_table.csv",
+            "verify/conditions.csv",
+            "verify/ft_table.csv",
+        ]
+        for path in paths:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) > 1
+            assert all(len(row) == len(rows[0]) for row in rows), path
+        for path in sorted(out.rglob("summary.json")):
+            with open(path, encoding="utf-8") as fh:
+                json.load(fh)
+
+        with open(out / "verify" / "ft_table.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                chi = chars[row["char_id"]]
+                exact = row_ft_exact(cfg.array, int(row["n"]), chi)
+                limit = limit_law_ft(cfg.law, chi)
+                assert float(row["re_exact"]) == exact.real
+                assert float(row["im_exact"]) == exact.imag
+                assert float(row["re_limit"]) == limit.real
+                assert float(row["im_limit"]) == limit.imag
+
+        report = check_theorem(cfg.array, cfg.law, cfg.settings)
+        expected = [
+            (cond.name, n, value) for cond in report.conditions for n, value in cond.sequence
+        ]
+        expected += [("ft_sup_distance", n, value) for n, value in report.ft_sup]
+        for mode in ("verify", "conditions"):
+            with open(out / mode / "conditions.csv", newline="") as fh:
+                got = [
+                    (row["condition"], int(row["n"]), float(row["value"]))
+                    for row in csv.DictReader(fh)
+                ]
+            assert got == expected
+
+        with open(out / "sample" / "mc_table.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["char_id"] for row in rows} == set(chars)
+        for row in rows:
+            chi = chars[row["char_id"]]
+            if row["kind"] == "array":
+                exact = row_ft_exact(cfg.array, int(row["n"]), chi)
+            else:
+                exact = limit_law_ft(cfg.law, chi)
+            assert float(row["re_exact"]) == exact.real
+            assert float(row["im_exact"]) == exact.imag
+            assert int(row["replicates"]) == cfg.mc.replicates
 
     def test_reports_regenerate_bit_identically(self, tmp_path):
         cfg = parse_config(FAST_CLT)

@@ -12,12 +12,19 @@ from lcalim.groups import (
     Neighborhood,
     add,
     annihilator_contains,
+    _cis_turns,
+    add_block,
     arg_of,
+    block_dtype,
+    block_element,
     char_eval,
+    char_eval_block,
     character,
+    cis_turns_block,
     coordinate_arg,
     cyclic_subgroup,
     digits_of,
+    element_value,
     elements_close,
     from_angle,
     from_base_angle,
@@ -34,6 +41,7 @@ from lcalim.groups import (
     padic_group,
     padic_metric,
     scale,
+    scale_block,
     solenoid_group,
     solenoid_lift,
     solenoid_project,
@@ -260,6 +268,80 @@ def _random_char(group, rng) -> Character:
     if group.kind == "padic":
         return character(group, int(rng.integers(0, group.p ** (d + 1))), d)
     return character(group, int(rng.integers(-8, 9)), d)
+
+
+BLOCK_CHARS = {
+    "torus": [(-7, 0), (-1, 0), (1, 0), (2, 0), (13, 0)],
+    "padic": [(1, 0), (3, 1), (5, 3), (12345, 16), (2047, 10)],
+    "solenoid": [(1, 0), (-4, 2), (5, 6), (2, 3)],
+}
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "group",
+        [torus_group(), padic_group(2, 16), solenoid_group(3, 6)],
+        ids=["torus", "padic", "solenoid"],
+    )
+    def test_char_eval_block_matches_scalar(self, group):
+        rng = np.random.default_rng(4711)
+        xs = [random_element(group, rng) for _ in range(10_000)]
+        values = np.array([element_value(x) for x in xs], dtype=block_dtype(group))
+        chars = [character(group, l, d) for l, d in BLOCK_CHARS[group.kind]]
+        got = char_eval_block(group, chars, values)
+        assert got.shape == (len(xs), len(chars))
+        for k, chi in enumerate(chars):
+            want = np.array([char_eval(chi, x) for x in xs])
+            assert np.max(np.abs(got[:, k] - want)) <= 1e-15
+
+    def test_cis_quarter_turns_bit_exact(self):
+        t = np.array([0.0, 0.25, -0.25, -0.5])
+        for ti, z in zip(t, cis_turns_block(t)):
+            assert _bits(z) == _bits(_cis_turns(float(ti)))
+
+    def test_quarter_turn_elements_bit_exact(self):
+        T = torus_group()
+        xs = [from_turns(T, t) for t in (0.0, 0.25, -0.25, -0.5)]
+        values = np.array([element_value(x) for x in xs])
+        got = char_eval_block(T, [character(T, 1)], values)[:, 0]
+        for x, z in zip(xs, got):
+            assert _bits(z) == _bits(char_eval(character(T, 1), x))
+        g = padic_group(2, 4)
+        chi = character(g, 1, 1)  # phases residue/4 turns
+        xs = [from_int(g, r) for r in range(8)]
+        values = np.array([x.residue for x in xs], dtype=block_dtype(g))
+        for x, z in zip(xs, char_eval_block(g, [chi], values)[:, 0]):
+            assert _bits(z) == _bits(char_eval(chi, x))
+
+    def test_mismatched_character_rejected(self):
+        with pytest.raises(GroupMismatchError):
+            char_eval_block(torus_group(), [character(padic_group(2), 1)], np.zeros(3))
+
+    def test_depth_overflow(self):
+        g = padic_group(2, 3)
+        with pytest.raises(DepthOverflowError):
+            char_eval_block(g, [character(g, 1, 5)], np.zeros(3, dtype=np.int64))
+
+    def test_block_arithmetic_matches_scalar(self, any_group, rng):
+        x = random_element(any_group, rng)
+        y = random_element(any_group, rng)
+        counts = rng.integers(0, 10**12, size=50)
+        got = add_block(any_group, scale_block(counts, x), element_value(y))
+        for c, v in zip(counts, got):
+            want = add(scale(int(c), x), y)
+            assert elements_close(block_element(any_group, v), want, 1e-9)
+
+    def test_large_modulus_blocks_hold_python_ints(self):
+        assert block_dtype(padic_group(2, 29)) == np.int64
+        assert block_dtype(padic_group(2, 30)) is object
+        g = padic_group(101, 8)
+        x = from_int(g, g.modulus - 3)
+        got = scale_block(np.array([10**15, 7]), x)
+        assert list(got) == [scale(10**15, x).residue, scale(7, x).residue]
 
 
 class TestLocalInner:

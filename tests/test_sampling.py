@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lcalim.arrays import (
@@ -14,6 +15,8 @@ from lcalim.arrays import (
     row_ft_exact,
 )
 from lcalim.groups import (
+    char_eval,
+    char_eval_block,
     character,
     cyclic_subgroup,
     from_angle,
@@ -37,6 +40,7 @@ from lcalim.measures import (
     validate_levy,
 )
 from lcalim.sampling import (
+    BLOCK_SIZE,
     SamplingBudgetError,
     SeededStream,
     derive_seed,
@@ -44,6 +48,7 @@ from lcalim.sampling import (
     empirical_law_ft,
     sample_limit_law,
     sample_row_sum,
+    _row_sampler,
 )
 
 T = torus_group()
@@ -163,19 +168,89 @@ class TestEmpiricalFT:
         est = empirical_ft(arr, 100, [character(T, 1)], 400, SeededStream(1))
         assert est.stderr == 0.05
 
-    def test_reproducible_and_schedule_independent(self):
+    def test_identical_across_reruns(self):
         arr = _torus_rademacher()
         chars = [character(T, l) for l in (1, 2)]
-        a = empirical_ft(arr, 200, chars, 3000, SeededStream(6), threads=1)
-        b = empirical_ft(arr, 200, chars, 3000, SeededStream(6), threads=4)
+        a = empirical_ft(arr, 200, chars, 3000, SeededStream(6))
+        b = empirical_ft(arr, 200, chars, 3000, SeededStream(6))
+        assert a.estimates == b.estimates
+        law = gauss_law(T, 0.5)
+        a = empirical_law_ft(law, chars, 3000, SeededStream(6))
+        b = empirical_law_ft(law, chars, 3000, SeededStream(6))
         assert a.estimates == b.estimates
 
-    def test_thread_env_cap(self, monkeypatch):
-        monkeypatch.setenv("LCALIM_THREADS", "2")
+    def test_partial_last_block(self):
+        # M = 2100 runs blocks of 1024, 1024 and 52 replicates; block j
+        # draws from path + (j,) and block sums merge in block order
         arr = _torus_rademacher()
-        est = empirical_ft(arr, 100, [character(T, 1)], 2100, SeededStream(3))
-        ref = empirical_ft(arr, 100, [character(T, 1)], 2100, SeededStream(3), threads=1)
-        assert est.estimates == ref.estimates
+        chars = (character(T, 1), character(T, 3))
+        stream = SeededStream(3).child(4)
+        est = empirical_ft(arr, 100, chars, 2100, stream)
+        draw = _row_sampler(arr, 100)
+        total = np.zeros(len(chars), dtype=complex)
+        for j, size in enumerate((1024, 1024, 52)):
+            block = draw(stream.child(j).generator(), size)
+            assert block.shape == (size,)
+            total += char_eval_block(T, chars, block).sum(axis=0)
+        assert est.estimates == tuple(complex(z) for z in total / 2100)
+
+    @pytest.mark.parametrize("M", [1, 1024, 1025, 2100, 5000])
+    def test_one_generator_per_block(self, monkeypatch, M):
+        paths = []
+        generator = SeededStream.generator
+
+        def counting(stream):
+            paths.append(stream.path)
+            return generator(stream)
+
+        monkeypatch.setattr(SeededStream, "generator", counting)
+        blocks = [(7, j) for j in range(math.ceil(M / BLOCK_SIZE))]
+        empirical_ft(_torus_rademacher(), 100, [character(T, 1)], M, SeededStream(3).child(7))
+        assert paths == blocks
+        paths.clear()
+        empirical_law_ft(gauss_law(T, 1.0), [character(T, 1)], M, SeededStream(3).child(7))
+        assert paths == blocks
+
+    def test_direct_general_rows_match_exact(self):
+        x, y = from_angle(T, 0.7), from_angle(T, -2.1)
+        rows = tuple(
+            row_distribution(T, [(x, p), (y, 0.3), (identity(T), 0.7 - p)])
+            for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6) * 50
+        )
+        arr = GeneralArray(T, lambda n: rows)
+        chars = [character(T, l) for l in (1, 2, 5)]
+        M = 20_000
+        est = empirical_ft(arr, 1, chars, M, SeededStream(12))
+        for chi, emp in zip(est.chars, est.estimates):
+            assert abs(emp - row_ft_exact(arr, 1, chi)) <= 4.0 / math.sqrt(M)
+
+
+class TestLargeModulus:
+    # p^(depth+1) >= 2^31: int64 products of residues would wrap, so
+    # blocks hold Python ints
+    @pytest.mark.parametrize("g", [padic_group(2, 70), padic_group(101, 8)])
+    def test_row_sums_and_characters(self, g):
+        assert g.modulus >= 2**31
+        K = 10**15
+        arr = BernoulliArray(g, from_int(g, 1), p=constant(0.5), K=constant(K))
+        block = _row_sampler(arr, 1)(SeededStream(21).generator(), 256)
+        assert all(isinstance(v, int) and 0 <= v <= K for v in block)
+        assert len(set(block)) > 1
+        q = g.p ** (g.depth + 1)
+        chars = [character(g, 1, 0), character(g, 5, 3), character(g, q - 1, g.depth)]
+        values = char_eval_block(g, chars, block)
+        for i, v in enumerate(block):
+            for k, chi in enumerate(chars):
+                want = char_eval(chi, from_int(g, v))
+                assert abs(values[i, k] - want) <= 1e-15
+
+    def test_wrapper_returns_exact_residue(self):
+        g = padic_group(101, 8)
+        K = 10**15
+        arr = BernoulliArray(g, from_int(g, 1), p=constant(0.5), K=constant(K))
+        s = sample_row_sum(arr, 1, SeededStream(2))
+        assert 0 <= s.residue <= K
+        assert abs(s.residue - K // 2) < 10**9
 
 
 class TestSampleLimitLaw:
