@@ -14,11 +14,12 @@ import math
 import numpy as np
 
 from .arrays import (
-    BernoulliArray,
-    IIDSymmetricArray,
-    RademacherArray,
+    IIDArray,
+    bernoulli_array,
+    iid_symmetric_array,
     linear,
     power,
+    rademacher_array,
     row_distribution,
     row_ft_exact,
     sum_cylinder,
@@ -62,13 +63,13 @@ from .verify import VerifySettings, check_theorem, compound_growth, crosscheck_g
 WIDE_GRID = (100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000)
 
 
-def _torus_clt_array() -> RademacherArray:
-    return RademacherArray(torus_group(), K=linear(1.0), angle=power(1.0, -0.5))
+def _torus_clt_array() -> IIDArray:
+    return rademacher_array(torus_group(), K=linear(1.0), angle=power(1.0, -0.5))
 
 
-def _padic_poisson_array() -> BernoulliArray:
+def _padic_poisson_array() -> IIDArray:
     g = padic_group(2)
-    return BernoulliArray(g, from_int(g, 1), p=power(2.0, -1.0), K=linear(1.0))
+    return bernoulli_array(g, from_int(g, 1), p=power(2.0, -1.0), K=linear(1.0))
 
 
 def _padic_chars(g, max_d):
@@ -96,7 +97,7 @@ def criterion_2():
     """Torus Haar limit: row FT collapses at every nontrivial character and
     the moment-gap sequences diverge."""
     g = torus_group()
-    array = RademacherArray(g, K=linear(1.0), angle=power(1.0, -0.25))
+    array = rademacher_array(g, K=linear(1.0), angle=power(1.0, -0.25))
     worst = max(abs(row_ft_exact(array, 10**4, character(g, l))) for l in range(1, 6))
     diverged = True
     for ell in range(1, 6):
@@ -111,8 +112,8 @@ def criterion_3():
     the compound Poisson target for every character of depth <= 2."""
     array = _padic_poisson_array()
     g = array.group
-    x = array.x
     n = 10**5
+    x = array.x(n)
     worst = 0.0
     for chi in _padic_chars(g, 2):
         target = np.exp(2.0 * (char_eval(chi, x) - 1.0))
@@ -131,7 +132,7 @@ def criterion_4():
     """Bernoulli-Haar limit on the 2-adic integers: row FT vanishes at every
     nontrivial character and the Haar FT is its indicator."""
     g = padic_group(2)
-    array = BernoulliArray(g, from_int(g, 1), p=power(1.0, -0.5), K=linear(1.0))
+    array = bernoulli_array(g, from_int(g, 1), p=power(1.0, -0.5), K=linear(1.0))
     law = haar_law(full_subgroup(g))
     n = 10**6
     worst = 0.0
@@ -151,7 +152,7 @@ def criterion_5():
     """Solenoid Rademacher CLT: exact row FT against the Gauss law across
     depths 0..2."""
     g = solenoid_group(2)
-    array = RademacherArray(g, K=linear(1.0), angle=power(1.0, -0.5))
+    array = rademacher_array(g, K=linear(1.0), angle=power(1.0, -0.5))
     n = 10**6
     worst = 0.0
     for d in (0, 1, 2):
@@ -175,11 +176,11 @@ def criterion_6():
         return row_distribution(g, [(x, 0.25), (neg(x), 0.25), (identity(g), 0.5)])
 
     instances = [
-        (RademacherArray(g, K=linear(1.0), angle=power(1.0, -0.5)), 1.0, True),
-        (RademacherArray(g, K=linear(1.0), angle=power(0.5, -0.5)), 0.25, True),
-        (IIDSymmetricArray(g, three_point, K=linear(1.0)), 0.5, True),
-        (RademacherArray(g, K=linear(1.0), angle=power(1.0, -0.25)), 1.0, False),
-        (RademacherArray(g, K=linear(1.0), angle=power(1.0, -0.1)), 1.0, False),
+        (rademacher_array(g, K=linear(1.0), angle=power(1.0, -0.5)), 1.0, True),
+        (rademacher_array(g, K=linear(1.0), angle=power(0.5, -0.5)), 0.25, True),
+        (iid_symmetric_array(g, three_point, K=linear(1.0)), 0.5, True),
+        (rademacher_array(g, K=linear(1.0), angle=power(1.0, -0.25)), 1.0, False),
+        (rademacher_array(g, K=linear(1.0), angle=power(1.0, -0.1)), 1.0, False),
     ]
     details = []
     ok = True
@@ -372,7 +373,7 @@ def criterion_11():
     coset of rank <= 3, at every grid point."""
     array = _padic_poisson_array()
     g = array.group
-    eta = scale_measure(point_mass(array.x), 2.0)
+    eta = scale_measure(point_mass(array.x(1)), 2.0)
     worst = 0.0
     for r in (1, 2, 3):
         for res in range(1, 2**r):

@@ -15,7 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Iterable
 
 from .groups import (
     PADIC,
@@ -26,7 +27,6 @@ from .groups import (
     GroupMismatchError,
     Neighborhood,
     add,
-    arg_of,
     cyclic_subgroup,
     elements_close,
     from_angle,
@@ -36,21 +36,16 @@ from .groups import (
     lambda_subgroup,
     local_inner,
     neg,
+    padic_metric,
     scale,
+    trivial_subgroup,
 )
 from .measures import (
     DiscreteMeasure,
-    LimitLaw,
-    compound_poisson_law,
     cylinder_mass,
-    dirac_law,
     discrete_measure,
-    gauss_law,
-    haar_law,
     local_mean,
     measure_ft,
-    point_mass,
-    scale_measure,
     tail_mass_measure,
 )
 
@@ -142,14 +137,46 @@ def row_distribution(group: GroupId, atoms) -> RowDistribution:
 
 
 def _positive_k(value: float, n: int) -> int:
-    k = round(value)
+    k = round(value) if math.isfinite(value) else 0
     if k < 1 or abs(value - k) > 1e-9 * max(1.0, abs(value)):
         raise ValueError(f"row count K_n must be a positive integer; got {value} at n={n}")
     return int(k)
 
 
 @dataclass(frozen=True)
-class RademacherArray:
+class IIDArray:
+    """Rows of K_n i.i.d. entries with the row law dist(n).
+
+    kind is "rademacher" (mass 1/2 on x(n) and 1/2 on -x(n)), "bernoulli"
+    (mass p(n) on the fixed atom x(n), 1 - p(n) on the identity) or
+    "symmetric" (a symmetric law produced by a rule); build them with
+    rademacher_array, bernoulli_array and iid_symmetric_array.
+    """
+
+    group: GroupId
+    K: Schedule
+    kind: str
+    dist: Callable[[int], RowDistribution]
+    x: Callable[[int], GroupElement] | None = None
+    p: Callable[[int], float] | None = None
+
+    def row_count(self, n: int) -> int:
+        return _positive_k(self.K(n), n)
+
+    def iid_dist(self, n: int) -> RowDistribution:
+        return self.dist(n)
+
+    def row_laws(self, n: int) -> Iterable[tuple[RowDistribution, int]]:
+        """(law, multiplicity) pairs of row n: one law K_n times."""
+        return ((self.iid_dist(n), self.row_count(n)),)
+
+
+def rademacher_array(
+    group: GroupId,
+    K: Schedule,
+    angle: Schedule | None = None,
+    elements: tuple[tuple[int, GroupElement], ...] = (),
+) -> IIDArray:
     """Rows put mass 1/2 on x_n and 1/2 on -x_n.
 
     On the torus and solenoid x_n is given by an angle schedule (for the
@@ -157,96 +184,65 @@ class RademacherArray:
     branch-0 tower); on padic groups x_n comes from an explicit element
     table.
     """
+    if group.kind == PADIC:
+        if angle is not None or not elements:
+            raise ValueError("padic Rademacher arrays need an element table")
 
-    group: GroupId
-    K: Schedule
-    angle: Schedule | None = None
-    elements: tuple[tuple[int, GroupElement], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.group.kind == PADIC:
-            if self.angle is not None or not self.elements:
-                raise ValueError("padic Rademacher arrays need an element table")
-        elif self.angle is None:
-            raise ValueError("angle schedule required on torus/solenoid")
-
-    def is_iid(self) -> bool:
-        return True
-
-    def row_count(self, n: int) -> int:
-        return _positive_k(self.K(n), n)
-
-    def x_of(self, n: int) -> GroupElement:
-        if self.group.kind == PADIC:
-            for m, x in self.elements:
+        def x(n: int) -> GroupElement:
+            for m, xm in elements:
                 if m == n:
-                    return x
+                    return xm
             raise KeyError(f"no Rademacher element for n={n}")
-        theta = self.angle(n)
-        if self.group.kind == TORUS:
-            return from_angle(self.group, theta)
-        return from_base_angle(self.group, theta)
 
-    def iid_dist(self, n: int) -> RowDistribution:
-        x = self.x_of(n)
-        return row_distribution(self.group, [(x, 0.5), (neg(x), 0.5)])
+    elif angle is None:
+        raise ValueError("angle schedule required on torus/solenoid")
+    else:
+        to_element = from_angle if group.kind == TORUS else from_base_angle
+
+        def x(n: int) -> GroupElement:
+            return to_element(group, angle(n))
+
+    def dist(n: int) -> RowDistribution:
+        xn = x(n)
+        return row_distribution(group, [(xn, 0.5), (neg(xn), 0.5)])
+
+    return IIDArray(group, K, "rademacher", dist, x=x)
 
 
-@dataclass(frozen=True)
-class BernoulliArray:
+def bernoulli_array(group: GroupId, x: GroupElement, p: Schedule, K: Schedule) -> IIDArray:
     """Rows put mass p_n on a fixed x != e and 1 - p_n on the identity."""
+    if x.group != group:
+        raise GroupMismatchError("Bernoulli atom on a different group")
+    if elements_close(x, identity(group)):
+        raise ValueError("Bernoulli atom must differ from the identity")
 
-    group: GroupId
-    x: GroupElement
-    p: Schedule
-    K: Schedule
+    def rate(n: int) -> float:
+        pn = p(n)
+        if not 0.0 <= pn <= 1.0:
+            raise ValueError(f"Bernoulli rate p_n={pn} outside [0, 1] at n={n}")
+        return pn
 
-    def __post_init__(self) -> None:
-        if self.x.group != self.group:
-            raise GroupMismatchError("Bernoulli atom on a different group")
-        if elements_close(self.x, identity(self.group)):
-            raise ValueError("Bernoulli atom must differ from the identity")
+    def dist(n: int) -> RowDistribution:
+        pn = rate(n)
+        return row_distribution(group, [(x, pn), (identity(group), 1.0 - pn)])
 
-    def is_iid(self) -> bool:
-        return True
-
-    def row_count(self, n: int) -> int:
-        return _positive_k(self.K(n), n)
-
-    def p_of(self, n: int) -> float:
-        p = self.p(n)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"Bernoulli rate p_n={p} outside [0, 1] at n={n}")
-        return p
-
-    def iid_dist(self, n: int) -> RowDistribution:
-        p = self.p_of(n)
-        return row_distribution(
-            self.group, [(self.x, p), (identity(self.group), 1.0 - p)]
-        )
+    return IIDArray(group, K, "bernoulli", dist, x=lambda n: x, p=rate)
 
 
-@dataclass(frozen=True)
-class IIDSymmetricArray:
+def iid_symmetric_array(
+    group: GroupId, dist_rule: Callable[[int], RowDistribution], K: Schedule
+) -> IIDArray:
     """Rows are i.i.d. with a symmetric distribution produced by a rule."""
 
-    group: GroupId
-    dist_rule: Callable[[int], RowDistribution]
-    K: Schedule
-
-    def is_iid(self) -> bool:
-        return True
-
-    def row_count(self, n: int) -> int:
-        return _positive_k(self.K(n), n)
-
-    def iid_dist(self, n: int) -> RowDistribution:
-        dist = self.dist_rule(n)
-        if dist.group != self.group:
+    def dist(n: int) -> RowDistribution:
+        d = dist_rule(n)
+        if d.group != group:
             raise GroupMismatchError("row rule produced a distribution on another group")
-        if not dist.is_symmetric():
+        if not d.is_symmetric():
             raise ValueError(f"row distribution at n={n} is not symmetric")
-        return dist
+        return d
+
+    return IIDArray(group, K, "symmetric", dist)
 
 
 @dataclass(frozen=True)
@@ -256,15 +252,10 @@ class GeneralArray:
 
     group: GroupId
     rows_rule: Callable[[int], tuple[RowDistribution, ...]]
-
-    def is_iid(self) -> bool:
-        return False
+    kind = "general"
 
     def row_count(self, n: int) -> int:
         return len(self.rows_rule(n))
-
-    def iid_dist(self, n: int) -> RowDistribution:
-        raise ValueError("general arrays are not i.i.d.")
 
     def rows(self, n: int) -> tuple[RowDistribution, ...]:
         rows = tuple(self.rows_rule(n))
@@ -275,12 +266,18 @@ class GeneralArray:
                 )
         return rows
 
+    def row_laws(self, n: int) -> Iterable[tuple[RowDistribution, int]]:
+        """(law, multiplicity) pairs of row n: each entry once, as a lazy
+        iterator, so a loop over a long row allocates no pair per entry
+        (and sets off no garbage collections over a large config)."""
+        return zip(self.rows(n), repeat(1))
 
-TriangularArraySpec = RademacherArray | BernoulliArray | IIDSymmetricArray | GeneralArray
+
+TriangularArraySpec = IIDArray | GeneralArray
 
 
 def is_symmetric_array(array: TriangularArraySpec) -> bool:
-    return isinstance(array, (RademacherArray, IIDSymmetricArray))
+    return array.kind in ("rademacher", "symmetric")
 
 
 def row_dist(array: TriangularArraySpec, n: int, k: int) -> RowDistribution:
@@ -288,9 +285,9 @@ def row_dist(array: TriangularArraySpec, n: int, k: int) -> RowDistribution:
     K = array.row_count(n)
     if not 1 <= k <= K:
         raise IndexError(f"row index k={k} outside 1..{K}")
-    if array.is_iid():
-        return array.iid_dist(n)
-    return array.rows(n)[k - 1]
+    if array.kind == "general":
+        return array.rows(n)[k - 1]
+    return array.iid_dist(n)
 
 
 def char_moment(dist: RowDistribution, chi: Character) -> complex:
@@ -298,38 +295,38 @@ def char_moment(dist: RowDistribution, chi: Character) -> complex:
     return measure_ft(dist.measure, chi)
 
 
-def row_ft_exact(array: TriangularArraySpec, n: int, chi: Character) -> complex:
-    """FT of the row sum: the product of the per-entry character moments.
+def _power(z: complex, K: int) -> complex:
+    """z**K through the principal logarithm: real z takes a sign-exact
+    real path, z = 0 gives exactly 0, and K = 1 returns z as is."""
+    if K == 1:
+        return z
+    if z == 0:
+        return complex(0.0)
+    if z.imag == 0.0:
+        mag = math.exp(K * math.log(abs(z.real)))
+        return complex(-mag if z.real < 0.0 and K % 2 == 1 else mag)
+    return cmath.exp(K * cmath.log(z))
 
-    For i.i.d. rows this is a K_n-th power, evaluated through the
-    principal logarithm (real moments take a sign-exact real path); a
-    vanishing moment yields exactly 0.
+
+def row_ft_exact(array: TriangularArraySpec, n: int, chi: Character) -> complex:
+    """FT of the row sum: the product of the per-entry character moments,
+    a K_n-th power for i.i.d. rows (see _power).
+
+    The product starts from the first factor, not from 1, so the signed
+    zeros of a single factor survive.
     """
-    if array.is_iid():
-        z = char_moment(array.iid_dist(n), chi)
-        K = array.row_count(n)
-        if z == 0:
-            return complex(0.0)
-        if z.imag == 0.0:
-            mag = math.exp(K * math.log(abs(z.real))) if abs(z.real) > 0 else 0.0
-            if z.real < 0.0 and K % 2 == 1:
-                mag = -mag
-            return complex(mag)
-        return cmath.exp(K * cmath.log(z))
-    out = complex(1.0)
-    for dist in array.rows(n):
-        out *= char_moment(dist, chi)
-    return out
+    out = None
+    for dist, m in array.row_laws(n):
+        z = _power(char_moment(dist, chi), m)
+        out = z if out is None else out * z
+    return complex(1.0) if out is None else out
 
 
 def sum_local_means(array: TriangularArraySpec, n: int) -> GroupElement:
-    """Group sum of the local means of row n, in closed form for i.i.d.
-    rows."""
-    if array.is_iid():
-        return scale(array.row_count(n), local_mean(array.iid_dist(n).measure))
+    """Group sum of the local means of row n."""
     s = identity(array.group)
-    for dist in array.rows(n):
-        s = add(s, local_mean(dist.measure))
+    for dist, m in array.row_laws(n):
+        s = add(s, scale(m, local_mean(dist.measure)))
     return s
 
 
@@ -341,40 +338,32 @@ def _var_local_inner(dist: RowDistribution, chi: Character) -> float:
 
 def sum_var_g(array: TriangularArraySpec, n: int, chi: Character) -> float:
     """Sum over row n of the variances of g(X, chi)."""
-    if array.is_iid():
-        return array.row_count(n) * _var_local_inner(array.iid_dist(n), chi)
-    return sum(_var_local_inner(dist, chi) for dist in array.rows(n))
+    return sum(m * _var_local_inner(dist, chi) for dist, m in array.row_laws(n))
 
 
 def sum_tail(array: TriangularArraySpec, n: int, U: Neighborhood) -> float:
     """Sum over row n of the probabilities of landing outside U."""
-    if array.is_iid():
-        return array.row_count(n) * tail_mass_measure(array.iid_dist(n).measure, U)
-    return sum(tail_mass_measure(dist.measure, U) for dist in array.rows(n))
+    return sum(m * tail_mass_measure(dist.measure, U) for dist, m in array.row_laws(n))
 
 
 def sum_cylinder(array: TriangularArraySpec, n: int, x0: GroupElement, r: int) -> float:
     """Sum over row n of the probabilities of the padic cylinder
     x0 + lambda(r)."""
-    if array.is_iid():
-        return array.row_count(n) * cylinder_mass(array.iid_dist(n).measure, x0, r)
-    return sum(cylinder_mass(dist.measure, x0, r) for dist in array.rows(n))
+    return sum(m * cylinder_mass(dist.measure, x0, r) for dist, m in array.row_laws(n))
 
 
 def infinitesimality_stat(array: TriangularArraySpec, n: int, U: Neighborhood) -> float:
     """Largest tail probability in row n; the array is infinitesimal when
     this tends to 0 for every U."""
-    if array.is_iid():
-        return tail_mass_measure(array.iid_dist(n).measure, U)
     return max(
-        (tail_mass_measure(dist.measure, U) for dist in array.rows(n)), default=0.0
+        (tail_mass_measure(dist.measure, U) for dist, _ in array.row_laws(n)), default=0.0
     )
 
 
 def symmetric_stat(array: TriangularArraySpec, n: int, chi: Character) -> float:
     """K_n * (1 - Re E chi(X_n1)) for i.i.d. rows: the quantity whose limit
     decides between Gauss and Haar behaviour of symmetric arrays."""
-    if not array.is_iid():
+    if array.kind == "general":
         raise ValueError("symmetric_stat needs i.i.d. rows")
     z = char_moment(array.iid_dist(n), chi)
     return array.row_count(n) * (1.0 - z.real)
@@ -382,9 +371,9 @@ def symmetric_stat(array: TriangularArraySpec, n: int, chi: Character) -> float:
 
 def bernoulli_rate(array: TriangularArraySpec, n: int) -> float:
     """K_n * p_n of a Bernoulli array."""
-    if not isinstance(array, BernoulliArray):
+    if array.kind != "bernoulli":
         raise ValueError("bernoulli_rate needs a Bernoulli array")
-    return array.row_count(n) * array.p_of(n)
+    return array.row_count(n) * array.p(n)
 
 
 def generating_subgroup(x: GroupElement):
@@ -395,8 +384,6 @@ def generating_subgroup(x: GroupElement):
     reduced fraction j/r, the full torus otherwise.  Returns None on the
     solenoid (not determinable in this representation).
     """
-    from .groups import trivial_subgroup
-
     g = x.group
     if g.kind == PADIC:
         if x.residue == 0:
@@ -421,110 +408,28 @@ def check_null_rule(array: TriangularArraySpec, grid) -> None:
     decay is fine, flat or rising rules are not.
     """
     grid = tuple(grid)
-    if isinstance(array, RademacherArray):
-        from .groups import identity as _identity, padic_metric
-
-        e = _identity(array.group)
+    if array.kind == "rademacher":
+        e = identity(array.group)
         values = []
         for n in grid:
-            x = array.x_of(n)
+            x = array.x(n)
             if array.group.kind == PADIC:
                 values.append(padic_metric(x, e))
             else:
                 values.append(abs(x.turns - e.turns))
-    elif isinstance(array, BernoulliArray):
-        values = [array.p_of(n) for n in grid]
+    elif array.kind == "bernoulli":
+        values = [array.p(n) for n in grid]
     else:
         return
     if values[-1] <= 1e-9:
         return
     if values[-1] < values[0] and values[-1] == min(values):
         return
-    kind = "x_n" if isinstance(array, RademacherArray) else "p_n"
+    kind = "x_n" if array.kind == "rademacher" else "p_n"
     raise ValueError(
         f"array rule is not null along the grid: {kind} ends at {values[-1]:.6g} "
         f"(started at {values[0]:.6g})"
     )
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Outcome of trend-based limit classification."""
-
-    law: LimitLaw | None
-    theorem: str
-    reason: str = ""
-
-    def classified(self) -> bool:
-        return self.law is not None
-
-
-def predict_limit(
-    array: TriangularArraySpec,
-    grid,
-    tol: float = 1e-3,
-    window: int = 3,
-    divergence_threshold: float = 1e3,
-) -> Prediction:
-    """Classify the driving sequence of a Rademacher or Bernoulli array on
-    an n-grid and return the theorem-predicted limit law.
-
-    Unclassifiable trends are reported as such, never guessed.
-    """
-    from .verify import trend_classify
-
-    grid = tuple(grid)
-    g = array.group
-    if isinstance(array, RademacherArray):
-        if g.kind == PADIC:
-            # the local inner product vanishes, so x_n -> e forces the
-            # limit to be the point mass at e
-            from .groups import padic_metric
-
-            seq = [(n, padic_metric(array.x_of(n), identity(g))) for n in grid]
-            verdict = trend_classify(seq, tol, window, divergence_threshold)
-            if verdict.kind == "converges" and abs(verdict.value) <= tol:
-                return Prediction(dirac_law(identity(g)), "rademacher-dirac")
-            return Prediction(
-                None,
-                "unclassified",
-                "padic Rademacher elements do not tend to the identity",
-            )
-        seq = []
-        for n in grid:
-            x = array.x_of(n)
-            a0 = arg_of(x) if g.kind == TORUS else _base_arg(x)
-            seq.append((n, array.row_count(n) * a0 * a0))
-        verdict = trend_classify(seq, tol, window, divergence_threshold)
-        if verdict.kind == "converges":
-            return Prediction(gauss_law(g, max(verdict.value, 0.0)), "rademacher-clt")
-        if verdict.kind == "diverges":
-            return Prediction(haar_law(full_subgroup(g)), "rademacher-haar")
-        return Prediction(None, "unclassified", "driving sequence K_n*arg(x_n)^2 has no clear trend")
-    if isinstance(array, BernoulliArray):
-        seq = [(n, bernoulli_rate(array, n)) for n in grid]
-        verdict = trend_classify(seq, tol, window, divergence_threshold)
-        if verdict.kind == "converges":
-            lam = max(verdict.value, 0.0)
-            eta = scale_measure(point_mass(array.x), lam)
-            return Prediction(compound_poisson_law(eta), "bernoulli-poisson")
-        if verdict.kind == "diverges":
-            H = generating_subgroup(array.x)
-            if H is None:
-                return Prediction(
-                    None,
-                    "unclassified",
-                    "closure of the cyclic group of x is not determinable here",
-                )
-            return Prediction(haar_law(H), "bernoulli-haar")
-        return Prediction(None, "unclassified", "rate sequence K_n*p_n has no clear trend")
-    return Prediction(None, "unclassified", "only Rademacher/Bernoulli arrays are classified")
-
-
-def _base_arg(x: GroupElement) -> float:
-    from .groups import coordinate_arg
-
-    return coordinate_arg(x, 0)
 
 
 def _first_nonzero_digit(x: GroupElement) -> int:

@@ -74,15 +74,16 @@ def main(argv=None) -> int:
         return EXIT_IO_ERROR
     try:
         cfg: ExperimentConfig = parse_config(text)
+        out_dir = args.out or cfg.out_dir
+        if args.command == "verify":
+            return run_verify(cfg, out_dir)
+        if args.command == "conditions":
+            return run_conditions(cfg, out_dir)
+        return run_sample(cfg, out_dir, seed_override=args.seed)
     except ConfigError as exc:
+        # parse errors, and pairs that parse but match no verifiable theorem
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    out_dir = args.out or cfg.out_dir
-    if args.command == "verify":
-        return run_verify(cfg, out_dir)
-    if args.command == "conditions":
-        return run_conditions(cfg, out_dir)
-    return run_sample(cfg, out_dir, seed_override=args.seed)
 
 
 if __name__ == "__main__":

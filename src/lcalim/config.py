@@ -7,16 +7,17 @@ this document plus the master seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 from .arrays import (
-    BernoulliArray,
     GeneralArray,
-    IIDSymmetricArray,
-    RademacherArray,
     Schedule,
     TriangularArraySpec,
+    bernoulli_array,
     check_null_rule,
+    iid_symmetric_array,
+    rademacher_array,
     row_distribution,
 )
 from .groups import (
@@ -52,7 +53,6 @@ from .verify import ConfigError, VerifySettings
 
 @dataclass(frozen=True)
 class MonteCarloSettings:
-    enabled: bool = False
     replicates: int = 10_000
     seed: int = 0
     n_points: tuple[int, ...] = ()
@@ -67,7 +67,6 @@ class ExperimentConfig:
     settings: VerifySettings
     mc: MonteCarloSettings
     out_dir: str = "reports"
-    source: dict = field(default_factory=dict)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -81,34 +80,82 @@ def _get(doc: dict, key: str, context: str):
     return doc[key]
 
 
+# Typed getters: each returns the value as the named field's type or
+# raises ConfigError naming the field.  They run once per atom of large
+# general arrays, so they check inline instead of through _require.
+_FLOAT_MAX = sys.float_info.max
+
+
+def _int(value, name: str) -> int:
+    """A JSON integer; an integral float such as 1e6 counts as one."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is int:
+        return value
+    raise ConfigError(f"{name} must be an integer")
+
+
+def _float(value, name: str) -> float:
+    """A finite JSON number."""
+    if type(value) in (float, int) and abs(value) <= _FLOAT_MAX:
+        return float(value)
+    raise ConfigError(f"{name} must be a finite number")
+
+
+def _ints(value, name: str) -> list[int]:
+    return [_int(v, f"{name}[{i}]") for i, v in enumerate(_list(value, name))]
+
+
+def _int_key(key: str, name: str) -> int:
+    """An object key naming a row index n."""
+    _require(key.removeprefix("-").isdecimal(), f"{name}: key {key!r} is not an integer")
+    return int(key)
+
+
+def _dict(value, name: str) -> dict:
+    if isinstance(value, dict):
+        return value
+    raise ConfigError(f"{name} must be an object")
+
+
+def _list(value, name: str) -> list:
+    if isinstance(value, list):
+        return value
+    raise ConfigError(f"{name} must be a list")
+
+
 def parse_group(doc) -> GroupId:
-    _require(isinstance(doc, dict), "group must be an object")
-    kind = _get(doc, "kind", "group")
+    kind = _get(_dict(doc, "group"), "kind", "group")
     if kind == "torus":
         return GroupId(TORUS)
     _require(kind in (PADIC, SOLENOID), f"unknown group kind {kind!r}")
     _require("p" in doc, f"missing prime p for {kind} group")
-    p = doc["p"]
-    _require(isinstance(p, int), "prime p must be an integer")
-    depth = doc.get("depth", 16 if kind == PADIC else 8)
+    p = _int(doc["p"], "prime p")
+    depth = _int(doc.get("depth", 16 if kind == PADIC else 8), "group.depth")
+    # keeps trial-division primality and exact residue arithmetic cheap
+    _require(p < 2**32 and depth <= 1024, "group: need p < 2^32 and depth <= 1024")
     try:
-        return GroupId(kind, p, depth)
+        group = GroupId(kind, p, depth)
     except ValueError as exc:
         raise ConfigError(f"group: {exc}") from exc
+    # solenoid turns are floats of the deepest coordinate, which resolve
+    # the base coordinate y_0 only while p^depth stays well inside 2^53
+    _require(kind == PADIC or p**depth <= 2**40, "group: solenoid p^depth exceeds 2^40")
+    return group
 
 
 def parse_element(doc, group: GroupId, context: str = "element") -> GroupElement:
-    _require(isinstance(doc, dict), f"{context} must be an object")
+    _dict(doc, context)
     try:
         if group.kind == TORUS:
             if "angle" in doc:
-                return from_angle(group, float(doc["angle"]))
+                return from_angle(group, _float(doc["angle"], f"{context}.angle"))
             if "turns" in doc:
-                return from_turns(group, float(doc["turns"]))
+                return from_turns(group, _float(doc["turns"], f"{context}.turns"))
             raise ConfigError(f"{context}: torus elements need 'angle' or 'turns'")
         if group.kind == PADIC:
             if "digits" in doc:
-                digits = list(doc["digits"])
+                digits = _ints(doc["digits"], f"{context}.digits")
                 # short digit vectors are padded with zeros up to the depth
                 _require(
                     len(digits) <= group.depth + 1,
@@ -117,14 +164,14 @@ def parse_element(doc, group: GroupId, context: str = "element") -> GroupElement
                 digits += [0] * (group.depth + 1 - len(digits))
                 return from_digits(group, digits)
             if "int" in doc:
-                return from_int(group, int(doc["int"]))
+                return from_int(group, _int(doc["int"], f"{context}.int"))
             raise ConfigError(f"{context}: padic elements need 'digits' or 'int'")
         if "base_angle" in doc:
-            return from_base_angle(group, float(doc["base_angle"]))
+            return from_base_angle(group, _float(doc["base_angle"], f"{context}.base_angle"))
         if "deep_angle" in doc:
-            return from_angle(group, float(doc["deep_angle"]))
+            return from_angle(group, _float(doc["deep_angle"], f"{context}.deep_angle"))
         if "turns" in doc:
-            return from_turns(group, float(doc["turns"]))
+            return from_turns(group, _float(doc["turns"], f"{context}.turns"))
         raise ConfigError(
             f"{context}: solenoid elements need 'base_angle', 'deep_angle' or 'turns'"
         )
@@ -137,25 +184,21 @@ def parse_element(doc, group: GroupId, context: str = "element") -> GroupElement
 def parse_schedule(doc, context: str) -> Schedule:
     _require(isinstance(doc, dict), f"{context} must be a schedule object")
     kind = _get(doc, "kind", context)
-    try:
-        if kind == "constant":
-            return Schedule("constant", coef=float(_get(doc, "value", context)))
-        if kind == "linear":
-            return Schedule("linear", coef=float(_get(doc, "coef", context)))
-        if kind == "power":
-            return Schedule(
-                "power",
-                coef=float(_get(doc, "coef", context)),
-                exp=float(_get(doc, "exp", context)),
-            )
-        if kind == "table":
-            values = _get(doc, "values", context)
-            return Schedule(
-                "table",
-                table=tuple(sorted((int(k), float(v)) for k, v in values.items())),
-            )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+
+    def num(key: str) -> float:
+        return _float(_get(doc, key, context), f"{context}.{key}")
+
+    if kind == "constant":
+        return Schedule("constant", coef=num("value"))
+    if kind == "linear":
+        return Schedule("linear", coef=num("coef"))
+    if kind == "power":
+        return Schedule("power", coef=num("coef"), exp=num("exp"))
+    if kind == "table":
+        name = f"{context}.values"
+        values = _dict(_get(doc, "values", context), name)
+        table = ((_int_key(k, name), _float(v, f"{name}[{k}]")) for k, v in values.items())
+        return Schedule("table", table=tuple(sorted(table)))
     raise ConfigError(f"{context}: unknown schedule kind {kind!r}")
 
 
@@ -163,68 +206,72 @@ def _parse_atoms(doc, group: GroupId, context: str):
     _require(isinstance(doc, list), f"{context} must be a list of atoms")
     atoms = []
     for i, entry in enumerate(doc):
-        _require(isinstance(entry, dict), f"{context}[{i}] must be an object")
-        x = parse_element(_get(entry, "x", f"{context}[{i}]"), group, f"{context}[{i}].x")
-        w = float(_get(entry, "weight", f"{context}[{i}]"))
-        atoms.append((x, w))
+        name = f"{context}[{i}]"
+        x = parse_element(_get(_dict(entry, name), "x", name), group, f"{name}.x")
+        atoms.append((x, _float(_get(entry, "weight", name), f"{name}.weight")))
     return atoms
 
 
+def _row_law(doc, group: GroupId, context: str):
+    atoms = _parse_atoms(doc, group, context)
+    try:
+        return row_distribution(group, atoms)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _row_rule(table: dict):
+    """The rule n -> table[n] of array.rows."""
+
+    def rule(n: int):
+        if n not in table:
+            raise ConfigError(f"array.rows has no entry for n={n}")
+        return table[n]
+
+    return rule
+
+
 def parse_array(doc, group: GroupId) -> TriangularArraySpec:
-    _require(isinstance(doc, dict), "array must be an object")
-    kind = _get(doc, "kind", "array")
+    kind = _get(_dict(doc, "array"), "kind", "array")
     if kind == "rademacher":
         K = parse_schedule(_get(doc, "K", "array"), "array.K")
         if group.kind == PADIC:
-            elements = _get(doc, "elements", "array (padic rademacher)")
+            elements = _dict(_get(doc, "elements", "array (padic rademacher)"), "array.elements")
             pairs = tuple(
                 sorted(
-                    (int(n), parse_element(e, group, f"array.elements[{n}]"))
+                    (_int_key(n, "array.elements"), parse_element(e, group, f"array.elements[{n}]"))
                     for n, e in elements.items()
                 )
             )
-            return RademacherArray(group, K, elements=pairs)
+            return rademacher_array(group, K, elements=pairs)
         angle = parse_schedule(_get(doc, "angle", "array"), "array.angle")
-        return RademacherArray(group, K, angle=angle)
+        return rademacher_array(group, K, angle=angle)
     if kind == "bernoulli":
         x = parse_element(_get(doc, "x", "array"), group, "array.x")
         p = parse_schedule(_get(doc, "p", "array"), "array.p")
         K = parse_schedule(_get(doc, "K", "array"), "array.K")
         try:
-            return BernoulliArray(group, x, p, K)
+            return bernoulli_array(group, x, p, K)
         except ValueError as exc:
             raise ConfigError(f"array: {exc}") from exc
     if kind == "iid_symmetric":
         K = parse_schedule(_get(doc, "K", "array"), "array.K")
-        rows = _get(doc, "rows", "array")
-        dists = {}
-        for n, atoms in rows.items():
-            dists[int(n)] = row_distribution(
-                group, _parse_atoms(atoms, group, f"array.rows[{n}]")
-            )
-
-        def rule(n: int, _table=dists):
-            if n not in _table:
-                raise ConfigError(f"array.rows has no entry for n={n}")
-            return _table[n]
-
-        return IIDSymmetricArray(group, rule, K)
+        rows = _dict(_get(doc, "rows", "array"), "array.rows")
+        dists = {
+            _int_key(n, "array.rows"): _row_law(atoms, group, f"array.rows[{n}]")
+            for n, atoms in rows.items()
+        }
+        return iid_symmetric_array(group, _row_rule(dists), K)
     if kind == "general":
-        rows = _get(doc, "rows", "array")
-        per_n = {}
-        for n, row_list in rows.items():
-            _require(isinstance(row_list, list), f"array.rows[{n}] must be a list")
-            per_n[int(n)] = tuple(
-                row_distribution(group, _parse_atoms(atoms, group, f"array.rows[{n}][{k}]"))
-                for k, atoms in enumerate(row_list)
+        rows = _dict(_get(doc, "rows", "array"), "array.rows")
+        per_n = {
+            _int_key(n, "array.rows"): tuple(
+                _row_law(atoms, group, f"array.rows[{n}][{k}]")
+                for k, atoms in enumerate(_list(row_list, f"array.rows[{n}]"))
             )
-
-        def rows_rule(n: int, _table=per_n):
-            if n not in _table:
-                raise ConfigError(f"array.rows has no entry for n={n}")
-            return _table[n]
-
-        return GeneralArray(group, rows_rule)
+            for n, row_list in rows.items()
+        }
+        return GeneralArray(group, _row_rule(per_n))
     raise ConfigError(f"unknown array kind {kind!r}")
 
 
@@ -239,19 +286,18 @@ def parse_subgroup(doc, group: GroupId) -> CompactSubgroup:
         if kind == "full":
             return full_subgroup(group)
         if kind == "cyclic":
-            return cyclic_subgroup(group, int(_get(doc, "r", "law.H")))
+            return cyclic_subgroup(group, _int(_get(doc, "r", "law.H"), "r"))
         if kind == "lambda":
-            return lambda_subgroup(group, int(_get(doc, "r", "law.H")))
+            return lambda_subgroup(group, _int(_get(doc, "r", "law.H"), "r"))
     except ValueError as exc:
         raise ConfigError(f"law.H: {exc}") from exc
     raise ConfigError(f"law.H: unknown subgroup kind {kind!r}")
 
 
 def parse_law(doc, group: GroupId) -> LimitLaw:
-    _require(isinstance(doc, dict), "law must be an object")
-    H = parse_subgroup(doc.get("H"), group)
+    H = parse_subgroup(_dict(doc, "law").get("H"), group)
     try:
-        b = QuadraticFormParam(group, float(doc.get("b", 0.0)))
+        b = QuadraticFormParam(group, _float(doc.get("b", 0.0), "law.b"))
     except ValueError as exc:
         raise ConfigError(f"law.b: {exc}") from exc
     eta_doc = doc.get("eta", [])
@@ -275,12 +321,14 @@ def parse_law(doc, group: GroupId) -> LimitLaw:
 
 
 def parse_characters(doc, group: GroupId) -> tuple[Character, ...]:
-    _require(isinstance(doc, list), "characters must be a list")
     out = []
-    for i, entry in enumerate(doc):
-        _require(isinstance(entry, dict), f"characters[{i}] must be an object")
-        ell = int(_get(entry, "l", f"characters[{i}]"))
-        d = int(entry.get("d", 0))
+    for i, entry in enumerate(_list(doc, "characters")):
+        name = f"characters[{i}]"
+        ell = _int(_get(_dict(entry, name), "l", name), f"{name}.l")
+        d = _int(entry.get("d", 0), f"{name}.d")
+        _require(0 <= d <= group.depth, f"{name}.d must lie in [0, {group.depth}]")
+        # torus and solenoid phases ell * turns are floats
+        _require(group.kind == PADIC or abs(ell) <= 2**53, f"{name}.l exceeds 2^53")
         try:
             out.append(character(group, ell, d))
         except ValueError as exc:
@@ -289,25 +337,19 @@ def parse_characters(doc, group: GroupId) -> tuple[Character, ...]:
 
 
 def parse_neighborhoods(doc, group: GroupId) -> tuple[Neighborhood, ...]:
-    _require(isinstance(doc, list), "neighborhoods must be a list")
     out = []
-    for i, entry in enumerate(doc):
-        _require(isinstance(entry, dict), f"neighborhoods[{i}] must be an object")
-        try:
+    for i, entry in enumerate(_list(doc, "neighborhoods")):
+        name = f"neighborhoods[{i}]"
+        _dict(entry, name)
+        try:  # the getters' ConfigErrors are ValueErrors and get the prefix too
             if group.kind == PADIC:
-                out.append(Neighborhood(group, rank=int(_get(entry, "rank", f"neighborhoods[{i}]"))))
-            elif group.kind == TORUS:
-                out.append(Neighborhood(group, eps=float(_get(entry, "eps", f"neighborhoods[{i}]"))))
+                out.append(Neighborhood(group, rank=_int(_get(entry, "rank", name), "rank")))
             else:
-                out.append(
-                    Neighborhood(
-                        group,
-                        eps=float(_get(entry, "eps", f"neighborhoods[{i}]")),
-                        d=int(entry.get("d", 0)),
-                    )
-                )
+                eps = _float(_get(entry, "eps", name), "eps")
+                d = _int(entry.get("d", 0), "d") if group.kind == SOLENOID else 0
+                out.append(Neighborhood(group, eps=eps, d=d))
         except ValueError as exc:
-            raise ConfigError(f"neighborhoods[{i}]: {exc}") from exc
+            raise ConfigError(f"{name}: {exc}") from exc
     return tuple(out)
 
 
@@ -324,41 +366,37 @@ def parse_config(text: str) -> ExperimentConfig:
     array = parse_array(_get(doc, "array", "config"), group)
     law = parse_law(_get(doc, "law", "config"), group)
 
-    grid = tuple(int(n) for n in doc.get("grid", ()))
-    tol_doc = doc.get("tolerances", {})
+    grid = tuple(_ints(doc.get("grid", []), "grid"))
+    tol_doc = _dict(doc.get("tolerances", {}), "tolerances")
+    default = VerifySettings()
     settings = VerifySettings(
-        grid=grid or VerifySettings().grid,
+        grid=grid or default.grid,
         characters=parse_characters(doc["characters"], group)
         if "characters" in doc
         else (),
         neighborhoods=parse_neighborhoods(doc["neighborhoods"], group)
         if "neighborhoods" in doc
         else (),
-        trend_tol=float(tol_doc.get("trend", VerifySettings().trend_tol)),
-        window=int(tol_doc.get("window", VerifySettings().window)),
-        divergence_threshold=float(
-            tol_doc.get("divergence", VerifySettings().divergence_threshold)
+        trend_tol=_float(tol_doc.get("trend", default.trend_tol), "tolerances.trend"),
+        window=_int(tol_doc.get("window", default.window), "tolerances.window"),
+        divergence_threshold=_float(
+            tol_doc.get("divergence", default.divergence_threshold), "tolerances.divergence"
         ),
-        ft_tol=float(tol_doc.get("ft", VerifySettings().ft_tol)),
+        ft_tol=_float(tol_doc.get("ft", default.ft_tol), "tolerances.ft"),
     )
-    try:
-        settings = settings.resolved(group)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    settings = settings.resolved(group)
 
-    mc_doc = doc.get("mc", {})
-    _require(isinstance(mc_doc, dict), "mc must be an object")
-    n_points = tuple(int(n) for n in mc_doc.get("n", ())) or (settings.grid[0],)
+    mc_doc = _dict(doc.get("mc", {}), "mc")
+    sample_law = mc_doc.get("sample_law", group.kind != SOLENOID)
+    _require(isinstance(sample_law, bool), "mc.sample_law must be true or false")
     mc = MonteCarloSettings(
-        enabled=bool(mc_doc.get("enabled", False)),
-        replicates=int(mc_doc.get("replicates", 10_000)),
-        seed=int(mc_doc.get("seed", 0)),
-        n_points=n_points,
-        sample_law=bool(mc_doc.get("sample_law", group.kind != SOLENOID)),
+        replicates=_int(mc_doc.get("replicates", 10_000), "mc.replicates"),
+        seed=_int(mc_doc.get("seed", 0), "mc.seed"),
+        n_points=tuple(_ints(mc_doc.get("n", []), "mc.n")) or (settings.grid[0],),
+        sample_law=sample_law,
     )
     _require(mc.replicates >= 1, "mc.replicates must be at least 1")
+    _require(mc.seed >= 0, "mc.seed must be non-negative")
 
     # fail early on table schedules that do not cover the grid
     _probe_array(array, settings.grid, mc.n_points)
@@ -370,7 +408,6 @@ def parse_config(text: str) -> ExperimentConfig:
         settings=settings,
         mc=mc,
         out_dir=str(doc.get("out", "reports")),
-        source=doc,
     )
 
 
@@ -378,18 +415,11 @@ def _probe_array(array: TriangularArraySpec, grid, n_points) -> None:
     try:
         for n in tuple(grid) + tuple(n_points):
             array.row_count(n)
-            if array.is_iid():
-                array.iid_dist(n)
-            else:
-                array.rows(n)
-    except (KeyError, ValueError) as exc:
+            array.row_laws(n)
+    except (KeyError, ValueError, OverflowError) as exc:
         raise ConfigError(f"array rules do not cover the grid: {exc}") from exc
     try:
         check_null_rule(array, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())

@@ -12,6 +12,7 @@ import csv
 import json
 import os
 
+from . import acceptance
 from .arrays import row_ft_exact
 from .config import ExperimentConfig
 from .groups import SOLENOID
@@ -136,73 +137,40 @@ def run_conditions(cfg: ExperimentConfig, out_dir: str) -> int:
     return EXIT_PASS if passed else EXIT_CHECK_FAILED
 
 
+_MC_HEADER = ("kind", "n", "char_id", "re_emp", "im_emp", "re_exact", "im_exact", "abs_err",
+              "replicates", "stderr")
+
+
+def _mc_rows(kind: str, n: str, est, exact_ft, bound: float):
+    """mc_table rows of one estimate against the exact FT chi ->
+    exact_ft(chi), and whether every error is within bound."""
+    rows, ok = [], True
+    for chi, emp in zip(est.chars, est.estimates):
+        exact = exact_ft(chi)
+        err = abs(emp - exact)
+        ok = ok and err <= bound
+        values = map(_fmt, (emp.real, emp.imag, exact.real, exact.imag, err))
+        rows.append((kind, n, chi.char_id, *values, str(est.replicates), _fmt(est.stderr)))
+    return rows, ok
+
+
 def run_sample(cfg: ExperimentConfig, out_dir: str, seed_override: int | None = None) -> int:
     seed = cfg.mc.seed if seed_override is None else seed_override
     M = cfg.mc.replicates
     chars = cfg.settings.characters
     bound = MC_ERROR_FACTOR / M**0.5
-    rows = []
-    all_ok = True
+    rows, all_ok = [], True
     for n in cfg.mc.n_points:
-        stream = SeededStream(seed).child(0, n)
-        est = empirical_ft(cfg.array, n, chars, M, stream)
-        for chi, emp in zip(est.chars, est.estimates):
-            exact = row_ft_exact(cfg.array, n, chi)
-            err = abs(emp - exact)
-            all_ok = all_ok and err <= bound
-            rows.append(
-                (
-                    "array",
-                    str(n),
-                    chi.char_id,
-                    _fmt(emp.real),
-                    _fmt(emp.imag),
-                    _fmt(exact.real),
-                    _fmt(exact.imag),
-                    _fmt(err),
-                    str(M),
-                    _fmt(est.stderr),
-                )
-            )
+        est = empirical_ft(cfg.array, n, chars, M, SeededStream(seed).child(0, n))
+        new, ok = _mc_rows("array", str(n), est, lambda chi: row_ft_exact(cfg.array, n, chi), bound)
+        rows, all_ok = rows + new, all_ok and ok
     if cfg.mc.sample_law and cfg.group.kind != SOLENOID:
-        stream = SeededStream(seed).child(1)
-        est = empirical_law_ft(cfg.law, chars, M, stream)
-        for chi, emp in zip(est.chars, est.estimates):
-            exact = limit_law_ft(cfg.law, chi)
-            err = abs(emp - exact)
-            all_ok = all_ok and err <= bound
-            rows.append(
-                (
-                    "law",
-                    "",
-                    chi.char_id,
-                    _fmt(emp.real),
-                    _fmt(emp.imag),
-                    _fmt(exact.real),
-                    _fmt(exact.imag),
-                    _fmt(err),
-                    str(M),
-                    _fmt(est.stderr),
-                )
-            )
+        est = empirical_law_ft(cfg.law, chars, M, SeededStream(seed).child(1))
+        new, ok = _mc_rows("law", "", est, lambda chi: limit_law_ft(cfg.law, chi), bound)
+        rows, all_ok = rows + new, all_ok and ok
     try:
         os.makedirs(out_dir, exist_ok=True)
-        _write_csv(
-            os.path.join(out_dir, "mc_table.csv"),
-            (
-                "kind",
-                "n",
-                "char_id",
-                "re_emp",
-                "im_emp",
-                "re_exact",
-                "im_exact",
-                "abs_err",
-                "replicates",
-                "stderr",
-            ),
-            rows,
-        )
+        _write_csv(os.path.join(out_dir, "mc_table.csv"), _MC_HEADER, rows)
         summary = {
             "mode": "sample",
             "group": cfg.group.describe(),
@@ -218,14 +186,11 @@ def run_sample(cfg: ExperimentConfig, out_dir: str, seed_override: int | None = 
     return EXIT_PASS if all_ok else EXIT_CHECK_FAILED
 
 
-def run_selftest(stream=None) -> int:
+def run_selftest() -> int:
     """Run the acceptance suite, printing one pass/fail line per
     criterion."""
-    from .acceptance import run_all
-
-    results = run_all()
     ok = True
-    for name, passed, detail in results:
+    for name, passed, detail in acceptance.run_all():
         tag = "PASS" if passed else "FAIL"
         print(f"{tag}  {name}: {detail}")
         ok = ok and passed

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import TriangularArraySpec
+from .arrays import IIDArray, TriangularArraySpec
 from .groups import (
     PADIC,
     SOLENOID,
@@ -95,7 +95,7 @@ def _row_sampler(
     """
     g = array.group
     K = array.row_count(n)
-    if array.is_iid() and not force_direct:
+    if isinstance(array, IIDArray) and not force_direct:
         dist = array.iid_dist(n)
         xs = [x for x, _ in dist.atoms]
         total = dist.measure.total_mass()
@@ -115,14 +115,16 @@ def _row_sampler(
 
     if K > budget:
         raise SamplingBudgetError(f"direct sampling of K_n={K} entries exceeds budget {budget}")
-    dists = (array.iid_dist(n),) if array.is_iid() else array.rows(n)
-    width = max((len(d.atoms) for d in dists), default=1)
+    # one table row per row law: a single one shared by all K_n entries
+    # (i.i.d. rows), or one per entry (general rows)
+    laws = tuple(array.row_laws(n))
+    width = max((len(d.atoms) for d, _ in laws), default=1)
     # entry k with uniform u takes the atom whose index is the number of
     # boundaries cum[k, :] <= u; boundaries past an entry's second-to-last
     # atom stay +inf, so its last atom also takes any rounding remainder
-    cum = np.full((len(dists), width - 1), np.inf)
-    vals = np.zeros((len(dists), width), dtype=block_dtype(g))
-    for k, d in enumerate(dists):
+    cum = np.full((len(laws), width - 1), np.inf)
+    vals = np.zeros((len(laws), width), dtype=block_dtype(g))
+    for k, (d, _) in enumerate(laws):
         total, acc = d.measure.total_mass(), 0.0
         for a, (x, w) in enumerate(d.atoms):
             vals[k, a] = element_value(x)
@@ -135,7 +137,7 @@ def _row_sampler(
         step = max(1, _MAX_TEMP // size)
         for k0 in range(0, K, step):
             k1 = min(k0 + step, K)
-            rows = np.zeros(k1 - k0, dtype=np.intp) if len(dists) == 1 else np.arange(k0, k1)
+            rows = np.zeros(k1 - k0, dtype=np.intp) if len(laws) == 1 else np.arange(k0, k1)
             u = gen.random((size, k1 - k0))
             idx = np.zeros(u.shape, dtype=np.intp)
             for a in range(width - 1):

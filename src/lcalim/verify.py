@@ -21,15 +21,18 @@ from .groups import (
     GroupId,
     GroupMismatchError,
     Neighborhood,
+    arg_of,
     character,
     canonical_character,
+    coordinate_arg,
     elements_close,
+    full_subgroup,
     identity,
+    local_inner,
     padic_metric,
     reduce_turns,
 )
 from .arrays import (
-    BernoulliArray,
     TriangularArraySpec,
     bernoulli_rate,
     check_null_rule,
@@ -45,9 +48,15 @@ from .arrays import (
 )
 from .measures import (
     LimitLaw,
+    compound_poisson_law,
     cylinder_mass,
+    dirac_law,
+    gauss_law,
+    haar_law,
     limit_law_ft,
+    point_mass,
     qform_eval,
+    scale_measure,
     tail_mass_measure,
 )
 
@@ -300,14 +309,12 @@ def _cylinder_set(law: LimitLaw, array, settings: VerifySettings):
     configured rank, excluding classes containing the identity."""
     group = law.group
     ranks = sorted({U.rank for U in settings.neighborhoods if U.rank > 0})
+    n = settings.grid[-1]
     residues = [x.residue for x, _ in law.eta.atoms]
-    if isinstance(array, BernoulliArray):
-        residues.append(array.x.residue)
-    elif array.is_iid():
-        residues.extend(x.residue for x, _ in array.iid_dist(settings.grid[-1]).atoms)
-    else:
-        for dist in array.rows(settings.grid[-1]):
-            residues.extend(x.residue for x, _ in dist.atoms)
+    if array.kind == "bernoulli":  # kept even when p_n = 0 drops it from the row law
+        residues.append(array.x(n).residue)
+    for dist, _ in array.row_laws(n):
+        residues.extend(x.residue for x, _ in dist.atoms)
     out = []
     for r in ranks:
         q = group.p**r
@@ -351,29 +358,21 @@ def check_theorem(
             _target_value(f"infinitesimal[{U.label}]", seq, classify, 0.0, tol)
         )
 
-    if isinstance(array, BernoulliArray) and _is_pure_haar(law):
+    if array.kind == "bernoulli" and _is_pure_haar(law):
         theorem = "bernoulli-haar"
         seq = [(n, bernoulli_rate(array, n)) for n in grid]
         conditions.append(_target_infinity("rate", seq, classify))
-        H = generating_subgroup(array.x)
-        ok = H == law.H
-        conditions.append(
-            ConditionVerdict(
-                "subgroup",
-                f"closure of <x> = {law.H.describe()}",
-                (),
-                None,
-                bool(ok),
-            )
-        )
-    elif isinstance(array, BernoulliArray) and law.H.is_trivial() and law.b.b == 0.0:
+        H = generating_subgroup(array.x(grid[-1]))
+        target = f"closure of <x> = {law.H.describe()}"
+        conditions.append(ConditionVerdict("subgroup", target, (), None, H == law.H))
+    elif array.kind == "bernoulli" and law.H.is_trivial() and law.b.b == 0.0:
         theorem = "bernoulli-poisson"
         lam = law.eta.total_mass()
         seq = [(n, bernoulli_rate(array, n)) for n in grid]
         conditions.append(_target_value("rate", seq, classify, lam, tol))
         conditions.extend(_levy_tail_conditions(array, law, settings, classify))
     elif is_symmetric_array(array) and _is_pure_haar(law) and law.H.is_full():
-        theorem = "rademacher-haar" if _is_rademacher(array) else "symmetric-haar"
+        theorem = "rademacher-haar" if array.kind == "rademacher" else "symmetric-haar"
         for chi in settings.characters:
             if chi.is_trivial():
                 continue
@@ -382,22 +381,11 @@ def check_theorem(
                 _target_infinity(f"char_gap[{chi.char_id}]", seq, classify)
             )
     elif is_symmetric_array(array) and law.H.is_trivial() and not law.eta.atoms:
-        theorem = "rademacher-clt" if _is_rademacher(array) else "symmetric-clt"
-        for chi in settings.characters:
-            target = qform_eval(law.b, chi)
-            seq = [(n, symmetric_stat(array, n, chi)) for n in grid]
-            conditions.append(
-                _target_value(f"char_gap[{chi.char_id}]", seq, classify, target / 2.0, tol)
-            )
-            seq = [(n, sum_var_g(array, n, chi)) for n in grid]
-            conditions.append(
-                _target_value(f"var_sum[{chi.char_id}]", seq, classify, target, tol)
-            )
-        for U in settings.neighborhoods:
-            seq = [(n, sum_tail(array, n, U)) for n in grid]
-            conditions.append(
-                _target_value(f"tail_sum[{U.label}]", seq, classify, 0.0, tol)
-            )
+        theorem = "rademacher-clt" if array.kind == "rademacher" else "symmetric-clt"
+        moment, variance, tails = _clt_conditions(array, law.b, settings, classify)
+        for pair in zip(moment, variance):
+            conditions.extend(pair)
+        conditions.extend(tails)
     elif law.H.is_trivial():
         theorem = "gaiser"
         a = law.a
@@ -405,7 +393,7 @@ def check_theorem(
         conditions.append(_target_value("mean_sum_gap", seq, classify, 0.0, tol))
         for chi in settings.characters:
             target = qform_eval(law.b, chi) + sum(
-                w * _g_sq(x, chi) for x, w in law.eta.atoms
+                w * local_inner(x, chi) ** 2 for x, w in law.eta.atoms
             )
             seq = [(n, sum_var_g(array, n, chi)) for n in grid]
             conditions.append(
@@ -449,18 +437,6 @@ def check_theorem(
         tuple(conditions),
         overall,
     )
-
-
-def _is_rademacher(array) -> bool:
-    from .arrays import RademacherArray
-
-    return isinstance(array, RademacherArray)
-
-
-def _g_sq(x, chi) -> float:
-    from .groups import local_inner
-
-    return local_inner(x, chi) ** 2
 
 
 def _levy_tail_conditions(array, law: LimitLaw, settings: VerifySettings, classify):
@@ -517,29 +493,11 @@ class EquivalenceReport:
         return self.ft_passed == self.moment_passed == self.levy_passed
 
 
-def crosscheck_gensym2(
-    array: TriangularArraySpec, b: float, settings: VerifySettings | None = None
-) -> EquivalenceReport:
-    """Evaluate, on the same grid, the three equivalent statements for a
-    symmetric i.i.d. array and the Gauss law with parameter b: FT distance
-    to the law vanishes; the per-character moment gaps converge to half the
-    quadratic form; the variance sums converge to the quadratic form while
-    the tail sums vanish.  Reports whether the three verdicts agree."""
-    from .measures import QuadraticFormParam, gauss_law
-
-    if not is_symmetric_array(array):
-        raise ConfigError("the equivalence crosscheck needs a symmetric i.i.d. array")
-    settings = (settings or VerifySettings()).resolved(array.group)
-    law = gauss_law(array.group, b)
-    qform = QuadraticFormParam(array.group, b)
+def _clt_conditions(array, qform, settings: VerifySettings, classify):
+    """The symmetric-CLT hypotheses for the Gauss parameter qform: moment
+    gaps -> Q(chi)/2 and variance sums -> Q(chi) per character, and
+    vanishing tail sums; returned as (moment, variance, tails)."""
     tol = settings.trend_tol
-
-    def classify(seq):
-        return trend_classify(seq, tol, settings.window, settings.divergence_threshold)
-
-    ft_vals = [ft_sup_distance(array, law, n, settings.characters) for n in settings.grid]
-    ft_passed = _ft_converges_to_zero(ft_vals, settings.window, settings.ft_tol)
-
     moment, variance, tails = [], [], []
     for chi in settings.characters:
         target = qform_eval(qform, chi)
@@ -554,5 +512,92 @@ def crosscheck_gensym2(
     for U in settings.neighborhoods:
         seq = [(n, sum_tail(array, n, U)) for n in settings.grid]
         tails.append(_target_value(f"tail_sum[{U.label}]", seq, classify, 0.0, tol))
+    return moment, variance, tails
 
+
+def crosscheck_gensym2(
+    array: TriangularArraySpec, b: float, settings: VerifySettings | None = None
+) -> EquivalenceReport:
+    """Evaluate, on the same grid, the three equivalent statements for a
+    symmetric i.i.d. array and the Gauss law with parameter b: FT distance
+    to the law vanishes; the per-character moment gaps converge to half the
+    quadratic form; the variance sums converge to the quadratic form while
+    the tail sums vanish.  Reports whether the three verdicts agree."""
+    if not is_symmetric_array(array):
+        raise ConfigError("the equivalence crosscheck needs a symmetric i.i.d. array")
+    settings = (settings or VerifySettings()).resolved(array.group)
+    law = gauss_law(array.group, b)
+    tol = settings.trend_tol
+
+    def classify(seq):
+        return trend_classify(seq, tol, settings.window, settings.divergence_threshold)
+
+    ft_vals = [ft_sup_distance(array, law, n, settings.characters) for n in settings.grid]
+    ft_passed = _ft_converges_to_zero(ft_vals, settings.window, settings.ft_tol)
+    moment, variance, tails = _clt_conditions(array, law.b, settings, classify)
     return EquivalenceReport(b, ft_passed, tuple(moment), tuple(variance), tuple(tails))
+
+
+@dataclass(frozen=True)
+class Prediction:
+    """Outcome of trend-based limit classification."""
+
+    law: LimitLaw | None
+    theorem: str
+    reason: str = ""
+
+    def classified(self) -> bool:
+        return self.law is not None
+
+
+def predict_limit(
+    array: TriangularArraySpec,
+    grid,
+    tol: float = DEFAULT_TREND_TOL,
+    window: int = DEFAULT_WINDOW,
+    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
+) -> Prediction:
+    """Classify the driving sequence of a Rademacher or Bernoulli array on
+    an n-grid and return the theorem-predicted limit law.
+
+    Unclassifiable trends are reported as such, never guessed.
+    """
+    grid = tuple(grid)
+    g = array.group
+    if array.kind == "rademacher":
+        if g.kind == PADIC:
+            # the local inner product vanishes, so x_n -> e forces the
+            # limit to be the point mass at e
+            seq = [(n, padic_metric(array.x(n), identity(g))) for n in grid]
+            verdict = trend_classify(seq, tol, window, divergence_threshold)
+            if verdict.kind == CONVERGES and abs(verdict.value) <= tol:
+                return Prediction(dirac_law(identity(g)), "rademacher-dirac")
+            reason = "padic Rademacher elements do not tend to the identity"
+            return Prediction(None, "unclassified", reason)
+        seq = []
+        for n in grid:
+            x = array.x(n)
+            a0 = arg_of(x) if g.kind == TORUS else coordinate_arg(x, 0)
+            seq.append((n, array.row_count(n) * a0 * a0))
+        verdict = trend_classify(seq, tol, window, divergence_threshold)
+        if verdict.kind == CONVERGES:
+            return Prediction(gauss_law(g, max(verdict.value, 0.0)), "rademacher-clt")
+        if verdict.kind == DIVERGES:
+            return Prediction(haar_law(full_subgroup(g)), "rademacher-haar")
+        return Prediction(None, "unclassified", "driving sequence K_n*arg(x_n)^2 has no clear trend")
+    if array.kind == "bernoulli":
+        x = array.x(grid[-1])
+        seq = [(n, bernoulli_rate(array, n)) for n in grid]
+        verdict = trend_classify(seq, tol, window, divergence_threshold)
+        if verdict.kind == CONVERGES:
+            lam = max(verdict.value, 0.0)
+            eta = scale_measure(point_mass(x), lam)
+            return Prediction(compound_poisson_law(eta), "bernoulli-poisson")
+        if verdict.kind == DIVERGES:
+            H = generating_subgroup(x)
+            if H is None:
+                reason = "closure of the cyclic group of x is not determinable here"
+                return Prediction(None, "unclassified", reason)
+            return Prediction(haar_law(H), "bernoulli-haar")
+        return Prediction(None, "unclassified", "rate sequence K_n*p_n has no clear trend")
+    return Prediction(None, "unclassified", "only Rademacher/Bernoulli arrays are classified")

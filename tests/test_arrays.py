@@ -3,21 +3,21 @@ import math
 import pytest
 
 from lcalim.arrays import (
-    BernoulliArray,
     GeneralArray,
-    IIDSymmetricArray,
-    RademacherArray,
+    bernoulli_array,
     bernoulli_rate,
     char_moment,
     constant,
     generating_subgroup,
+    iid_symmetric_array,
     infinitesimality_stat,
     linear,
     power,
-    predict_limit,
+    rademacher_array,
     row_dist,
     row_distribution,
     row_ft_exact,
+    sum_cylinder,
     sum_local_means,
     sum_tail,
     sum_var_g,
@@ -41,18 +41,19 @@ from lcalim.groups import (
     torus_group,
     trivial_subgroup,
 )
+from lcalim.verify import predict_limit
 
 T = torus_group()
 GRID = (100, 1_000, 10_000, 100_000, 1_000_000)
 
 
 def torus_rademacher(coef=1.0, exp=-0.5):
-    return RademacherArray(T, K=linear(1.0), angle=power(coef, exp))
+    return rademacher_array(T, K=linear(1.0), angle=power(coef, exp))
 
 
 def padic_bernoulli(coef=2.0, exp=-1.0, p=2):
     g = padic_group(p)
-    return BernoulliArray(g, from_int(g, 1), p=power(coef, exp), K=linear(1.0))
+    return bernoulli_array(g, from_int(g, 1), p=power(coef, exp), K=linear(1.0))
 
 
 class TestSchedules:
@@ -105,20 +106,20 @@ class TestRowDist:
 
     def test_iid_symmetric_rejects_asymmetric(self):
         dist = row_distribution(T, [(from_angle(T, 0.4), 0.6), (from_angle(T, -0.4), 0.4)])
-        arr = IIDSymmetricArray(T, lambda n: dist, K=linear(1.0))
+        arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
         with pytest.raises(ValueError, match="symmetric"):
             arr.iid_dist(10)
 
     def test_bernoulli_validation(self):
         g = padic_group(2)
         with pytest.raises(ValueError, match="identity"):
-            BernoulliArray(g, identity(g), p=constant(0.1), K=linear(1.0))
-        arr = BernoulliArray(g, from_int(g, 1), p=constant(1.5), K=linear(1.0))
+            bernoulli_array(g, identity(g), p=constant(0.1), K=linear(1.0))
+        arr = bernoulli_array(g, from_int(g, 1), p=constant(1.5), K=linear(1.0))
         with pytest.raises(ValueError, match="outside"):
             arr.iid_dist(10)
 
     def test_k_must_be_positive_integer(self):
-        arr = RademacherArray(T, K=constant(0.0), angle=power(1.0, -0.5))
+        arr = rademacher_array(T, K=constant(0.0), angle=power(1.0, -0.5))
         with pytest.raises(ValueError, match="positive integer"):
             arr.row_count(10)
 
@@ -146,7 +147,7 @@ class TestCharMoment:
 
 class TestRowFtExact:
     def test_rademacher_fourth_power(self):
-        arr = RademacherArray(
+        arr = rademacher_array(
             T, K=constant(4.0), angle=table({9: math.pi / 4})
         )
         got = row_ft_exact(arr, 9, character(T, 1))
@@ -155,7 +156,7 @@ class TestRowFtExact:
 
     def test_bernoulli_scalar_power_oracle(self):
         g = padic_group(2)
-        arr = BernoulliArray(g, from_int(g, 1), p=constant(0.02), K=constant(100.0))
+        arr = bernoulli_array(g, from_int(g, 1), p=constant(0.02), K=constant(100.0))
         got = row_ft_exact(arr, 1, character(g, 1, 0))
         assert got == pytest.approx(0.96**100, abs=1e-12)
         assert got == pytest.approx(0.0168703, abs=1e-7)
@@ -168,7 +169,7 @@ class TestRowFtExact:
     def test_zero_moment_returns_exact_zero(self):
         # atoms at +-i: the moment vanishes exactly, so must the power
         dist = row_distribution(T, [(from_turns(T, 0.25), 0.5), (from_turns(T, -0.25), 0.5)])
-        arr = IIDSymmetricArray(T, lambda n: dist, K=linear(1.0))
+        arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
         assert char_moment(dist, character(T, 1)) == 0.0
         assert row_ft_exact(arr, 10**9, character(T, 1)) == 0.0
 
@@ -181,7 +182,7 @@ class TestRowFtExact:
 
     def test_negative_real_moment_signs(self):
         dist = row_distribution(T, [(from_angle(T, -math.pi), 1.0)])
-        arr = IIDSymmetricArray(T, lambda n: dist, K=linear(1.0))
+        arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
         # moment is exactly -1; odd/even powers alternate sign exactly
         assert row_ft_exact(arr, 3, character(T, 1)) == -1.0
         assert row_ft_exact(arr, 4, character(T, 1)) == 1.0
@@ -234,20 +235,40 @@ class TestSums:
 
     def test_sum_local_means_torus_bernoulli(self):
         x = from_angle(T, 0.3)
-        arr = BernoulliArray(T, x, p=constant(0.1), K=constant(10.0))
+        arr = bernoulli_array(T, x, p=constant(0.1), K=constant(10.0))
         got = sum_local_means(arr, 1)
         assert elements_close(got, x, 1e-12)
 
-    def test_sum_local_means_matches_rowwise_oracle(self):
+    @pytest.mark.parametrize(
+        "stat, args",
+        [
+            pytest.param(stat, args, id=stat.__name__)
+            for stat, args in (
+                (sum_local_means, ()),
+                (row_ft_exact, (character(T, 3),)),
+                (sum_var_g, (character(T, 2),)),
+                (sum_tail, (Neighborhood(T, eps=0.3),)),
+                (infinitesimality_stat, (Neighborhood(T, eps=0.3),)),
+                (sum_cylinder, (from_int(padic_group(2), 3), 2)),
+            )
+        ],
+    )
+    def test_sum_local_means_matches_rowwise_oracle(self, stat, args):
         # closed form against explicit general rows
-        x = from_angle(T, 0.5)
-        dist = row_distribution(T, [(x, 0.2), (identity(T), 0.8)])
-        arr_iid = BernoulliArray(T, x, p=constant(0.2), K=constant(7.0))
-        arr_gen = GeneralArray(T, lambda n: (dist,) * 7)
-        assert elements_close(sum_local_means(arr_iid, 5), sum_local_means(arr_gen, 5), 1e-12)
+        g = padic_group(2) if stat is sum_cylinder else T
+        x = from_int(g, 3) if stat is sum_cylinder else from_angle(T, 0.5)
+        dist = row_distribution(g, [(x, 0.2), (identity(g), 0.8)])
+        arr_iid = bernoulli_array(g, x, p=constant(0.2), K=constant(7.0))
+        arr_gen = GeneralArray(g, lambda n: (dist,) * 7)
+        got, want = stat(arr_iid, 5, *args), stat(arr_gen, 5, *args)
+        if stat is sum_local_means:
+            assert elements_close(got, want, 1e-12)
+        else:
+            assert got == pytest.approx(want, abs=1e-12)
+            assert got != 0.0
 
     def test_sum_var_g_rademacher(self):
-        arr = RademacherArray(T, K=constant(10_000.0), angle=constant(0.01))
+        arr = rademacher_array(T, K=constant(10_000.0), angle=constant(0.01))
         assert sum_var_g(arr, 1, character(T, 1)) == pytest.approx(1.0, rel=1e-12)
 
     def test_sum_var_g_padic_zero(self):
@@ -271,7 +292,7 @@ class TestSums:
         assert sum_tail(arr, 100, U) == 0.0  # |arg| = 0.1 < 0.5
 
     def test_sum_tail_monotone_in_nested_neighborhoods(self):
-        arr = BernoulliArray(T, from_angle(T, 1.0), p=power(1.0, -1.0), K=linear(1.0))
+        arr = bernoulli_array(T, from_angle(T, 1.0), p=power(1.0, -1.0), K=linear(1.0))
         small, big = Neighborhood(T, eps=0.5), Neighborhood(T, eps=2.0)
         for n in GRID:
             assert sum_tail(arr, n, small) >= sum_tail(arr, n, big)
@@ -295,7 +316,7 @@ class TestSums:
 
 class TestStats:
     def test_symmetric_stat_value(self):
-        arr = RademacherArray(T, K=linear(1.0), angle=power(1.0, -0.5))
+        arr = rademacher_array(T, K=linear(1.0), angle=power(1.0, -0.5))
         got = symmetric_stat(arr, 10_000, character(T, 1))
         assert got == pytest.approx(10_000 * (1 - math.cos(0.01)), rel=1e-12)
         assert got == pytest.approx(0.4999958, abs=1e-6)
@@ -320,7 +341,7 @@ class TestStats:
         assert bernoulli_rate(padic_bernoulli(), 1000) == pytest.approx(2.0)
         sqrt_arr = padic_bernoulli(coef=1.0, exp=-0.5)
         assert bernoulli_rate(sqrt_arr, 10_000) == pytest.approx(100.0)
-        zero = BernoulliArray(T, from_angle(T, 1.0), p=constant(0.0), K=linear(1.0))
+        zero = bernoulli_array(T, from_angle(T, 1.0), p=constant(0.0), K=linear(1.0))
         assert bernoulli_rate(zero, 50) == 0.0
 
     def test_bernoulli_rate_rejects_other_kinds(self):
@@ -348,20 +369,20 @@ class TestNullRule:
     def test_zero_rule_accepted(self):
         from lcalim.arrays import check_null_rule
 
-        arr = BernoulliArray(T, from_angle(T, 1.0), p=constant(0.0), K=linear(1.0))
+        arr = bernoulli_array(T, from_angle(T, 1.0), p=constant(0.0), K=linear(1.0))
         check_null_rule(arr, GRID)
 
     def test_flat_rate_rejected(self):
         from lcalim.arrays import check_null_rule
 
-        arr = BernoulliArray(T, from_angle(T, 1.0), p=constant(0.3), K=linear(1.0))
+        arr = bernoulli_array(T, from_angle(T, 1.0), p=constant(0.3), K=linear(1.0))
         with pytest.raises(ValueError, match="not null"):
             check_null_rule(arr, GRID)
 
     def test_non_shrinking_rademacher_rejected(self):
         from lcalim.arrays import check_null_rule
 
-        arr = RademacherArray(T, K=linear(1.0), angle=constant(0.5))
+        arr = rademacher_array(T, K=linear(1.0), angle=constant(0.5))
         with pytest.raises(ValueError, match="not null"):
             check_null_rule(arr, GRID)
 
@@ -424,7 +445,7 @@ class TestPredictLimit:
             (n, from_int(g, 2 ** min(3 * int(math.log10(n)), g.depth)))
             for n in GRID
         )
-        arr = RademacherArray(g, K=linear(1.0), elements=elements)
+        arr = rademacher_array(g, K=linear(1.0), elements=elements)
         pred = predict_limit(arr, GRID)
         assert pred.theorem == "rademacher-dirac"
         assert pred.law.H.is_trivial()
@@ -432,7 +453,7 @@ class TestPredictLimit:
 
     def test_unclassifiable_reported_not_guessed(self):
         # oscillating driving sequence
-        arr = RademacherArray(
+        arr = rademacher_array(
             T,
             K=linear(1.0),
             angle=table({n: (1.0 if i % 2 else 2.0) / math.sqrt(n) for i, n in enumerate(GRID)}),
@@ -444,7 +465,7 @@ class TestPredictLimit:
 
     def test_solenoid_bernoulli_haar_unclassified(self):
         g = solenoid_group(2, 4)
-        arr = BernoulliArray(g, from_angle(g, 0.7), p=power(1.0, -0.5), K=linear(1.0))
+        arr = bernoulli_array(g, from_angle(g, 0.7), p=power(1.0, -0.5), K=linear(1.0))
         pred = predict_limit(arr, (100, 1000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000))
         assert not pred.classified()
         assert "closure" in pred.reason

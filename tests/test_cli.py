@@ -4,6 +4,8 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcalim import cli
 from lcalim.arrays import row_ft_exact
@@ -377,3 +379,92 @@ class TestCLI:
         names = cli.bundled_example_names()
         assert "torus_clt" in names
         assert "bernoulli_mismatch" in names
+
+
+def _bundled_doc(name):
+    with open(os.path.join(os.path.dirname(cli.__file__), "examples", f"{name}.json")) as fh:
+        return json.load(fh)
+
+
+def _key_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _key_paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _run_cli(tmp_path, command, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+_KEY_PATHS = [
+    (name, path)
+    for name in cli.bundled_example_names()
+    for path in _key_paths(_bundled_doc(name))
+]
+_KEYS = sorted({key for _, path in _KEY_PATHS for key in path if isinstance(key, str)})
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+
+_PADIC_RADEMACHER = {
+    "group": {"kind": "padic", "p": 2},
+    "array": {"kind": "rademacher", "K": {"kind": "linear", "coef": 1.0}},
+    "law": {},
+}
+_GENERAL = {"group": {"kind": "torus"}, "array": {"kind": "general"}, "law": {}}
+_INVALID = {
+    "grid not a list": ("torus_clt", ("grid",), 5),
+    "non-numeric grid entry": ("torus_clt", ("grid", 1), "x"),
+    "non-numeric character index": ("torus_clt", ("characters", 0, "l"), "one"),
+    "non-numeric replicates": ("torus_clt", ("mc", "replicates"), "many"),
+    "fractional replicates": ("torus_clt", ("mc", "replicates"), 1.5),
+    "string depth": ("padic_poisson", ("group", "depth"), "16"),
+    "string nan trend tolerance": ("torus_clt", ("tolerances",), {"trend": "nan"}),
+    "string sample_law": ("torus_clt", ("mc", "sample_law"), "false"),
+    "padic Rademacher elements as a list": (
+        _PADIC_RADEMACHER,
+        ("array", "elements"),
+        [{"int": 2}],
+    ),
+    "general rows as a list": (
+        _GENERAL,
+        ("array", "rows"),
+        [[{"x": {"angle": 0.1}, "weight": 1.0}]],
+    ),
+    "law matching no theorem": ("torus_clt", ("law",), {"H": {"kind": "full"}, "b": 1.0}),
+}
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("command", ["verify", "conditions"])
+    @pytest.mark.parametrize("case", sorted(_INVALID))
+    def test_invalid_config_exit_2(self, tmp_path, capsys, command, case):
+        base, path, value = _INVALID[case]
+        doc = _mutated(_bundled_doc(base) if isinstance(base, str) else base, path, value)
+        assert _run_cli(tmp_path, command, doc) == 2
+        assert "error: invalid config" in capsys.readouterr().err
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(target=st.sampled_from(_KEY_PATHS), value=_JSON)
+    def test_any_single_mutation_keeps_exit_codes(self, tmp_path_factory, target, value):
+        # one key path of a bundled example set to an arbitrary JSON value
+        name, path = target
+        doc = _mutated(_bundled_doc(name), path, value)
+        assert _run_cli(tmp_path_factory.mktemp("fuzz"), "verify", doc) in (0, 1, 2, 3)

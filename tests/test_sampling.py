@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from lcalim.arrays import (
-    BernoulliArray,
     GeneralArray,
-    IIDSymmetricArray,
-    RademacherArray,
+    bernoulli_array,
     constant,
+    iid_symmetric_array,
     linear,
     power,
+    rademacher_array,
     row_distribution,
     row_ft_exact,
 )
@@ -76,18 +76,18 @@ class TestSeeds:
 
 
 def _torus_rademacher():
-    return RademacherArray(T, K=linear(1.0), angle=power(1.0, -0.5))
+    return rademacher_array(T, K=linear(1.0), angle=power(1.0, -0.5))
 
 
 def _padic_bernoulli():
     g = padic_group(2)
-    return BernoulliArray(g, from_int(g, 1), p=power(2.0, -1.0), K=linear(1.0))
+    return bernoulli_array(g, from_int(g, 1), p=power(2.0, -1.0), K=linear(1.0))
 
 
 class TestSampleRowSum:
     def test_degenerate_rows(self):
         dist = row_distribution(T, [(identity(T), 1.0)])
-        arr = IIDSymmetricArray(T, lambda n: dist, K=linear(1.0))
+        arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
         s = sample_row_sum(arr, 1000, SeededStream(1))
         assert s == identity(T)
 
@@ -122,7 +122,7 @@ class TestSampleRowSum:
     def test_multinomial_shortcut_for_many_atoms(self):
         xs = [from_angle(T, a) for a in (0.3, -0.3, 1.1, -1.1)]
         dist = row_distribution(T, [(x, 0.25) for x in xs])
-        arr = IIDSymmetricArray(T, lambda n: dist, K=constant(10**6))
+        arr = iid_symmetric_array(T, lambda n: dist, K=constant(10**6))
         s = sample_row_sum(arr, 1, SeededStream(3))  # must not loop K times
         assert s.group == T
 
@@ -150,7 +150,7 @@ class TestEmpiricalFT:
 
     def test_degenerate_array_exact(self):
         dist = row_distribution(T, [(identity(T), 1.0)])
-        arr = IIDSymmetricArray(T, lambda n: dist, K=linear(1.0))
+        arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
         est = empirical_ft(arr, 100, [character(T, 3)], 200, SeededStream(2))
         assert est.estimates[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -232,7 +232,7 @@ class TestLargeModulus:
     def test_row_sums_and_characters(self, g):
         assert g.modulus >= 2**31
         K = 10**15
-        arr = BernoulliArray(g, from_int(g, 1), p=constant(0.5), K=constant(K))
+        arr = bernoulli_array(g, from_int(g, 1), p=constant(0.5), K=constant(K))
         block = _row_sampler(arr, 1)(SeededStream(21).generator(), 256)
         assert all(isinstance(v, int) and 0 <= v <= K for v in block)
         assert len(set(block)) > 1
@@ -247,7 +247,7 @@ class TestLargeModulus:
     def test_wrapper_returns_exact_residue(self):
         g = padic_group(101, 8)
         K = 10**15
-        arr = BernoulliArray(g, from_int(g, 1), p=constant(0.5), K=constant(K))
+        arr = bernoulli_array(g, from_int(g, 1), p=constant(0.5), K=constant(K))
         s = sample_row_sum(arr, 1, SeededStream(2))
         assert 0 <= s.residue <= K
         assert abs(s.residue - K // 2) < 10**9

@@ -3,12 +3,12 @@ import math
 import pytest
 
 from lcalim.arrays import (
-    BernoulliArray,
     GeneralArray,
-    IIDSymmetricArray,
-    RademacherArray,
+    bernoulli_array,
+    iid_symmetric_array,
     linear,
     power,
+    rademacher_array,
     row_distribution,
 )
 from lcalim.groups import (
@@ -52,7 +52,7 @@ WIDE = GRID + (10_000_000, 100_000_000)
 
 
 def clt_array(coef=1.0, exp=-0.5):
-    return RademacherArray(T, K=linear(1.0), angle=power(coef, exp))
+    return rademacher_array(T, K=linear(1.0), angle=power(coef, exp))
 
 
 class TestTrendClassify:
@@ -131,7 +131,7 @@ class TestFtSupDistance:
     def test_exactly_distributed_array_gives_zero(self):
         # point-mass rows at the identity match the point-mass law exactly
         dist = row_distribution(T, [(identity(T), 1.0)])
-        arr = IIDSymmetricArray(T, lambda n: dist, K=linear(1.0))
+        arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
         law = gauss_law(T, 0.0)
         chars = [character(T, l) for l in range(-5, 6)]
         for n in GRID:
@@ -145,7 +145,7 @@ class TestFtSupDistance:
 
     def test_mismatched_rate_bounded_away(self):
         g = padic_group(2)
-        arr = BernoulliArray(g, from_int(g, 1), p=power(1.0, -1.0), K=linear(1.0))
+        arr = bernoulli_array(g, from_int(g, 1), p=power(1.0, -1.0), K=linear(1.0))
         law = compound_poisson_law(scale_measure(point_mass(from_int(g, 1)), 2.0))
         chars = [character(g, 1, 0)]
         # limit of the gap: |exp(-2) - exp(-4)|
@@ -221,7 +221,7 @@ class TestCheckTheorem:
 
     def test_bernoulli_poisson_pass_with_cylinders(self):
         g = padic_group(2)
-        arr = BernoulliArray(g, from_int(g, 1), p=power(2.0, -1.0), K=linear(1.0))
+        arr = bernoulli_array(g, from_int(g, 1), p=power(2.0, -1.0), K=linear(1.0))
         law = compound_poisson_law(scale_measure(point_mass(from_int(g, 1)), 2.0))
         report = check_theorem(arr, law)
         assert report.theorem == "bernoulli-poisson"
@@ -232,7 +232,7 @@ class TestCheckTheorem:
 
     def test_bernoulli_haar_with_subgroup_check(self):
         g = padic_group(2)
-        arr = BernoulliArray(g, from_int(g, 2), p=power(1.0, -0.5), K=linear(1.0))
+        arr = bernoulli_array(g, from_int(g, 2), p=power(1.0, -0.5), K=linear(1.0))
         from lcalim.groups import lambda_subgroup
 
         settings = VerifySettings(grid=WIDE)
@@ -256,7 +256,7 @@ class TestCheckTheorem:
                 T, [(x, p / 2), (neg(x), p / 2), (identity(T), 1.0 - p)]
             )
 
-        arr = IIDSymmetricArray(T, rows, K=linear(1.0))
+        arr = iid_symmetric_array(T, rows, K=linear(1.0))
         eta = validate_levy(_two_point(x, lam))
         law = LimitLaw(trivial_subgroup(T), identity(T), QuadraticFormParam(T, 0.0), eta)
         report = check_theorem(arr, law)
@@ -305,7 +305,7 @@ class TestCheckTheorem:
         # take a Bernoulli-Poisson instance and a law whose eta has an extra
         # far atom that the FT barely sees but the tail condition does
         g = padic_group(2)
-        arr = BernoulliArray(g, from_int(g, 1), p=power(2.0, -1.0), K=linear(1.0))
+        arr = bernoulli_array(g, from_int(g, 1), p=power(2.0, -1.0), K=linear(1.0))
         eta_atoms = [(from_int(g, 1), 2.0), (from_int(g, 3), 1e-9)]
         from lcalim.measures import discrete_measure
 
@@ -328,7 +328,7 @@ class TestCheckTheorem:
 
     def test_solenoid_clt_pass(self):
         g = solenoid_group(2)
-        arr = RademacherArray(g, K=linear(1.0), angle=power(1.0, -0.5))
+        arr = rademacher_array(g, K=linear(1.0), angle=power(1.0, -0.5))
         chars = tuple(
             character(g, l, d) for d in (0, 1, 2) for l in (1, 2, 3)
         )
@@ -357,12 +357,12 @@ class TestCrosscheck:
 
     def test_degenerate_instance_b_zero(self):
         dist = row_distribution(T, [(identity(T), 1.0)])
-        arr = IIDSymmetricArray(T, lambda n: dist, K=linear(1.0))
+        arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
         report = crosscheck_gensym2(arr, 0.0)
         assert report.ft_passed and report.moment_passed and report.levy_passed
 
     def test_rejects_asymmetric_arrays(self):
         g = padic_group(2)
-        arr = BernoulliArray(g, from_int(g, 1), p=power(1.0, -1.0), K=linear(1.0))
+        arr = bernoulli_array(g, from_int(g, 1), p=power(1.0, -1.0), K=linear(1.0))
         with pytest.raises(ConfigError, match="symmetric"):
             crosscheck_gensym2(arr, 0.0)
