@@ -4,45 +4,60 @@ local-mean sums, variance sums and tail sums.
 
 Row-count and parameter rules are closed-form schedules of the row index n
 (constant / linear / power / explicit table), so every reported number is
-reproducible from the experiment description alone.  For i.i.d. rows the
-K_n-fold quantities are evaluated in closed form; no loop of length K_n is
-ever run, which keeps K_n up to 1e9 cheap.
+reproducible from the experiment description alone.
+
+For i.i.d. rows the K_n-fold quantities are evaluated in closed form, so
+no loop of length K_n is run and K_n up to 1e9 is cheap.  General rows have
+no closed form: each row is packed once into a PackedRow table, and every
+statistic is one numpy pass over that table per character or
+neighborhood.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from typing import Callable, Iterable
+from typing import Callable
+
+import numpy as np
 
 from .groups import (
     PADIC,
     TORUS,
+    TWO_PI,
     Character,
     GroupElement,
     GroupId,
     GroupMismatchError,
     Neighborhood,
     add,
+    block_dtype,
+    char_eval_block,
     cyclic_subgroup,
+    element_value,
     elements_close,
     from_angle,
     from_base_angle,
+    from_turns,
     full_subgroup,
+    h_arg_block,
     identity,
+    in_nbhd_block,
     lambda_subgroup,
     local_inner,
+    local_inner_block,
     neg,
     padic_metric,
+    reduce_turns_block,
     scale,
     trivial_subgroup,
 )
 from .measures import (
     DiscreteMeasure,
     cylinder_mass,
+    cylinder_modulus,
     discrete_measure,
     local_mean,
     measure_ft,
@@ -159,16 +174,17 @@ class IIDArray:
     dist: Callable[[int], RowDistribution]
     x: Callable[[int], GroupElement] | None = None
     p: Callable[[int], float] | None = None
+    _dists: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def row_count(self, n: int) -> int:
         return _positive_k(self.K(n), n)
 
     def iid_dist(self, n: int) -> RowDistribution:
-        return self.dist(n)
-
-    def row_laws(self, n: int) -> Iterable[tuple[RowDistribution, int]]:
-        """(law, multiplicity) pairs of row n: one law K_n times."""
-        return ((self.iid_dist(n), self.row_count(n)),)
+        """The row law of row n, built and checked once per n."""
+        dist = self._dists.get(n)
+        if dist is None:
+            dist = self._dists[n] = self.dist(n)
+        return dist
 
 
 def rademacher_array(
@@ -246,31 +262,60 @@ def iid_symmetric_array(
 
 
 @dataclass(frozen=True)
+class PackedRow:
+    """The entries of one row in one table: entry k has the atoms
+    values[starts[k]:starts[k + 1]] (a block of the group's block_dtype)
+    with the weights at the same positions."""
+
+    laws: tuple[RowDistribution, ...]
+    values: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
+
+    def entry_sums(self, x: np.ndarray) -> np.ndarray:
+        """The sum over each entry's atoms of weight * x, for x given at
+        every atom (x may have trailing axes)."""
+        w = self.weights.reshape((-1,) + (1,) * (x.ndim - 1))
+        return np.add.reduceat(w * x, self.starts)
+
+
+def pack_rows(group: GroupId, laws) -> PackedRow:
+    """One PackedRow of the row laws, checked to lie on the group."""
+    laws = tuple(laws)
+    if any(dist.group != group for dist in laws):
+        raise GroupMismatchError("row rule produced a distribution on another group")
+    atoms = [atom for dist in laws for atom in dist.atoms]
+    counts = np.array([len(dist.atoms) for dist in laws], dtype=np.intp)
+    return PackedRow(
+        laws,
+        np.array([element_value(x) for x, _ in atoms], dtype=block_dtype(group)),
+        np.array([w for _, w in atoms], dtype=float),
+        np.cumsum(counts) - counts,
+    )
+
+
+@dataclass(frozen=True)
 class GeneralArray:
     """Arbitrary rowwise-independent rows from a rule n -> list of row
     distributions (one per k)."""
 
     group: GroupId
     rows_rule: Callable[[int], tuple[RowDistribution, ...]]
+    _packed: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
     kind = "general"
 
     def row_count(self, n: int) -> int:
         return len(self.rows_rule(n))
 
-    def rows(self, n: int) -> tuple[RowDistribution, ...]:
-        rows = tuple(self.rows_rule(n))
-        for dist in rows:
-            if dist.group != self.group:
-                raise GroupMismatchError(
-                    "row rule produced a distribution on another group"
-                )
-        return rows
+    def packed(self, n: int) -> PackedRow:
+        """Row n as one table, built the first time row n is used."""
+        row = self._packed.get(n)
+        if row is None:
+            row = self._packed[n] = pack_rows(self.group, self.rows_rule(n))
+        return row
 
-    def row_laws(self, n: int) -> Iterable[tuple[RowDistribution, int]]:
-        """(law, multiplicity) pairs of row n: each entry once, as a lazy
-        iterator, so a loop over a long row allocates no pair per entry
-        (and sets off no garbage collections over a large config)."""
-        return zip(self.rows(n), repeat(1))
+    def rows(self, n: int) -> tuple[RowDistribution, ...]:
+        return self.packed(n).laws
 
 
 TriangularArraySpec = IIDArray | GeneralArray
@@ -315,19 +360,29 @@ def row_ft_exact(array: TriangularArraySpec, n: int, chi: Character) -> complex:
     The product starts from the first factor, not from 1, so the signed
     zeros of a single factor survive.
     """
-    out = None
-    for dist, m in array.row_laws(n):
-        z = _power(char_moment(dist, chi), m)
-        out = z if out is None else out * z
-    return complex(1.0) if out is None else out
+    if array.kind != "general":
+        return _power(char_moment(array.iid_dist(n), chi), array.row_count(n))
+    row = array.packed(n)
+    c = char_eval_block(array.group, (chi,), row.values)
+    # each moment, like measure_ft, is a sum from +0.0, so no part is -0.0
+    moments = (row.entry_sums(c.view(np.float64)) + 0.0).view(complex)[:, 0]
+    return complex(np.multiply.reduce(moments))
 
 
 def sum_local_means(array: TriangularArraySpec, n: int) -> GroupElement:
     """Group sum of the local means of row n."""
-    s = identity(array.group)
-    for dist, m in array.row_laws(n):
-        s = add(s, scale(m, local_mean(dist.measure)))
-    return s
+    g = array.group
+    if array.kind != "general":
+        m = local_mean(array.iid_dist(n).measure)
+        return add(identity(g), scale(array.row_count(n), m))
+    if g.kind == PADIC:
+        return identity(g)
+    row = array.packed(n)
+    # local_mean of each entry, in turns
+    turns = row.entry_sums(h_arg_block(g, row.values)) / TWO_PI
+    if g.kind != TORUS:
+        turns /= g.p**g.depth
+    return from_turns(g, float(reduce_turns_block(turns).sum()))
 
 
 def _var_local_inner(dist: RowDistribution, chi: Character) -> float:
@@ -338,26 +393,43 @@ def _var_local_inner(dist: RowDistribution, chi: Character) -> float:
 
 def sum_var_g(array: TriangularArraySpec, n: int, chi: Character) -> float:
     """Sum over row n of the variances of g(X, chi)."""
-    return sum(m * _var_local_inner(dist, chi) for dist, m in array.row_laws(n))
+    if array.kind != "general":
+        return array.row_count(n) * _var_local_inner(array.iid_dist(n), chi)
+    row = array.packed(n)
+    inner = local_inner_block(array.group, chi, row.values)
+    m1, m2 = row.entry_sums(inner), row.entry_sums(inner * inner)
+    return float(np.sum(m2 - m1 * m1))
+
+
+def _tail_masses(array: GeneralArray, n: int, U: Neighborhood) -> np.ndarray:
+    """The probability of each entry of row n to land outside U."""
+    row = array.packed(n)
+    return row.entry_sums(~in_nbhd_block(array.group, U, row.values))
 
 
 def sum_tail(array: TriangularArraySpec, n: int, U: Neighborhood) -> float:
     """Sum over row n of the probabilities of landing outside U."""
-    return sum(m * tail_mass_measure(dist.measure, U) for dist, m in array.row_laws(n))
+    if array.kind != "general":
+        return array.row_count(n) * tail_mass_measure(array.iid_dist(n).measure, U)
+    return float(_tail_masses(array, n, U).sum())
 
 
 def sum_cylinder(array: TriangularArraySpec, n: int, x0: GroupElement, r: int) -> float:
     """Sum over row n of the probabilities of the padic cylinder
     x0 + lambda(r)."""
-    return sum(m * cylinder_mass(dist.measure, x0, r) for dist, m in array.row_laws(n))
+    if array.kind != "general":
+        return array.row_count(n) * cylinder_mass(array.iid_dist(n).measure, x0, r)
+    q = cylinder_modulus(array.group, x0, r)
+    row = array.packed(n)
+    return float(row.entry_sums((row.values - x0.residue) % q == 0).sum())
 
 
 def infinitesimality_stat(array: TriangularArraySpec, n: int, U: Neighborhood) -> float:
     """Largest tail probability in row n; the array is infinitesimal when
     this tends to 0 for every U."""
-    return max(
-        (tail_mass_measure(dist.measure, U) for dist, _ in array.row_laws(n)), default=0.0
-    )
+    if array.kind != "general":
+        return tail_mass_measure(array.iid_dist(n).measure, U)
+    return float(_tail_masses(array, n, U).max(initial=0.0))
 
 
 def symmetric_stat(array: TriangularArraySpec, n: int, chi: Character) -> float:

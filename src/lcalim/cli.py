@@ -73,6 +73,8 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be non-negative")
         cfg: ExperimentConfig = parse_config(text)
         out_dir = args.out or cfg.out_dir
         if args.command == "verify":

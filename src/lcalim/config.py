@@ -415,7 +415,8 @@ def _probe_array(array: TriangularArraySpec, grid, n_points) -> None:
     try:
         for n in tuple(grid) + tuple(n_points):
             array.row_count(n)
-            array.row_laws(n)
+            if array.kind != "general":  # general rows are packed on first use
+                array.iid_dist(n)
     except (KeyError, ValueError, OverflowError) as exc:
         raise ConfigError(f"array rules do not cover the grid: {exc}") from exc
     try:

@@ -416,6 +416,17 @@ def cis_turns_block(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def coordinate_turns_block(group: GroupId, values: np.ndarray, j: int) -> np.ndarray:
+    """coordinate_turns(., j) of every element of a solenoid block, by the
+    same multiply-by-p-and-reduce steps."""
+    if not 0 <= j <= group.depth:
+        raise DepthOverflowError(f"coordinate {j} beyond working depth {group.depth}")
+    t = values
+    for _ in range(group.depth - j):
+        t = reduce_turns_block(t * group.p)
+    return t
+
+
 def _char_turns_block(chi: Character, values: np.ndarray) -> np.ndarray:
     g = chi.group
     if g.kind == TORUS:
@@ -425,10 +436,7 @@ def _char_turns_block(chi: Character, values: np.ndarray) -> np.ndarray:
     if g.kind == PADIC:
         q = g.p ** (chi.d + 1)
         return chi.ell * (values % q) % q / q
-    t = values  # coordinate_turns(., chi.d) of every entry
-    for _ in range(g.depth - chi.d):
-        t = reduce_turns_block(t * g.p)
-    return chi.ell * t
+    return chi.ell * coordinate_turns_block(g, values, chi.d)
 
 
 def char_eval_block(group: GroupId, chars, values: np.ndarray) -> np.ndarray:
@@ -455,6 +463,26 @@ def local_inner(x: GroupElement, chi: Character) -> float:
     if g.kind == PADIC:
         return 0.0
     return chi.ell * h_trunc(coordinate_arg(x, 0)) / g.p**chi.d
+
+
+def h_arg_block(group: GroupId, values: np.ndarray) -> np.ndarray:
+    """h_trunc of the angle of every element of a torus block, or of the
+    angle of its base coordinate y_0 on the solenoid."""
+    if group.kind == SOLENOID:
+        values = coordinate_turns_block(group, values, 0)
+    t = TWO_PI * values
+    folded = np.where(t < -math.pi / 2, -t - math.pi, np.where(t < math.pi / 2, t, math.pi - t))
+    return np.where((t < -math.pi) | (t >= math.pi), 0.0, folded)
+
+
+def local_inner_block(group: GroupId, chi: Character, values: np.ndarray) -> np.ndarray:
+    """local_inner(., chi) of every element of a block."""
+    if chi.group != group:
+        raise GroupMismatchError("character and element on different groups")
+    if group.kind == PADIC:
+        return np.zeros(len(values))
+    inner = chi.ell * h_arg_block(group, values)
+    return inner if group.kind == TORUS else inner / group.p**chi.d
 
 
 SUBGROUP_TRIVIAL = "trivial"
@@ -589,6 +617,22 @@ def in_nbhd(x: GroupElement, U: Neighborhood) -> bool:
     if x.group.kind == PADIC:
         return x.residue % x.group.p**U.rank == 0
     return all(abs(coordinate_arg(x, j)) < U.eps for j in range(U.d + 1))
+
+
+def in_nbhd_block(group: GroupId, U: Neighborhood, values: np.ndarray) -> np.ndarray:
+    """in_nbhd(., U) of every element of a block, as a boolean array."""
+    if U.group != group:
+        raise GroupMismatchError("element and neighborhood on different groups")
+    if group.kind == TORUS:
+        return np.abs(TWO_PI * values) < U.eps
+    if group.kind == PADIC:
+        return values % group.p**U.rank == 0
+    t = coordinate_turns_block(group, values, U.d)
+    inside = np.abs(TWO_PI * t) < U.eps
+    for _ in range(U.d):  # coordinates d - 1, ..., 0
+        t = reduce_turns_block(t * group.p)
+        inside &= np.abs(TWO_PI * t) < U.eps
+    return inside
 
 
 def padic_metric(x: GroupElement, y: GroupElement) -> float:

@@ -210,18 +210,22 @@ def tail_mass_measure(eta: DiscreteMeasure, U: Neighborhood) -> float:
     return sum(w for x, w in eta.atoms if not in_nbhd(x, U))
 
 
+def cylinder_modulus(group: GroupId, x: GroupElement, r: int) -> int:
+    """p^r, the modulus of the padic cylinder x + lambda(r) of the group,
+    once the cylinder is checked to exist there."""
+    if group.kind != PADIC:
+        raise ValueError("cylinders only exist on padic groups")
+    if x.group != group:
+        raise GroupMismatchError("cylinder base on a different group")
+    if not 0 <= r <= group.depth + 1:
+        raise DepthOverflowError(f"cylinder rank {r} beyond working depth {group.depth}")
+    return group.p**r
+
+
 def cylinder_mass(eta: DiscreteMeasure, x: GroupElement, r: int) -> float:
     """Mass of the padic cylinder x + lambda(r): atoms agreeing with x in
     digits 0..r-1."""
-    if eta.group.kind != PADIC:
-        raise ValueError("cylinders only exist on padic groups")
-    if x.group != eta.group:
-        raise GroupMismatchError("cylinder base on a different group")
-    if not 0 <= r <= eta.group.depth + 1:
-        raise DepthOverflowError(
-            f"cylinder rank {r} beyond working depth {eta.group.depth}"
-        )
-    q = eta.group.p**r
+    q = cylinder_modulus(eta.group, x, r)
     return sum(w for y, w in eta.atoms if (y.residue - x.residue) % q == 0)
 
 

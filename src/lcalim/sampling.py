@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import IIDArray, TriangularArraySpec
+from .arrays import IIDArray, TriangularArraySpec, pack_rows
 from .groups import (
     PADIC,
     SOLENOID,
@@ -91,7 +91,7 @@ def _row_sampler(
     (binomial for two-point rows, multinomial otherwise) and combined as
     count * atom, so the cost is independent of K_n.  Other rows are
     drawn entry by entry, subject to the budget, from atom and
-    cumulative-weight tables built here once.
+    cumulative-weight tables built once from the packed row.
     """
     g = array.group
     K = array.row_count(n)
@@ -115,29 +115,35 @@ def _row_sampler(
 
     if K > budget:
         raise SamplingBudgetError(f"direct sampling of K_n={K} entries exceeds budget {budget}")
-    # one table row per row law: a single one shared by all K_n entries
+    # one table row per packed entry: a single one shared by all K_n entries
     # (i.i.d. rows), or one per entry (general rows)
-    laws = tuple(array.row_laws(n))
-    width = max((len(d.atoms) for d, _ in laws), default=1)
+    row = array.packed(n) if array.kind == "general" else pack_rows(g, (array.iid_dist(n),))
+    counts = np.diff(row.starts, append=len(row.values))
+    width = int(counts.max(initial=1))
+    entry = np.repeat(np.arange(len(counts)), counts)
+    slot = np.arange(len(row.values)) - row.starts[entry]
+    vals = np.zeros((len(counts), width), dtype=block_dtype(g))
+    vals[entry, slot] = row.values
+    probs = np.zeros((len(counts), width))
+    probs[entry, slot] = row.weights
+    # summed atom by atom, as measure.total_mass does, so the boundaries
+    # below equal those of a loop over the row laws bit for bit
+    total = 0.0
+    for a in range(width):
+        total = total + probs[:, a]
+    probs /= total[:, None]
     # entry k with uniform u takes the atom whose index is the number of
     # boundaries cum[k, :] <= u; boundaries past an entry's second-to-last
     # atom stay +inf, so its last atom also takes any rounding remainder
-    cum = np.full((len(laws), width - 1), np.inf)
-    vals = np.zeros((len(laws), width), dtype=block_dtype(g))
-    for k, (d, _) in enumerate(laws):
-        total, acc = d.measure.total_mass(), 0.0
-        for a, (x, w) in enumerate(d.atoms):
-            vals[k, a] = element_value(x)
-            if a < len(d.atoms) - 1:
-                acc += w / total
-                cum[k, a] = acc
+    cum = np.cumsum(probs[:, :-1], axis=1)
+    cum[np.arange(width - 1) >= counts[:, None] - 1] = np.inf
 
     def draw_entries(gen, size):
         out = np.zeros(size, dtype=block_dtype(g))
         step = max(1, _MAX_TEMP // size)
         for k0 in range(0, K, step):
             k1 = min(k0 + step, K)
-            rows = np.zeros(k1 - k0, dtype=np.intp) if len(laws) == 1 else np.arange(k0, k1)
+            rows = np.zeros(k1 - k0, dtype=np.intp) if len(counts) == 1 else np.arange(k0, k1)
             u = gen.random((size, k1 - k0))
             idx = np.zeros(u.shape, dtype=np.intp)
             for a in range(width - 1):

@@ -150,20 +150,12 @@ def default_characters(group: GroupId, max_ell: int = 8, max_d: int = 3) -> tupl
     if group.kind == TORUS:
         return tuple(character(group, l) for l in range(-max_ell, max_ell + 1))
     depth = min(max_d, group.depth)
-    seen: list[Character] = []
     if group.kind == PADIC:
-        for d in range(depth + 1):
-            for l in range(group.p ** (d + 1)):
-                chi = canonical_character(character(group, l, d))
-                if chi not in seen:
-                    seen.append(chi)
-        return tuple(seen)
-    for d in range(depth + 1):
-        for l in range(-max_ell, max_ell + 1):
-            chi = canonical_character(character(group, l, d))
-            if chi not in seen:
-                seen.append(chi)
-    return tuple(seen)
+        pairs = ((l, d) for d in range(depth + 1) for l in range(group.p ** (d + 1)))
+    else:
+        pairs = ((l, d) for d in range(depth + 1) for l in range(-max_ell, max_ell + 1))
+    # dict keys keep the first-seen order
+    return tuple(dict.fromkeys(canonical_character(character(group, l, d)) for l, d in pairs))
 
 
 def default_neighborhoods(group: GroupId) -> tuple[Neighborhood, ...]:
@@ -313,8 +305,10 @@ def _cylinder_set(law: LimitLaw, array, settings: VerifySettings):
     residues = [x.residue for x, _ in law.eta.atoms]
     if array.kind == "bernoulli":  # kept even when p_n = 0 drops it from the row law
         residues.append(array.x(n).residue)
-    for dist, _ in array.row_laws(n):
-        residues.extend(x.residue for x, _ in dist.atoms)
+    if array.kind == "general":
+        residues.extend(set(array.packed(n).values.tolist()))
+    else:
+        residues.extend(x.residue for x, _ in array.iid_dist(n).atoms)
     out = []
     for r in ranks:
         q = group.p**r

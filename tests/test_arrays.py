@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from lcalim.arrays import (
     GeneralArray,
+    _var_local_inner,
     bernoulli_array,
     bernoulli_rate,
     char_moment,
@@ -26,6 +28,7 @@ from lcalim.arrays import (
 )
 from lcalim.groups import (
     Neighborhood,
+    add,
     character,
     cyclic_subgroup,
     elements_close,
@@ -41,6 +44,7 @@ from lcalim.groups import (
     torus_group,
     trivial_subgroup,
 )
+from lcalim.measures import cylinder_mass, local_mean, tail_mass_measure
 from lcalim.verify import predict_limit
 
 T = torus_group()
@@ -312,6 +316,80 @@ class TestSums:
         )
         arr = GeneralArray(T, lambda n: rows)
         assert infinitesimality_stat(arr, 1, Neighborhood(T, eps=0.5)) == pytest.approx(0.3)
+
+
+# (l, d) characters and neighborhoods of the packed-row oracle, per group
+PACKED_CASES = {
+    "torus": ([(1, 0), (-3, 0), (7, 0)], [dict(eps=0.3), dict(eps=2.0)]),
+    "padic": ([(1, 0), (5, 2), (17, 5)], [dict(rank=1), dict(rank=2)]),
+    "padic-large": ([(1, 0), (200, 1), (12345, 3)], [dict(rank=1), dict(rank=2)]),
+    "solenoid": ([(1, 0), (-5, 2), (3, 6)], [dict(eps=1.0), dict(eps=0.5, d=2)]),
+}
+
+
+def _random_general_rows(g, rng, K=80):
+    """K rows of 1 to 4 random atoms; padic atoms are multiples of p^j,
+    j <= 2, so that neighborhoods and cylinders hold some of them."""
+    rows = []
+    for _ in range(K):
+        w = rng.random(int(rng.integers(1, 5)))
+        atoms = []
+        for v in w / w.sum():
+            if g.kind == "padic":
+                x = from_int(g, int(rng.integers(0, g.p**3)) * g.p ** int(rng.integers(0, 3)))
+            else:
+                x = from_turns(g, float(rng.uniform(-0.5, 0.5)))
+            atoms.append((x, float(v)))
+        rows.append(row_distribution(g, atoms))
+    return tuple(rows)
+
+
+class TestPackedRows:
+    # the packed vector pass against the per-entry scalar reference
+    @pytest.mark.parametrize(
+        "name, g",
+        [
+            ("torus", torus_group()),
+            ("padic", padic_group(2, 16)),
+            ("padic-large", padic_group(101, 8)),
+            ("solenoid", solenoid_group(3, 6)),
+        ],
+    )
+    def test_statistics_match_scalar_reference(self, name, g):
+        rng = np.random.default_rng(2024)
+        rows = _random_general_rows(g, rng)
+        arr = GeneralArray(g, lambda n: rows)
+        chars, nbhds = PACKED_CASES[name]
+        for l, d in chars:
+            chi = character(g, l, d)
+            want = 1.0
+            for dist in rows:
+                want *= char_moment(dist, chi)
+            assert abs(row_ft_exact(arr, 1, chi) - want) <= 1e-12
+            want = sum(_var_local_inner(dist, chi) for dist in rows)
+            assert sum_var_g(arr, 1, chi) == pytest.approx(want, abs=1e-12)
+        for kw in nbhds:
+            U = Neighborhood(g, **kw)
+            tails = [tail_mass_measure(dist.measure, U) for dist in rows]
+            assert 0.0 < sum(tails) < len(rows)
+            assert sum_tail(arr, 1, U) == pytest.approx(sum(tails), abs=1e-12)
+            assert infinitesimality_stat(arr, 1, U) == pytest.approx(max(tails), abs=1e-12)
+        want = identity(g)
+        for dist in rows:
+            want = add(want, local_mean(dist.measure))
+        assert elements_close(sum_local_means(arr, 1), want, 1e-12)
+        if g.kind == "padic":
+            for r in (1, 2, 3):
+                x0 = rows[0].atoms[0][0]
+                want = sum(cylinder_mass(dist.measure, x0, r) for dist in rows)
+                assert want > 0.0
+                assert sum_cylinder(arr, 1, x0, r) == pytest.approx(want, abs=1e-12)
+
+    def test_mismatched_row_group_rejected(self):
+        g = padic_group(2)
+        arr = GeneralArray(T, lambda n: (row_distribution(g, [(identity(g), 1.0)]),))
+        with pytest.raises(ValueError, match="another group"):
+            row_ft_exact(arr, 1, character(T, 1))
 
 
 class TestStats:

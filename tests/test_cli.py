@@ -461,6 +461,12 @@ class TestExitCodeContract:
         assert _run_cli(tmp_path, command, doc) == 2
         assert "error: invalid config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command):
+        argv = [command, "--config", "torus_clt", "--out", str(tmp_path / "o"), "--seed", "-1"]
+        assert cli.main(argv) == 2
+        assert "--seed must be non-negative" in capsys.readouterr().err
+
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(target=st.sampled_from(_KEY_PATHS), value=_JSON)
     def test_any_single_mutation_keeps_exit_codes(self, tmp_path_factory, target, value):

@@ -35,8 +35,10 @@ from lcalim.groups import (
     h_trunc,
     identity,
     in_nbhd,
+    in_nbhd_block,
     lambda_subgroup,
     local_inner,
+    local_inner_block,
     neg,
     padic_group,
     padic_metric,
@@ -297,6 +299,32 @@ class TestBlocks:
         for k, chi in enumerate(chars):
             want = np.array([char_eval(chi, x) for x in xs])
             assert np.max(np.abs(got[:, k] - want)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "group, nbhds",
+        [
+            (torus_group(), [dict(eps=0.1), dict(eps=math.pi)]),
+            (padic_group(2, 16), [dict(rank=0), dict(rank=1), dict(rank=3)]),
+            (padic_group(101, 8), [dict(rank=1), dict(rank=9)]),
+            (solenoid_group(3, 6), [dict(eps=1.0), dict(eps=2.5, d=3), dict(eps=3.0, d=6)]),
+        ],
+        ids=["torus", "padic", "padic-large", "solenoid"],
+    )
+    def test_local_inner_and_nbhd_blocks_match_scalar(self, group, nbhds):
+        # the same arithmetic as the scalar functions, so equal bit for bit
+        rng = np.random.default_rng(4712)
+        xs = [random_element(group, rng) for _ in range(5_000)]
+        if group.kind != "padic":  # the folds of h_trunc
+            xs += [from_turns(group, t) for t in (0.0, 0.25, -0.25, -0.5)]
+        values = np.array([element_value(x) for x in xs], dtype=block_dtype(group))
+        for l, d in BLOCK_CHARS[group.kind]:
+            chi = character(group, l, d)
+            got = local_inner_block(group, chi, values)
+            assert got.tolist() == [local_inner(x, chi) for x in xs]
+        for kw in nbhds:
+            U = Neighborhood(group, **kw)
+            got = in_nbhd_block(group, U, values)
+            assert got.tolist() == [in_nbhd(x, U) for x in xs]
 
     def test_cis_quarter_turns_bit_exact(self):
         t = np.array([0.0, 0.25, -0.25, -0.5])

@@ -1,4 +1,6 @@
 import math
+import time
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,7 @@ from lcalim.arrays import (
     row_distribution,
 )
 from lcalim.groups import (
+    canonical_character,
     character,
     from_angle,
     from_int,
@@ -172,6 +175,30 @@ class TestDefaults:
         assert character(gp, 2, 1) not in chars
         assert character(gp, 1, 0) in chars
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_default_characters_keep_list_scan_order(self, p):
+        def list_scan(group, max_ell=8, max_d=3):
+            if group.kind == "padic":
+                pairs = [(l, d) for d in range(max_d + 1) for l in range(p ** (d + 1))]
+            else:
+                pairs = [(l, d) for d in range(max_d + 1) for l in range(-max_ell, max_ell + 1)]
+            seen = []
+            for l, d in pairs:
+                chi = canonical_character(character(group, l, d))
+                if chi not in seen:
+                    seen.append(chi)
+            return tuple(seen)
+
+        for g in (padic_group(p, 4), solenoid_group(p, 4)):
+            assert default_characters(g) == list_scan(g)
+
+    def test_default_characters_large_prime(self):
+        t0 = time.perf_counter()
+        chars = default_characters(padic_group(11, 4))
+        assert time.perf_counter() - t0 < 1.0
+        # the canonical characters of depth <= 3 are indexed by Z/11^4
+        assert len(chars) == 11**4
+
     def test_default_neighborhoods(self):
         assert len(default_neighborhoods(T)) == 3
         assert [U.rank for U in default_neighborhoods(padic_group(2, 8))] == [1, 2, 3]
@@ -288,6 +315,32 @@ class TestCheckTheorem:
         assert report.overall == "pass"
         cylinders = [c for c in report.conditions if c.name.startswith("cylinder")]
         assert cylinders and all(c.passed for c in cylinders)
+
+    def test_rows_built_once_per_grid_point(self):
+        calls = Counter()
+        grid = (10, 20, 40, 80)
+
+        def general_rows(n):
+            calls[n] += 1
+            x = from_angle(T, 1.0 / math.sqrt(n))
+            return (row_distribution(T, [(x, 0.5), (neg(x), 0.5)]),) * n
+
+        arr = GeneralArray(T, general_rows)
+        report = check_theorem(arr, gauss_law(T, 1.0), VerifySettings(grid=grid))
+        assert report.theorem == "gaiser"
+        assert calls == Counter(grid)
+
+        calls.clear()
+
+        def iid_rows(n):
+            calls[n] += 1
+            x = from_angle(T, 1.0 / math.sqrt(n))
+            return row_distribution(T, [(x, 0.5), (neg(x), 0.5)])
+
+        arr = iid_symmetric_array(T, iid_rows, K=linear(1.0))
+        report = check_theorem(arr, gauss_law(T, 1.0), VerifySettings(grid=grid))
+        assert report.theorem == "symmetric-clt"
+        assert calls == Counter(grid)
 
     def test_dispatch_rejects_unsupported_pairs(self):
         # general array against a Haar law has no covering theorem here
