@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -34,6 +35,7 @@ from .groups import (
     Neighborhood,
     add,
     block_dtype,
+    block_element,
     char_eval_block,
     cyclic_subgroup,
     element_value,
@@ -55,6 +57,7 @@ from .groups import (
     trivial_subgroup,
 )
 from .measures import (
+    ATOM_TOL_TURNS,
     DiscreteMeasure,
     cylinder_mass,
     cylinder_modulus,
@@ -267,10 +270,21 @@ class PackedRow:
     values[starts[k]:starts[k + 1]] (a block of the group's block_dtype)
     with the weights at the same positions."""
 
-    laws: tuple[RowDistribution, ...]
+    group: GroupId
     values: np.ndarray
     weights: np.ndarray
     starts: np.ndarray
+
+    @cached_property
+    def laws(self) -> tuple[RowDistribution, ...]:
+        """One row law per entry, built from the table on first use."""
+        xs = [block_element(self.group, v) for v in self.values.tolist()]
+        atoms = list(zip(xs, self.weights.tolist()))
+        bounds = self.starts.tolist() + [len(atoms)]
+        return tuple(
+            RowDistribution(DiscreteMeasure(self.group, tuple(atoms[a:b])))
+            for a, b in zip(bounds, bounds[1:])
+        )
 
     def entry_sums(self, x: np.ndarray) -> np.ndarray:
         """The sum over each entry's atoms of weight * x, for x given at
@@ -280,38 +294,90 @@ class PackedRow:
 
 
 def pack_rows(group: GroupId, laws) -> PackedRow:
-    """One PackedRow of the row laws, checked to lie on the group."""
+    """One PackedRow of the row laws, checked to lie on the group; its
+    laws are these very objects."""
     laws = tuple(laws)
     if any(dist.group != group for dist in laws):
         raise GroupMismatchError("row rule produced a distribution on another group")
     atoms = [atom for dist in laws for atom in dist.atoms]
     counts = np.array([len(dist.atoms) for dist in laws], dtype=np.intp)
-    return PackedRow(
-        laws,
+    row = PackedRow(
+        group,
         np.array([element_value(x) for x, _ in atoms], dtype=block_dtype(group)),
         np.array([w for _, w in atoms], dtype=float),
         np.cumsum(counts) - counts,
     )
+    row.__dict__["laws"] = laws  # fills the cached property
+    return row
+
+
+def plain_entries(group: GroupId, values: np.ndarray, weights: np.ndarray, counts) -> np.ndarray:
+    """For each entry of a table of atoms (entry k holds the next counts[k]
+    atoms), whether row_distribution surely keeps its atoms exactly as
+    given and accepts them: every weight finite and positive, the total
+    mass within 1e-12 of 1 with room for rounding, and no two atoms equal
+    (padic) or within twice ATOM_TOL_TURNS of each other.  An entry marked
+    False may still be valid; only row_distribution can tell."""
+    counts = np.asarray(counts, dtype=np.intp)
+    entry = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    bad = ~(np.isfinite(weights) & (weights > 0.0))
+    plain = np.bincount(entry, weights=bad, minlength=len(counts)) == 0
+    # any two sums of count positive weights near 1, in any order (or
+    # compensated, as sum() is from Python 3.12), differ by less than
+    # count * eps; an entry inside that margin of the bound is left to
+    # row_distribution, whose total_mass decides it
+    mass = np.bincount(entry, weights=np.where(bad, 0.0, weights), minlength=len(counts))
+    plain &= np.abs(mass - 1.0) <= 1e-12 - 2 * counts * np.finfo(float).eps
+    # close atoms are neighbours once each entry is sorted, circularly on
+    # angle groups; stable argsorts, since lexsort rejects object residues
+    order = np.argsort(values, kind="stable")
+    order = order[np.argsort(entry[order], kind="stable")]
+    v, e = values[order], entry[order]
+    same = e[1:] == e[:-1]
+    if group.kind == PADIC:
+        close = same & (v[1:] == v[:-1]).astype(bool)
+    else:
+        close = same & (v[1:] - v[:-1] <= 2 * ATOM_TOL_TURNS)
+        ends = np.flatnonzero(counts > 1)
+        wrap = v[starts[ends]] + 1.0 - v[starts[ends] + counts[ends] - 1] <= 2 * ATOM_TOL_TURNS
+        plain[ends[wrap]] = False
+    plain[e[1:][close]] = False
+    return plain
 
 
 @dataclass(frozen=True)
 class GeneralArray:
     """Arbitrary rowwise-independent rows from a rule n -> list of row
-    distributions (one per k)."""
+    distributions (one per k), or from a table_rule n -> PackedRow given
+    by keyword instead; the row laws of a table are built only when
+    rows(n) asks."""
 
     group: GroupId
-    rows_rule: Callable[[int], tuple[RowDistribution, ...]]
+    rows_rule: Callable[[int], tuple[RowDistribution, ...]] | None = None
+    table_rule: Callable[[int], PackedRow] | None = field(default=None, repr=False)
     _packed: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
     kind = "general"
 
+    def __post_init__(self) -> None:
+        if (self.rows_rule is None) == (self.table_rule is None):
+            raise TypeError("GeneralArray needs exactly one of rows_rule and table_rule")
+
     def row_count(self, n: int) -> int:
-        return len(self.rows_rule(n))
+        return len(self.packed(n).starts)
 
     def packed(self, n: int) -> PackedRow:
-        """Row n as one table, built the first time row n is used."""
+        """Row n as one table, built or fetched the first time row n is
+        used."""
         row = self._packed.get(n)
         if row is None:
-            row = self._packed[n] = pack_rows(self.group, self.rows_rule(n))
+            if self.rows_rule is not None:
+                row = pack_rows(self.group, self.rows_rule(n))
+            else:
+                row = self.table_rule(n)
+                if row.group != self.group:
+                    raise GroupMismatchError("table rule produced a row on another group")
+            self._packed[n] = row
         return row
 
     def rows(self, n: int) -> tuple[RowDistribution, ...]:

@@ -10,13 +10,17 @@ import json
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arrays import (
     GeneralArray,
+    PackedRow,
     Schedule,
     TriangularArraySpec,
     bernoulli_array,
     check_null_rule,
     iid_symmetric_array,
+    plain_entries,
     rademacher_array,
     row_distribution,
 )
@@ -24,21 +28,21 @@ from .groups import (
     PADIC,
     SOLENOID,
     TORUS,
+    TWO_PI,
     Character,
     CompactSubgroup,
     GroupElement,
     GroupId,
     Neighborhood,
+    block_dtype,
     character,
     cyclic_subgroup,
-    from_angle,
-    from_base_angle,
-    from_digits,
-    from_int,
+    element_value,
     from_turns,
     full_subgroup,
     identity,
     lambda_subgroup,
+    reduce_turns_block,
     trivial_subgroup,
 )
 from .measures import (
@@ -138,47 +142,49 @@ def parse_group(doc) -> GroupId:
         group = GroupId(kind, p, depth)
     except ValueError as exc:
         raise ConfigError(f"group: {exc}") from exc
-    # solenoid turns are floats of the deepest coordinate, which resolve
-    # the base coordinate y_0 only while p^depth stays well inside 2^53
-    _require(kind == PADIC or p**depth <= 2**40, "group: solenoid p^depth exceeds 2^40")
     return group
 
 
-def parse_element(doc, group: GroupId, context: str = "element") -> GroupElement:
+def _element_value(doc, group: GroupId, context: str):
+    """The block entry of the element that doc describes, before turn
+    reduction: its turns on angle groups, its residue on padic groups."""
     _dict(doc, context)
-    try:
-        if group.kind == TORUS:
-            if "angle" in doc:
-                return from_angle(group, _float(doc["angle"], f"{context}.angle"))
-            if "turns" in doc:
-                return from_turns(group, _float(doc["turns"], f"{context}.turns"))
-            raise ConfigError(f"{context}: torus elements need 'angle' or 'turns'")
-        if group.kind == PADIC:
-            if "digits" in doc:
-                digits = _ints(doc["digits"], f"{context}.digits")
-                # short digit vectors are padded with zeros up to the depth
-                _require(
-                    len(digits) <= group.depth + 1,
-                    f"{context}: more digits than the working depth allows",
-                )
-                digits += [0] * (group.depth + 1 - len(digits))
-                return from_digits(group, digits)
-            if "int" in doc:
-                return from_int(group, _int(doc["int"], f"{context}.int"))
-            raise ConfigError(f"{context}: padic elements need 'digits' or 'int'")
-        if "base_angle" in doc:
-            return from_base_angle(group, _float(doc["base_angle"], f"{context}.base_angle"))
-        if "deep_angle" in doc:
-            return from_angle(group, _float(doc["deep_angle"], f"{context}.deep_angle"))
+    if group.kind == TORUS:
+        if "angle" in doc:
+            return _float(doc["angle"], f"{context}.angle") / TWO_PI
         if "turns" in doc:
-            return from_turns(group, _float(doc["turns"], f"{context}.turns"))
-        raise ConfigError(
-            f"{context}: solenoid elements need 'base_angle', 'deep_angle' or 'turns'"
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+            return _float(doc["turns"], f"{context}.turns")
+        raise ConfigError(f"{context}: torus elements need 'angle' or 'turns'")
+    if group.kind == PADIC:
+        p = group.p
+        if "digits" in doc:
+            # short digit vectors are padded with zeros up to the depth
+            digits = _ints(doc["digits"], f"{context}.digits")
+            _require(
+                len(digits) <= group.depth + 1,
+                f"{context}: more digits than the working depth allows",
+            )
+            for d in digits:
+                _require(0 <= d < p, f"{context}: digit {d} out of range for p={p}")
+            return sum(d * p**j for j, d in enumerate(digits))
+        if "int" in doc:
+            return _int(doc["int"], f"{context}.int") % group.modulus
+        raise ConfigError(f"{context}: padic elements need 'digits' or 'int'")
+    if "base_angle" in doc:
+        # the branch-0 tower over arg y_0, as in from_base_angle
+        return _float(doc["base_angle"], f"{context}.base_angle") / TWO_PI / group.p**group.depth
+    if "deep_angle" in doc:
+        return _float(doc["deep_angle"], f"{context}.deep_angle") / TWO_PI
+    if "turns" in doc:
+        return _float(doc["turns"], f"{context}.turns")
+    raise ConfigError(f"{context}: solenoid elements need 'base_angle', 'deep_angle' or 'turns'")
+
+
+def parse_element(doc, group: GroupId, context: str = "element") -> GroupElement:
+    value = _element_value(doc, group, context)
+    if group.kind == PADIC:
+        return GroupElement(group, residue=value)
+    return from_turns(group, value)
 
 
 def parse_schedule(doc, context: str) -> Schedule:
@@ -218,6 +224,62 @@ def _row_law(doc, group: GroupId, context: str):
         return row_distribution(group, atoms)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _general_row(entries: list, group: GroupId, context: str) -> PackedRow:
+    """One row of a general array, read from its JSON entries straight
+    into a PackedRow.
+
+    One Python pass collects every atom's block value and weight; numpy
+    reduces the turns and checks the weights and masses (plain_entries).
+    An entry that this fast path does not take as given (a malformed
+    atom, an atom to merge or drop, or a failed check) goes through
+    _row_law, in entry order, so the first invalid entry raises exactly
+    the error that per-entry parsing would."""
+    raw, weights, counts = [], [], []
+    for atoms in entries:
+        start = len(raw)
+        try:
+            if type(atoms) is not list:
+                raise TypeError("not a list")
+            for atom in atoms:
+                # the context only names an error that _row_law raises again
+                raw.append(_element_value(atom["x"], group, "x"))
+                w = atom["weight"]
+                weights.append(w if type(w) is float else _float(w, "weight"))
+        except (KeyError, TypeError, ValueError):
+            del raw[start:], weights[start:]  # an empty entry fails the mass check
+        counts.append(len(raw) - start)
+    if group.kind == PADIC:
+        values = np.array(raw, dtype=block_dtype(group))
+    else:
+        values = reduce_turns_block(np.array(raw, dtype=float))
+    weights = np.array(weights, dtype=float)
+    counts = np.array(counts, dtype=np.intp)
+    plain = plain_entries(group, values, weights, counts)
+    starts = np.cumsum(counts) - counts
+    if plain.all():
+        return PackedRow(group, values, weights, starts)
+    first = np.append(starts, len(values))  # entry k's atoms start at first[k]
+    parts, done = [], 0  # the table is rebuilt from entry done on
+    for k in np.flatnonzero(~plain).tolist():
+        law = _row_law(entries[k], group, f"{context}[{k}]")
+        parts.append((values[first[done] : first[k]], weights[first[done] : first[k]]))
+        parts.append(
+            (
+                np.array([element_value(x) for x, _ in law.atoms], dtype=values.dtype),
+                np.array([w for _, w in law.atoms], dtype=float),
+            )
+        )
+        counts[k] = len(law.atoms)
+        done = k + 1
+    parts.append((values[first[done] :], weights[first[done] :]))
+    return PackedRow(
+        group,
+        np.concatenate([v for v, _ in parts]),
+        np.concatenate([w for _, w in parts]),
+        np.cumsum(counts) - counts,
+    )
 
 
 def _row_rule(table: dict):
@@ -265,13 +327,12 @@ def parse_array(doc, group: GroupId) -> TriangularArraySpec:
     if kind == "general":
         rows = _dict(_get(doc, "rows", "array"), "array.rows")
         per_n = {
-            _int_key(n, "array.rows"): tuple(
-                _row_law(atoms, group, f"array.rows[{n}][{k}]")
-                for k, atoms in enumerate(_list(row_list, f"array.rows[{n}]"))
+            _int_key(n, "array.rows"): _general_row(
+                _list(row_list, f"array.rows[{n}]"), group, f"array.rows[{n}]"
             )
             for n, row_list in rows.items()
         }
-        return GeneralArray(group, _row_rule(per_n))
+        return GeneralArray(group, table_rule=_row_rule(per_n))
     raise ConfigError(f"unknown array kind {kind!r}")
 
 

@@ -80,6 +80,11 @@ class GroupId:
                 raise ValueError(f"p={self.p} is not prime")
             if self.depth < 0:
                 raise ValueError("working depth must be >= 0")
+            # solenoid turns are floats of the deepest coordinate, which
+            # resolve the base coordinate y_0 only while p^depth stays well
+            # inside 2^53 (p >= 2, so depth > 40 is already too deep)
+            if self.kind == SOLENOID and (self.depth > 40 or self.p**self.depth > 2**40):
+                raise ValueError("solenoid p^depth exceeds 2^40")
 
     @property
     def modulus(self) -> int:

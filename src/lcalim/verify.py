@@ -65,6 +65,9 @@ DEFAULT_WINDOW = 3
 DEFAULT_TREND_TOL = 1e-3
 DEFAULT_DIVERGENCE_THRESHOLD = 1e3
 DEFAULT_FT_TOL = 1e-3
+# largest padic default character set enumerated; p = 11 at depth >= 3
+# (16,104 characters) fits, p = 17 at depth >= 3 does not
+MAX_DEFAULT_CHARACTERS = 65_536
 
 CONVERGES = "converges"
 DIVERGES = "diverges"
@@ -145,12 +148,19 @@ def element_distance(x: GroupElement, a: GroupElement) -> float:
 
 def default_characters(group: GroupId, max_ell: int = 8, max_d: int = 3) -> tuple[Character, ...]:
     """Deterministic finite stand-in for "all characters": torus indices
-    |l| <= 8; padic all indices for d <= 3; solenoid |l| <= 8 for d <= 3
+    |l| <= 8; padic all indices for d <= 3, refused with a ConfigError
+    beyond MAX_DEFAULT_CHARACTERS; solenoid |l| <= 8 for d <= 3
     (duplicates under depth refinement removed)."""
     if group.kind == TORUS:
         return tuple(character(group, l) for l in range(-max_ell, max_ell + 1))
     depth = min(max_d, group.depth)
     if group.kind == PADIC:
+        count = sum(group.p ** (d + 1) for d in range(depth + 1))
+        if count > MAX_DEFAULT_CHARACTERS:
+            raise ConfigError(
+                f"the default padic character set would enumerate {count} characters "
+                f"(more than {MAX_DEFAULT_CHARACTERS}); list `characters` explicitly"
+            )
         pairs = ((l, d) for d in range(depth + 1) for l in range(group.p ** (d + 1)))
     else:
         pairs = ((l, d) for d in range(depth + 1) for l in range(-max_ell, max_ell + 1))

@@ -5,6 +5,7 @@ import pytest
 
 from lcalim.arrays import (
     GeneralArray,
+    PackedRow,
     _var_local_inner,
     bernoulli_array,
     bernoulli_rate,
@@ -14,6 +15,7 @@ from lcalim.arrays import (
     iid_symmetric_array,
     infinitesimality_stat,
     linear,
+    pack_rows,
     power,
     rademacher_array,
     row_dist,
@@ -384,6 +386,22 @@ class TestPackedRows:
                 want = sum(cylinder_mass(dist.measure, x0, r) for dist in rows)
                 assert want > 0.0
                 assert sum_cylinder(arr, 1, x0, r) == pytest.approx(want, abs=1e-12)
+
+    def test_table_rule_rows(self):
+        g = padic_group(101, 8)
+        rows = _random_general_rows(g, np.random.default_rng(5), K=6)
+        t = pack_rows(g, rows)
+        assert t.laws is rows  # the rule's own objects
+        arr = GeneralArray(g, table_rule=lambda n: PackedRow(g, t.values, t.weights, t.starts))
+        assert arr.row_count(3) == 6
+        assert arr.rows(3) == rows and arr.rows(3) is not rows  # built from the table
+        assert arr.rows(3) is arr.rows(3)
+        chi = character(g, 200, 1)
+        assert row_ft_exact(arr, 3, chi) == row_ft_exact(GeneralArray(g, lambda n: rows), 3, chi)
+        with pytest.raises(ValueError, match="another group"):
+            GeneralArray(T, table_rule=lambda n: t).row_count(1)
+        with pytest.raises(TypeError, match="exactly one"):
+            GeneralArray(T)
 
     def test_mismatched_row_group_rejected(self):
         g = padic_group(2)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -410,11 +411,45 @@ def _run_cli(tmp_path, command, doc):
     return cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
 
 
-_KEY_PATHS = [
-    (name, path)
-    for name in cli.bundled_example_names()
-    for path in _key_paths(_bundled_doc(name))
-]
+def _general_rows(entry):
+    return {str(n): [entry(n, k) for k in range(n)] for n in (3, 4, 5)}
+
+
+# base documents of the fuzz: the bundled examples, none of which is a
+# general array, and one small general array on the torus and on Z_2
+_FUZZ_DOCS = {name: _bundled_doc(name) for name in cli.bundled_example_names()}
+_FUZZ_DOCS["general_torus"] = {
+    "group": {"kind": "torus"},
+    "array": {
+        "kind": "general",
+        "rows": _general_rows(
+            lambda n, k: [
+                {"x": {"angle": (k + 1) / n}, "weight": 0.5},
+                {"x": {"turns": -(k + 1) / (2 * math.pi * n)}, "weight": 0.5},
+            ]
+        ),
+    },
+    "law": {"H": {"kind": "trivial"}, "b": 0.5, "eta": []},
+    "grid": [3, 4, 5],
+    "characters": [{"l": 1}, {"l": 2}],
+    "mc": {"replicates": 50, "seed": 3, "n": [4]},
+}
+_FUZZ_DOCS["general_padic"] = {
+    "group": {"kind": "padic", "p": 2, "depth": 6},
+    "array": {
+        "kind": "general",
+        "rows": _general_rows(
+            lambda n, k: [
+                {"x": {"digits": [1, k % 2]}, "weight": 1.0 / n},
+                {"x": {"int": 0}, "weight": 1.0 - 1.0 / n},
+            ]
+        ),
+    },
+    "law": {"H": {"kind": "trivial"}, "b": 0.0, "eta": [{"x": {"int": 1}, "weight": 1.0}]},
+    "grid": [3, 4, 5],
+    "mc": {"replicates": 50, "seed": 3, "n": [4]},
+}
+_KEY_PATHS = [(name, path) for name, doc in _FUZZ_DOCS.items() for path in _key_paths(doc)]
 _KEYS = sorted({key for _, path in _KEY_PATHS for key in path if isinstance(key, str)})
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -461,16 +496,38 @@ class TestExitCodeContract:
         assert _run_cli(tmp_path, command, doc) == 2
         assert "error: invalid config" in capsys.readouterr().err
 
+    def test_large_default_character_set_exit_2(self, tmp_path, capsys):
+        group = {"kind": "padic", "p": 23, "depth": 4}
+        doc = _mutated(_bundled_doc("padic_poisson"), ("group",), group)
+        del doc["characters"]
+        t0 = time.perf_counter()
+        assert _run_cli(tmp_path, "verify", doc) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "list `characters` explicitly" in capsys.readouterr().err
+
+    def test_deep_solenoid_exit_2(self, tmp_path, capsys):
+        group = {"kind": "solenoid", "p": 101, "depth": 8}
+        doc = _mutated(_bundled_doc("solenoid_clt"), ("group",), group)
+        assert _run_cli(tmp_path, "verify", doc) == 2
+        assert "group: solenoid p^depth exceeds 2^40" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, command):
         argv = [command, "--config", "torus_clt", "--out", str(tmp_path / "o"), "--seed", "-1"]
         assert cli.main(argv) == 2
         assert "--seed must be non-negative" in capsys.readouterr().err
 
-    @settings(max_examples=500, deadline=None, derandomize=True)
+    @pytest.mark.parametrize("name", ["general_torus", "general_padic"])
+    def test_general_fuzz_docs_run(self, tmp_path, name):
+        # the general base documents are valid, so the fuzz mutates working configs
+        for command in ("verify", "conditions", "sample"):
+            assert _run_cli(tmp_path, command, _FUZZ_DOCS[name]) in (0, 1)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(target=st.sampled_from(_KEY_PATHS), value=_JSON)
     def test_any_single_mutation_keeps_exit_codes(self, tmp_path_factory, target, value):
-        # one key path of a bundled example set to an arbitrary JSON value
+        # one key path of a base document set to an arbitrary JSON value
         name, path = target
-        doc = _mutated(_bundled_doc(name), path, value)
-        assert _run_cli(tmp_path_factory.mktemp("fuzz"), "verify", doc) in (0, 1, 2, 3)
+        doc = _mutated(_FUZZ_DOCS[name], path, value)
+        for command in ("verify", "conditions"):
+            assert _run_cli(tmp_path_factory.mktemp("fuzz"), command, doc) in (0, 1, 2, 3)

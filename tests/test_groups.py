@@ -74,6 +74,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not prime"):
             solenoid_group(1)
 
+    def test_solenoid_depth_guard(self):
+        # the deepest coordinate's float turns must resolve y_0
+        assert solenoid_group(2, 40).depth == 40
+        assert solenoid_group(101, 5).depth == 5
+        for p, depth in ((2, 41), (101, 8), (3, 10**9)):
+            with pytest.raises(ValueError, match="solenoid p\\^depth exceeds 2\\^40"):
+                solenoid_group(p, depth)
+        with pytest.raises(ValueError, match="exceeds 2\\^40"):
+            solenoid_lift(identity(solenoid_group(2, 40)), 0)
+
     def test_digit_range_validation(self):
         g = padic_group(3, 1)
         with pytest.raises(ValueError, match="digit"):

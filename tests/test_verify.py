@@ -199,6 +199,16 @@ class TestDefaults:
         # the canonical characters of depth <= 3 are indexed by Z/11^4
         assert len(chars) == 11**4
 
+    def test_default_characters_size_guard(self):
+        # p = 23 at depth 4 would enumerate 23 + 23^2 + 23^3 + 23^4 characters
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match="list `characters` explicitly"):
+            default_characters(padic_group(23, 4))
+        with pytest.raises(ConfigError, match="105101004 characters"):
+            default_characters(padic_group(101, 8))
+        assert time.perf_counter() - t0 < 1.0
+        assert len(default_characters(padic_group(23, 2))) == 23**3
+
     def test_default_neighborhoods(self):
         assert len(default_neighborhoods(T)) == 3
         assert [U.rank for U in default_neighborhoods(padic_group(2, 8))] == [1, 2, 3]
