@@ -83,12 +83,10 @@ def criterion_1():
     and a passing theorem check."""
     g = torus_group()
     array = _torus_clt_array()
-    worst = 0.0
-    for ell in (1, 2, 3):
-        got = row_ft_exact(array, 10**6, character(g, ell))
-        worst = max(worst, abs(got - math.exp(-(ell**2) / 2.0)))
-    settings = VerifySettings(characters=tuple(character(g, l) for l in (1, 2, 3)))
-    report = check_theorem(array, gauss_law(g, 1.0), settings)
+    chars = tuple(character(g, l) for l in (1, 2, 3))
+    fts = row_ft_exact(array, 10**6, chars)
+    worst = max(abs(got - math.exp(-(chi.ell**2) / 2.0)) for chi, got in zip(chars, fts))
+    report = check_theorem(array, gauss_law(g, 1.0), VerifySettings(characters=chars))
     ok = worst <= 5e-4 and report.passed()
     return ok, f"max |FT - exp(-l^2/2)| = {worst:.3g} (<= 5e-4), verdict {report.overall}"
 
@@ -98,11 +96,10 @@ def criterion_2():
     the moment-gap sequences diverge."""
     g = torus_group()
     array = rademacher_array(g, K=linear(1.0), angle=power(1.0, -0.25))
-    worst = max(abs(row_ft_exact(array, 10**4, character(g, l))) for l in range(1, 6))
-    diverged = True
-    for ell in range(1, 6):
-        seq = [(n, symmetric_stat(array, n, character(g, ell))) for n in WIDE_GRID]
-        diverged = diverged and trend_classify(seq).kind == "diverges"
+    chars = tuple(character(g, l) for l in range(1, 6))
+    worst = max(abs(z) for z in row_ft_exact(array, 10**4, chars))
+    gaps = zip(*(symmetric_stat(array, n, chars) for n in WIDE_GRID))  # per character
+    diverged = all(trend_classify(zip(WIDE_GRID, seq)).kind == "diverges" for seq in gaps)
     ok = worst <= 1e-6 and diverged
     return ok, f"max |FT| at n=1e4 = {worst:.3g} (<= 1e-6), gaps diverge: {diverged}"
 
@@ -114,16 +111,13 @@ def criterion_3():
     g = array.group
     n = 10**5
     x = array.x(n)
-    worst = 0.0
-    for chi in _padic_chars(g, 2):
-        target = np.exp(2.0 * (char_eval(chi, x) - 1.0))
-        worst = max(worst, abs(row_ft_exact(array, n, chi) - target))
+    chars = tuple(_padic_chars(g, 2))
+    fts = dict(zip(chars, row_ft_exact(array, n, chars)))
+    worst = max(abs(fts[chi] - np.exp(2.0 * (char_eval(chi, x) - 1.0))) for chi in chars)
     # the character sending x to -1 pins the classical value exp(-4)
-    chi_minus = character(g, 1, 0)
-    spot = abs(row_ft_exact(array, n, chi_minus) - math.exp(-4.0))
+    spot = abs(fts[character(g, 1, 0)] - math.exp(-4.0))
     law = compound_poisson_law(scale_measure(point_mass(x), 2.0))
-    settings = VerifySettings(characters=tuple(_padic_chars(g, 2)))
-    report = check_theorem(array, law, settings)
+    report = check_theorem(array, law, VerifySettings(characters=chars))
     ok = worst <= 1e-3 and spot <= 1e-3 and report.passed()
     return ok, f"max |FT - e(2dx)^| = {worst:.3g} (<= 1e-3), verdict {report.overall}"
 
@@ -135,15 +129,10 @@ def criterion_4():
     array = bernoulli_array(g, from_int(g, 1), p=power(1.0, -0.5), K=linear(1.0))
     law = haar_law(full_subgroup(g))
     n = 10**6
-    worst = 0.0
-    indicator_ok = True
-    for chi in _padic_chars(g, 2):
-        ft = limit_law_ft(law, chi)
-        if chi.ell == 0:
-            indicator_ok = indicator_ok and ft == 1.0
-        else:
-            indicator_ok = indicator_ok and ft == 0.0
-            worst = max(worst, abs(row_ft_exact(array, n, chi)))
+    chars = _padic_chars(g, 2)
+    fts = row_ft_exact(array, n, chars)
+    worst = max(abs(z) for chi, z in zip(chars, fts) if chi.ell != 0)
+    indicator_ok = all(limit_law_ft(law, chi) == (1.0 if chi.ell == 0 else 0.0) for chi in chars)
     ok = worst <= 1e-3 and indicator_ok
     return ok, f"max nontrivial |FT| = {worst:.3g} (<= 1e-3), Haar indicator exact: {indicator_ok}"
 
@@ -154,13 +143,10 @@ def criterion_5():
     g = solenoid_group(2)
     array = rademacher_array(g, K=linear(1.0), angle=power(1.0, -0.5))
     n = 10**6
-    worst = 0.0
-    for d in (0, 1, 2):
-        for ell in range(-3, 4):
-            target = math.exp(-(ell**2) / 2.0 ** (2 * d + 1))
-            got = row_ft_exact(array, n, character(g, ell, d))
-            worst = max(worst, abs(got - target))
-    spot = abs(row_ft_exact(array, n, character(g, 1, 1)) - math.exp(-0.125))
+    chars = tuple(character(g, ell, d) for d in (0, 1, 2) for ell in range(-3, 4))
+    fts = dict(zip(chars, row_ft_exact(array, n, chars)))
+    worst = max(abs(fts[chi] - math.exp(-(chi.ell**2) / 2.0 ** (2 * chi.d + 1))) for chi in chars)
+    spot = abs(fts[character(g, 1, 1)] - math.exp(-0.125))
     ok = worst <= 5e-4 and spot <= 5e-4
     return ok, f"max |FT - exp(-l^2/2^(2d+1))| = {worst:.3g} (<= 5e-4)"
 
@@ -361,8 +347,8 @@ def criterion_10():
         est = empirical_ft(array, n, chars, M, stream)
         rerun = empirical_ft(array, n, chars, M, stream)
         identical = identical and est.estimates == rerun.estimates
-        for chi, emp in zip(est.chars, est.estimates):
-            worst = max(worst, abs(emp - row_ft_exact(array, n, chi)))
+        for emp, exact in zip(est.estimates, row_ft_exact(array, n, est.chars)):
+            worst = max(worst, abs(emp - exact))
     ok = worst <= bound and identical
     return ok, f"max |emp - exact| = {worst:.4g} (<= {bound:.4g}), rerun identical: {identical}"
 

@@ -6,11 +6,12 @@ Row-count and parameter rules are closed-form schedules of the row index n
 (constant / linear / power / explicit table), so every reported number is
 reproducible from the experiment description alone.
 
-For i.i.d. rows the K_n-fold quantities are evaluated in closed form, so
-no loop of length K_n is run and K_n up to 1e9 is cheap.  General rows have
-no closed form: each row is packed once into a PackedRow table, and every
-statistic is one numpy pass over that table per character or
-neighborhood.
+Every row is one PackedRow table of distinct entries, each taken `copies`
+times: an i.i.d. row is its one entry taken K_n times, so no loop of
+length K_n is run and K_n up to 1e15 is cheap, and a general row is its
+K_n entries taken once each.  Every statistic is one body over that table
+and takes all the characters (or neighborhoods) of a grid point at once,
+evaluated in chunks of at most MAX_TEMP // 4 atom x character values.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .groups import (
     GroupElement,
     GroupId,
     GroupMismatchError,
-    Neighborhood,
-    add,
     block_dtype,
     block_element,
     char_eval_block,
@@ -48,24 +47,21 @@ from .groups import (
     identity,
     in_nbhd_block,
     lambda_subgroup,
-    local_inner,
     local_inner_block,
     neg,
     padic_metric,
     reduce_turns_block,
-    scale,
     trivial_subgroup,
 )
 from .measures import (
     ATOM_TOL_TURNS,
     DiscreteMeasure,
-    cylinder_mass,
     cylinder_modulus,
     discrete_measure,
-    local_mean,
     measure_ft,
-    tail_mass_measure,
 )
+
+MAX_TEMP = 65_536  # values in any temporary array of a pass over a row or a block
 
 
 @dataclass(frozen=True)
@@ -162,6 +158,76 @@ def _positive_k(value: float, n: int) -> int:
 
 
 @dataclass(frozen=True)
+class PackedRow:
+    """The entries of one row in one table: entry k has the atoms
+    values[starts[k]:starts[k + 1]] (a block of the group's block_dtype)
+    with the weights at the same positions, and the row holds `copies`
+    independent copies of every entry."""
+
+    group: GroupId
+    values: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
+    copies: int = 1
+
+    @cached_property
+    def laws(self) -> tuple[RowDistribution, ...]:
+        """One row law per entry, built from the table on first use."""
+        xs = [block_element(self.group, v) for v in self.values.tolist()]
+        atoms = list(zip(xs, self.weights.tolist()))
+        bounds = self.starts.tolist() + [len(atoms)]
+        return tuple(
+            RowDistribution(DiscreteMeasure(self.group, tuple(atoms[a:b])))
+            for a, b in zip(bounds, bounds[1:])
+        )
+
+    @cached_property
+    def _groups(self) -> list:
+        """The entries grouped by atom count m: (entries, their atoms'
+        positions as an entries x m array, m), or (all, None, m) when every
+        entry has m atoms and a reshape lines them up."""
+        counts = np.diff(self.starts, append=len(self.values))
+        widths = sorted(set(counts.tolist()))
+        if len(widths) == 1:
+            return [(slice(None), None, widths[0])]
+        groups = [(np.flatnonzero(counts == m), m) for m in widths]
+        return [(e, self.starts[e, None] + np.arange(m), m) for e, m in groups]
+
+    def entry_sums(self, x: np.ndarray) -> np.ndarray:
+        """The sum over each entry's atoms of weight * x, for x given at
+        every atom along its last axis: added atom by atom from 0, in the
+        order of measure_ft and tail_mass_measure."""
+        wx = np.multiply(self.weights, x, order="C")
+        out = np.empty(wx.shape[:-1] + (len(self.starts),), dtype=wx.dtype)
+        for entries, at, m in self._groups:
+            block = wx.reshape(wx.shape[:-1] + (-1, m)) if at is None else wx[..., at]
+            total = np.zeros(block.shape[:-1], dtype=wx.dtype)
+            for a in range(m):
+                total += block[..., a]
+            out[..., entries] = total
+        return out
+
+
+def pack_rows(group: GroupId, laws, copies: int = 1) -> PackedRow:
+    """One PackedRow of the row laws, each taken `copies` times, checked
+    to lie on the group; its laws are these very objects."""
+    laws = tuple(laws)
+    if any(dist.group != group for dist in laws):
+        raise GroupMismatchError("row rule produced a distribution on another group")
+    atoms = [atom for dist in laws for atom in dist.atoms]
+    counts = np.array([len(dist.atoms) for dist in laws], dtype=np.intp)
+    row = PackedRow(
+        group,
+        np.array([element_value(x) for x, _ in atoms], dtype=block_dtype(group)),
+        np.array([w for _, w in atoms], dtype=float),
+        np.cumsum(counts) - counts,
+        copies,
+    )
+    row.__dict__["laws"] = laws  # fills the cached property
+    return row
+
+
+@dataclass(frozen=True)
 class IIDArray:
     """Rows of K_n i.i.d. entries with the row law dist(n).
 
@@ -177,17 +243,20 @@ class IIDArray:
     dist: Callable[[int], RowDistribution]
     x: Callable[[int], GroupElement] | None = None
     p: Callable[[int], float] | None = None
-    _dists: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
+    _packed: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def row_count(self, n: int) -> int:
         return _positive_k(self.K(n), n)
 
+    def packed(self, n: int) -> PackedRow:
+        """Row n as one table, the entry dist(n) taken K_n times; built once."""
+        row = self._packed.get(n)
+        if row is None:
+            row = self._packed[n] = pack_rows(self.group, (self.dist(n),), self.row_count(n))
+        return row
+
     def iid_dist(self, n: int) -> RowDistribution:
-        """The row law of row n, built and checked once per n."""
-        dist = self._dists.get(n)
-        if dist is None:
-            dist = self._dists[n] = self.dist(n)
-        return dist
+        return self.packed(n).laws[0]
 
 
 def rademacher_array(
@@ -255,60 +324,11 @@ def iid_symmetric_array(
 
     def dist(n: int) -> RowDistribution:
         d = dist_rule(n)
-        if d.group != group:
-            raise GroupMismatchError("row rule produced a distribution on another group")
         if not d.is_symmetric():
             raise ValueError(f"row distribution at n={n} is not symmetric")
         return d
 
     return IIDArray(group, K, "symmetric", dist)
-
-
-@dataclass(frozen=True)
-class PackedRow:
-    """The entries of one row in one table: entry k has the atoms
-    values[starts[k]:starts[k + 1]] (a block of the group's block_dtype)
-    with the weights at the same positions."""
-
-    group: GroupId
-    values: np.ndarray
-    weights: np.ndarray
-    starts: np.ndarray
-
-    @cached_property
-    def laws(self) -> tuple[RowDistribution, ...]:
-        """One row law per entry, built from the table on first use."""
-        xs = [block_element(self.group, v) for v in self.values.tolist()]
-        atoms = list(zip(xs, self.weights.tolist()))
-        bounds = self.starts.tolist() + [len(atoms)]
-        return tuple(
-            RowDistribution(DiscreteMeasure(self.group, tuple(atoms[a:b])))
-            for a, b in zip(bounds, bounds[1:])
-        )
-
-    def entry_sums(self, x: np.ndarray) -> np.ndarray:
-        """The sum over each entry's atoms of weight * x, for x given at
-        every atom (x may have trailing axes)."""
-        w = self.weights.reshape((-1,) + (1,) * (x.ndim - 1))
-        return np.add.reduceat(w * x, self.starts)
-
-
-def pack_rows(group: GroupId, laws) -> PackedRow:
-    """One PackedRow of the row laws, checked to lie on the group; its
-    laws are these very objects."""
-    laws = tuple(laws)
-    if any(dist.group != group for dist in laws):
-        raise GroupMismatchError("row rule produced a distribution on another group")
-    atoms = [atom for dist in laws for atom in dist.atoms]
-    counts = np.array([len(dist.atoms) for dist in laws], dtype=np.intp)
-    row = PackedRow(
-        group,
-        np.array([element_value(x) for x, _ in atoms], dtype=block_dtype(group)),
-        np.array([w for _, w in atoms], dtype=float),
-        np.cumsum(counts) - counts,
-    )
-    row.__dict__["laws"] = laws  # fills the cached property
-    return row
 
 
 def plain_entries(group: GroupId, values: np.ndarray, weights: np.ndarray, counts) -> np.ndarray:
@@ -396,9 +416,8 @@ def row_dist(array: TriangularArraySpec, n: int, k: int) -> RowDistribution:
     K = array.row_count(n)
     if not 1 <= k <= K:
         raise IndexError(f"row index k={k} outside 1..{K}")
-    if array.kind == "general":
-        return array.rows(n)[k - 1]
-    return array.iid_dist(n)
+    row = array.packed(n)
+    return row.laws[(k - 1) // row.copies]
 
 
 def char_moment(dist: RowDistribution, chi: Character) -> complex:
@@ -419,28 +438,38 @@ def _power(z: complex, K: int) -> complex:
     return cmath.exp(K * cmath.log(z))
 
 
-def row_ft_exact(array: TriangularArraySpec, n: int, chi: Character) -> complex:
-    """FT of the row sum: the product of the per-entry character moments,
-    a K_n-th power for i.i.d. rows (see _power).
+def _chunked(row: PackedRow, items, stat) -> list:
+    """stat of consecutive chunks of the items, one Python number per item; a
+    chunk x atoms array holds at most MAX_TEMP // 4 values (a pass keeps several)."""
+    step = max(1, MAX_TEMP // 4 // max(1, len(row.values)))
+    return [v for i in range(0, len(items), step) for v in stat(items[i : i + step]).tolist()]
+
+
+def _moments(row: PackedRow, chars) -> np.ndarray:
+    """The len(chars) x entries array of the entries' character moments."""
+    return row.entry_sums(char_eval_block(row.group, chars, row.values).T)
+
+
+def _tail_masses(row: PackedRow, nbhds) -> np.ndarray:
+    """The len(nbhds) x entries array of the entries' tail masses."""
+    return row.entry_sums(~in_nbhd_block(row.group, nbhds, row.values))
+
+
+def row_ft_exact(array: TriangularArraySpec, n: int, chars) -> tuple[complex, ...]:
+    """FT of the row sum at every character: the product of the entries'
+    character moments, raised to the power `copies` (see _power).
 
     The product starts from the first factor, not from 1, so the signed
     zeros of a single factor survive.
     """
-    if array.kind != "general":
-        return _power(char_moment(array.iid_dist(n), chi), array.row_count(n))
     row = array.packed(n)
-    c = char_eval_block(array.group, (chi,), row.values)
-    # each moment, like measure_ft, is a sum from +0.0, so no part is -0.0
-    moments = (row.entry_sums(c.view(np.float64)) + 0.0).view(complex)[:, 0]
-    return complex(np.multiply.reduce(moments))
+    z = _chunked(row, chars, lambda c: np.multiply.reduce(_moments(row, c), axis=-1))
+    return tuple(_power(v, row.copies) for v in z)
 
 
 def sum_local_means(array: TriangularArraySpec, n: int) -> GroupElement:
     """Group sum of the local means of row n."""
     g = array.group
-    if array.kind != "general":
-        m = local_mean(array.iid_dist(n).measure)
-        return add(identity(g), scale(array.row_count(n), m))
     if g.kind == PADIC:
         return identity(g)
     row = array.packed(n)
@@ -448,63 +477,52 @@ def sum_local_means(array: TriangularArraySpec, n: int) -> GroupElement:
     turns = row.entry_sums(h_arg_block(g, row.values)) / TWO_PI
     if g.kind != TORUS:
         turns /= g.p**g.depth
-    return from_turns(g, float(reduce_turns_block(turns).sum()))
+    return from_turns(g, row.copies * float(reduce_turns_block(turns).sum()))
 
 
-def _var_local_inner(dist: RowDistribution, chi: Character) -> float:
-    m1 = sum(w * local_inner(x, chi) for x, w in dist.atoms)
-    m2 = sum(w * local_inner(x, chi) ** 2 for x, w in dist.atoms)
-    return m2 - m1 * m1
-
-
-def sum_var_g(array: TriangularArraySpec, n: int, chi: Character) -> float:
-    """Sum over row n of the variances of g(X, chi)."""
-    if array.kind != "general":
-        return array.row_count(n) * _var_local_inner(array.iid_dist(n), chi)
+def sum_var_g(array: TriangularArraySpec, n: int, chars) -> tuple[float, ...]:
+    """Sum over row n of the variances of g(X, chi), for every character."""
     row = array.packed(n)
-    inner = local_inner_block(array.group, chi, row.values)
-    m1, m2 = row.entry_sums(inner), row.entry_sums(inner * inner)
-    return float(np.sum(m2 - m1 * m1))
+
+    def variances(c):
+        inner = local_inner_block(row.group, c, row.values)
+        m1, m2 = row.entry_sums(inner), row.entry_sums(inner * inner)
+        return (m2 - m1 * m1).sum(axis=-1)
+
+    return tuple(row.copies * v for v in _chunked(row, chars, variances))
 
 
-def _tail_masses(array: GeneralArray, n: int, U: Neighborhood) -> np.ndarray:
-    """The probability of each entry of row n to land outside U."""
+def sum_tail(array: TriangularArraySpec, n: int, nbhds) -> tuple[float, ...]:
+    """Sum over row n of the probabilities of landing outside U, per U."""
     row = array.packed(n)
-    return row.entry_sums(~in_nbhd_block(array.group, U, row.values))
-
-
-def sum_tail(array: TriangularArraySpec, n: int, U: Neighborhood) -> float:
-    """Sum over row n of the probabilities of landing outside U."""
-    if array.kind != "general":
-        return array.row_count(n) * tail_mass_measure(array.iid_dist(n).measure, U)
-    return float(_tail_masses(array, n, U).sum())
+    tails = _chunked(row, nbhds, lambda c: _tail_masses(row, c).sum(axis=-1))
+    return tuple(row.copies * v for v in tails)
 
 
 def sum_cylinder(array: TriangularArraySpec, n: int, x0: GroupElement, r: int) -> float:
     """Sum over row n of the probabilities of the padic cylinder
     x0 + lambda(r)."""
-    if array.kind != "general":
-        return array.row_count(n) * cylinder_mass(array.iid_dist(n).measure, x0, r)
     q = cylinder_modulus(array.group, x0, r)
     row = array.packed(n)
-    return float(row.entry_sums((row.values - x0.residue) % q == 0).sum())
+    return row.copies * float(row.entry_sums((row.values - x0.residue) % q == 0).sum())
 
 
-def infinitesimality_stat(array: TriangularArraySpec, n: int, U: Neighborhood) -> float:
-    """Largest tail probability in row n; the array is infinitesimal when
-    this tends to 0 for every U."""
-    if array.kind != "general":
-        return tail_mass_measure(array.iid_dist(n).measure, U)
-    return float(_tail_masses(array, n, U).max(initial=0.0))
+def infinitesimality_stat(array: TriangularArraySpec, n: int, nbhds) -> tuple[float, ...]:
+    """Largest tail probability in row n, for every neighborhood U; the
+    array is infinitesimal when this tends to 0 for every U."""
+    row = array.packed(n)
+    return tuple(_chunked(row, nbhds, lambda c: _tail_masses(row, c).max(axis=-1, initial=0.0)))
 
 
-def symmetric_stat(array: TriangularArraySpec, n: int, chi: Character) -> float:
-    """K_n * (1 - Re E chi(X_n1)) for i.i.d. rows: the quantity whose limit
-    decides between Gauss and Haar behaviour of symmetric arrays."""
+def symmetric_stat(array: TriangularArraySpec, n: int, chars) -> tuple[float, ...]:
+    """K_n * (1 - Re E chi(X_n1)) for i.i.d. rows, for every character: the
+    quantity whose limit decides between Gauss and Haar behaviour of
+    symmetric arrays."""
     if array.kind == "general":
         raise ValueError("symmetric_stat needs i.i.d. rows")
-    z = char_moment(array.iid_dist(n), chi)
-    return array.row_count(n) * (1.0 - z.real)
+    row = array.packed(n)
+    gaps = _chunked(row, chars, lambda c: (1.0 - _moments(row, c).real).sum(axis=-1))
+    return tuple(row.copies * v for v in gaps)
 
 
 def bernoulli_rate(array: TriangularArraySpec, n: int) -> float:

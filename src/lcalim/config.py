@@ -106,6 +106,12 @@ def _float(value, name: str) -> float:
     raise ConfigError(f"{name} must be a finite number")
 
 
+def _str(value, name: str) -> str:
+    if isinstance(value, str) and value:
+        return value
+    raise ConfigError(f"{name} must be a non-empty string")
+
+
 def _ints(value, name: str) -> list[int]:
     return [_int(v, f"{name}[{i}]") for i, v in enumerate(_list(value, name))]
 
@@ -468,16 +474,14 @@ def parse_config(text: str) -> ExperimentConfig:
         law=law,
         settings=settings,
         mc=mc,
-        out_dir=str(doc.get("out", "reports")),
+        out_dir=_str(doc.get("out", "reports"), "out"),
     )
 
 
 def _probe_array(array: TriangularArraySpec, grid, n_points) -> None:
     try:
         for n in tuple(grid) + tuple(n_points):
-            array.row_count(n)
-            if array.kind != "general":  # general rows are packed on first use
-                array.iid_dist(n)
+            array.packed(n)
     except (KeyError, ValueError, OverflowError) as exc:
         raise ConfigError(f"array rules do not cover the grid: {exc}") from exc
     try:

@@ -421,37 +421,34 @@ def cis_turns_block(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def coordinate_turns_block(group: GroupId, values: np.ndarray, j: int) -> np.ndarray:
-    """coordinate_turns(., j) of every element of a solenoid block, by the
-    same multiply-by-p-and-reduce steps."""
-    if not 0 <= j <= group.depth:
-        raise DepthOverflowError(f"coordinate {j} beyond working depth {group.depth}")
-    t = values
-    for _ in range(group.depth - j):
-        t = reduce_turns_block(t * group.p)
-    return t
-
-
-def _char_turns_block(chi: Character, values: np.ndarray) -> np.ndarray:
-    g = chi.group
-    if g.kind == TORUS:
-        return chi.ell * values
-    if chi.d > g.depth:
-        raise DepthOverflowError(f"character depth {chi.d} beyond working depth {g.depth}")
-    if g.kind == PADIC:
-        q = g.p ** (chi.d + 1)
-        return chi.ell * (values % q) % q / q
-    return chi.ell * coordinate_turns_block(g, values, chi.d)
+def _coordinates_block(group: GroupId, values: np.ndarray, lowest: int) -> dict:
+    """coordinate_turns(., j) of every element of a solenoid block for every
+    j from the working depth down to lowest, by one chain of its steps."""
+    ys = {group.depth: values}
+    for j in range(group.depth - 1, lowest - 1, -1):
+        ys[j] = reduce_turns_block(ys[j + 1] * group.p)
+    return ys
 
 
 def char_eval_block(group: GroupId, chars, values: np.ndarray) -> np.ndarray:
     """char_eval of every character at every element of a block: the
     len(values) x len(chars) matrix of character values."""
+    if any(chi.group != group for chi in chars):
+        raise GroupMismatchError("character and element on different groups")
+    deepest = max((chi.d for chi in chars), default=0)
+    if deepest > group.depth:
+        raise DepthOverflowError(f"character depth {deepest} beyond working depth {group.depth}")
+    if group.kind == SOLENOID:
+        ys = _coordinates_block(group, values, min((chi.d for chi in chars), default=0))
     phases = np.empty((len(values), len(chars)))
     for k, chi in enumerate(chars):
-        if chi.group != group:
-            raise GroupMismatchError("character and element on different groups")
-        phases[:, k] = _char_turns_block(chi, values)
+        if group.kind == TORUS:
+            phases[:, k] = chi.ell * values
+        elif group.kind == PADIC:
+            q = group.p ** (chi.d + 1)
+            phases[:, k] = chi.ell * (values % q) % q / q
+        else:
+            phases[:, k] = chi.ell * ys[chi.d]
     return cis_turns_block(phases)
 
 
@@ -474,20 +471,23 @@ def h_arg_block(group: GroupId, values: np.ndarray) -> np.ndarray:
     """h_trunc of the angle of every element of a torus block, or of the
     angle of its base coordinate y_0 on the solenoid."""
     if group.kind == SOLENOID:
-        values = coordinate_turns_block(group, values, 0)
+        values = _coordinates_block(group, values, 0)[0]
     t = TWO_PI * values
     folded = np.where(t < -math.pi / 2, -t - math.pi, np.where(t < math.pi / 2, t, math.pi - t))
     return np.where((t < -math.pi) | (t >= math.pi), 0.0, folded)
 
 
-def local_inner_block(group: GroupId, chi: Character, values: np.ndarray) -> np.ndarray:
-    """local_inner(., chi) of every element of a block."""
-    if chi.group != group:
+def local_inner_block(group: GroupId, chars, values: np.ndarray) -> np.ndarray:
+    """local_inner(., chi) of every element of a block for every
+    character: a len(chars) x len(values) array."""
+    if any(chi.group != group for chi in chars):
         raise GroupMismatchError("character and element on different groups")
-    if group.kind == PADIC:
-        return np.zeros(len(values))
-    inner = chi.ell * h_arg_block(group, values)
-    return inner if group.kind == TORUS else inner / group.p**chi.d
+    out = np.zeros((len(chars), len(values)))
+    if group.kind != PADIC:  # padic local inner products are 0
+        h = h_arg_block(group, values)
+        for k, chi in enumerate(chars):
+            out[k] = chi.ell * h if group.kind == TORUS else chi.ell * h / group.p**chi.d
+    return out
 
 
 SUBGROUP_TRIVIAL = "trivial"
@@ -624,20 +624,22 @@ def in_nbhd(x: GroupElement, U: Neighborhood) -> bool:
     return all(abs(coordinate_arg(x, j)) < U.eps for j in range(U.d + 1))
 
 
-def in_nbhd_block(group: GroupId, U: Neighborhood, values: np.ndarray) -> np.ndarray:
-    """in_nbhd(., U) of every element of a block, as a boolean array."""
-    if U.group != group:
+def in_nbhd_block(group: GroupId, nbhds, values: np.ndarray) -> np.ndarray:
+    """in_nbhd(., U) of every element of a block for every neighborhood U:
+    a len(nbhds) x len(values) boolean array."""
+    if any(U.group != group for U in nbhds):
         raise GroupMismatchError("element and neighborhood on different groups")
-    if group.kind == TORUS:
-        return np.abs(TWO_PI * values) < U.eps
-    if group.kind == PADIC:
-        return values % group.p**U.rank == 0
-    t = coordinate_turns_block(group, values, U.d)
-    inside = np.abs(TWO_PI * t) < U.eps
-    for _ in range(U.d):  # coordinates d - 1, ..., 0
-        t = reduce_turns_block(t * group.p)
-        inside &= np.abs(TWO_PI * t) < U.eps
-    return inside
+    if group.kind == SOLENOID:
+        ys = _coordinates_block(group, values, 0)
+    out = np.empty((len(nbhds), len(values)), dtype=bool)
+    for k, U in enumerate(nbhds):
+        if group.kind == TORUS:
+            out[k] = np.abs(TWO_PI * values) < U.eps
+        elif group.kind == PADIC:
+            out[k] = values % group.p**U.rank == 0
+        else:  # |arg y_j| < eps for every j <= d
+            out[k] = np.all([np.abs(TWO_PI * ys[j]) < U.eps for j in range(U.d + 1)], axis=0)
+    return out
 
 
 def padic_metric(x: GroupElement, y: GroupElement) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import IIDArray, TriangularArraySpec, pack_rows
+from .arrays import MAX_TEMP, TriangularArraySpec
 from .groups import (
     PADIC,
     SOLENOID,
@@ -39,7 +39,6 @@ from .measures import LimitLaw, local_mean
 
 DEFAULT_DIRECT_BUDGET = 10_000_000
 BLOCK_SIZE = 1024  # replicates per block; fixed, so results never depend on it
-_MAX_TEMP = 65_536  # entries in any temporary array of the direct path
 
 
 class SamplingBudgetError(ValueError):
@@ -87,16 +86,17 @@ def _row_sampler(
     """A function (gen, size) -> block of `size` independent row sums of
     row n.
 
-    For i.i.d. rows the atom occupation counts are drawn in one shot
-    (binomial for two-point rows, multinomial otherwise) and combined as
-    count * atom, so the cost is independent of K_n.  Other rows are
-    drawn entry by entry, subject to the budget, from atom and
-    cumulative-weight tables built once from the packed row.
+    For a row of one entry taken K_n times (an i.i.d. row) the atom counts
+    are drawn in one shot (binomial for two-point rows, multinomial
+    otherwise) and combined as count * atom, so the cost is independent of
+    K_n.  Other rows are drawn entry by entry, subject to the budget, from
+    atom and cumulative-weight tables built once from the packed row.
     """
     g = array.group
     K = array.row_count(n)
-    if isinstance(array, IIDArray) and not force_direct:
-        dist = array.iid_dist(n)
+    row = array.packed(n)
+    if len(row.starts) == 1 and not force_direct:
+        dist = row.laws[0]
         xs = [x for x, _ in dist.atoms]
         total = dist.measure.total_mass()
         pvals = [w / total for _, w in dist.atoms]
@@ -117,7 +117,6 @@ def _row_sampler(
         raise SamplingBudgetError(f"direct sampling of K_n={K} entries exceeds budget {budget}")
     # one table row per packed entry: a single one shared by all K_n entries
     # (i.i.d. rows), or one per entry (general rows)
-    row = array.packed(n) if array.kind == "general" else pack_rows(g, (array.iid_dist(n),))
     counts = np.diff(row.starts, append=len(row.values))
     width = int(counts.max(initial=1))
     entry = np.repeat(np.arange(len(counts)), counts)
@@ -140,7 +139,7 @@ def _row_sampler(
 
     def draw_entries(gen, size):
         out = np.zeros(size, dtype=block_dtype(g))
-        step = max(1, _MAX_TEMP // size)
+        step = max(1, MAX_TEMP // size)
         for k0 in range(0, K, step):
             k1 = min(k0 + step, K)
             rows = np.zeros(k1 - k0, dtype=np.intp) if len(counts) == 1 else np.arange(k0, k1)

@@ -267,12 +267,17 @@ class ConvergenceReport:
         return self.overall == "pass"
 
 
-def ft_sup_distance(
-    array: TriangularArraySpec, law: LimitLaw, n: int, chars
-) -> float:
+def ft_sup_distance(array: TriangularArraySpec, law: LimitLaw, n: int, chars) -> float:
     """Largest absolute gap, over the character set, between the exact
     row-sum FT and the law's FT."""
-    return max(abs(row_ft_exact(array, n, chi) - limit_law_ft(law, chi)) for chi in chars)
+    exact = row_ft_exact(array, n, chars)
+    return max(abs(z - limit_law_ft(law, chi)) for chi, z in zip(chars, exact))
+
+
+def _sequences(stat, array, grid, items) -> list[list[tuple[int, float]]]:
+    """One (n, value) sequence per item, from one stat call per grid point."""
+    values = [stat(array, n, items) for n in grid]
+    return [list(zip(grid, column)) for column in zip(*values)]
 
 
 def _ft_converges_to_zero(values, window: int, ft_tol: float) -> bool:
@@ -315,10 +320,7 @@ def _cylinder_set(law: LimitLaw, array, settings: VerifySettings):
     residues = [x.residue for x, _ in law.eta.atoms]
     if array.kind == "bernoulli":  # kept even when p_n = 0 drops it from the row law
         residues.append(array.x(n).residue)
-    if array.kind == "general":
-        residues.extend(set(array.packed(n).values.tolist()))
-    else:
-        residues.extend(x.residue for x, _ in array.iid_dist(n).atoms)
+    residues.extend(set(array.packed(n).values.tolist()))
     out = []
     for r in ranks:
         q = group.p**r
@@ -354,13 +356,11 @@ def check_theorem(
         return trend_classify(seq, tol, settings.window, settings.divergence_threshold)
 
     conditions: list[ConditionVerdict] = []
+    chars, nbhds = settings.characters, settings.neighborhoods
 
     # infinitesimality is a standing hypothesis of every theorem here
-    for U in settings.neighborhoods:
-        seq = [(n, infinitesimality_stat(array, n, U)) for n in grid]
-        conditions.append(
-            _target_value(f"infinitesimal[{U.label}]", seq, classify, 0.0, tol)
-        )
+    for U, seq in zip(nbhds, _sequences(infinitesimality_stat, array, grid, nbhds)):
+        conditions.append(_target_value(f"infinitesimal[{U.label}]", seq, classify, 0.0, tol))
 
     if array.kind == "bernoulli" and _is_pure_haar(law):
         theorem = "bernoulli-haar"
@@ -377,13 +377,9 @@ def check_theorem(
         conditions.extend(_levy_tail_conditions(array, law, settings, classify))
     elif is_symmetric_array(array) and _is_pure_haar(law) and law.H.is_full():
         theorem = "rademacher-haar" if array.kind == "rademacher" else "symmetric-haar"
-        for chi in settings.characters:
-            if chi.is_trivial():
-                continue
-            seq = [(n, symmetric_stat(array, n, chi)) for n in grid]
-            conditions.append(
-                _target_infinity(f"char_gap[{chi.char_id}]", seq, classify)
-            )
+        nontrivial = tuple(chi for chi in chars if not chi.is_trivial())
+        for chi, seq in zip(nontrivial, _sequences(symmetric_stat, array, grid, nontrivial)):
+            conditions.append(_target_infinity(f"char_gap[{chi.char_id}]", seq, classify))
     elif is_symmetric_array(array) and law.H.is_trivial() and not law.eta.atoms:
         theorem = "rademacher-clt" if array.kind == "rademacher" else "symmetric-clt"
         moment, variance, tails = _clt_conditions(array, law.b, settings, classify)
@@ -395,11 +391,10 @@ def check_theorem(
         a = law.a
         seq = [(n, element_distance(sum_local_means(array, n), a)) for n in grid]
         conditions.append(_target_value("mean_sum_gap", seq, classify, 0.0, tol))
-        for chi in settings.characters:
+        for chi, seq in zip(chars, _sequences(sum_var_g, array, grid, chars)):
             target = qform_eval(law.b, chi) + sum(
                 w * local_inner(x, chi) ** 2 for x, w in law.eta.atoms
             )
-            seq = [(n, sum_var_g(array, n, chi)) for n in grid]
             conditions.append(
                 _target_value(f"var_sum[{chi.char_id}]", seq, classify, target, tol)
             )
@@ -411,15 +406,13 @@ def check_theorem(
             "Haar limits of the Bernoulli and symmetric-array theorems"
         )
 
-    ft_rows = []
-    ft_sup = []
+    limits = [limit_law_ft(law, chi) for chi in chars]
+    ft_rows, ft_sup = [], []
     for n in grid:
-        worst = 0.0
-        for chi in settings.characters:
-            row = FtRow(n, chi.char_id, row_ft_exact(array, n, chi), limit_law_ft(law, chi))
-            ft_rows.append(row)
-            worst = max(worst, row.abs_err)
-        ft_sup.append((n, worst))
+        exact = row_ft_exact(array, n, chars)
+        rows = [FtRow(n, chi.char_id, z, w) for chi, z, w in zip(chars, exact, limits)]
+        ft_rows += rows
+        ft_sup.append((n, max([0.0] + [row.abs_err for row in rows])))
     ft_passed = _ft_converges_to_zero(
         [v for _, v in ft_sup], settings.window, settings.ft_tol
     )
@@ -447,14 +440,10 @@ def _levy_tail_conditions(array, law: LimitLaw, settings: VerifySettings, classi
     """Portmanteau conditions on the neighborhood basis: row tail sums
     against the Levy tail masses, plus cylinder masses on padic groups."""
     out = []
-    for U in settings.neighborhoods:
+    nbhds = settings.neighborhoods
+    for U, seq in zip(nbhds, _sequences(sum_tail, array, settings.grid, nbhds)):
         target = tail_mass_measure(law.eta.measure, U)
-        seq = [(n, sum_tail(array, n, U)) for n in settings.grid]
-        out.append(
-            _target_value(
-                f"tail_sum[{U.label}]", seq, classify, target, settings.trend_tol
-            )
-        )
+        out.append(_target_value(f"tail_sum[{U.label}]", seq, classify, target, settings.trend_tol))
     if law.group.kind == PADIC:
         for x0, r in _cylinder_set(law, array, settings):
             target = cylinder_mass(law.eta.measure, x0, r)
@@ -502,19 +491,15 @@ def _clt_conditions(array, qform, settings: VerifySettings, classify):
     gaps -> Q(chi)/2 and variance sums -> Q(chi) per character, and
     vanishing tail sums; returned as (moment, variance, tails)."""
     tol = settings.trend_tol
+    grid, chars, nbhds = settings.grid, settings.characters, settings.neighborhoods
     moment, variance, tails = [], [], []
-    for chi in settings.characters:
+    gaps = _sequences(symmetric_stat, array, grid, chars)
+    variances = _sequences(sum_var_g, array, grid, chars)
+    for chi, gap, var in zip(chars, gaps, variances):
         target = qform_eval(qform, chi)
-        seq = [(n, symmetric_stat(array, n, chi)) for n in settings.grid]
-        moment.append(
-            _target_value(f"char_gap[{chi.char_id}]", seq, classify, target / 2.0, tol)
-        )
-        seq = [(n, sum_var_g(array, n, chi)) for n in settings.grid]
-        variance.append(
-            _target_value(f"var_sum[{chi.char_id}]", seq, classify, target, tol)
-        )
-    for U in settings.neighborhoods:
-        seq = [(n, sum_tail(array, n, U)) for n in settings.grid]
+        moment.append(_target_value(f"char_gap[{chi.char_id}]", gap, classify, target / 2.0, tol))
+        variance.append(_target_value(f"var_sum[{chi.char_id}]", var, classify, target, tol))
+    for U, seq in zip(nbhds, _sequences(sum_tail, array, grid, nbhds)):
         tails.append(_target_value(f"tail_sum[{U.label}]", seq, classify, 0.0, tol))
     return moment, variance, tails
 
@@ -536,7 +521,12 @@ def crosscheck_gensym2(
     def classify(seq):
         return trend_classify(seq, tol, settings.window, settings.divergence_threshold)
 
-    ft_vals = [ft_sup_distance(array, law, n, settings.characters) for n in settings.grid]
+    chars = settings.characters
+    limits = [limit_law_ft(law, chi) for chi in chars]
+    ft_vals = [
+        max(abs(z - w) for z, w in zip(row_ft_exact(array, n, chars), limits))
+        for n in settings.grid
+    ]
     ft_passed = _ft_converges_to_zero(ft_vals, settings.window, settings.ft_tol)
     moment, variance, tails = _clt_conditions(array, law.b, settings, classify)
     return EquivalenceReport(b, ft_passed, tuple(moment), tuple(variance), tuple(tails))

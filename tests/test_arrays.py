@@ -6,7 +6,7 @@ import pytest
 from lcalim.arrays import (
     GeneralArray,
     PackedRow,
-    _var_local_inner,
+    _power,
     bernoulli_array,
     bernoulli_rate,
     char_moment,
@@ -40,8 +40,10 @@ from lcalim.groups import (
     full_subgroup,
     identity,
     lambda_subgroup,
+    local_inner,
     neg,
     padic_group,
+    scale,
     solenoid_group,
     torus_group,
     trivial_subgroup,
@@ -156,33 +158,33 @@ class TestRowFtExact:
         arr = rademacher_array(
             T, K=constant(4.0), angle=table({9: math.pi / 4})
         )
-        got = row_ft_exact(arr, 9, character(T, 1))
+        got = row_ft_exact(arr, 9, (character(T, 1),))[0]
         assert got == pytest.approx(math.cos(math.pi / 4) ** 4, abs=1e-12)
         assert got.imag == 0.0
 
     def test_bernoulli_scalar_power_oracle(self):
         g = padic_group(2)
         arr = bernoulli_array(g, from_int(g, 1), p=constant(0.02), K=constant(100.0))
-        got = row_ft_exact(arr, 1, character(g, 1, 0))
+        got = row_ft_exact(arr, 1, (character(g, 1, 0),))[0]
         assert got == pytest.approx(0.96**100, abs=1e-12)
         assert got == pytest.approx(0.0168703, abs=1e-7)
 
     def test_trivial_character_exactly_one(self):
         arr = torus_rademacher()
         for n in GRID:
-            assert row_ft_exact(arr, n, character(T, 0)) == 1.0
+            assert row_ft_exact(arr, n, (character(T, 0),))[0] == 1.0
 
     def test_zero_moment_returns_exact_zero(self):
         # atoms at +-i: the moment vanishes exactly, so must the power
         dist = row_distribution(T, [(from_turns(T, 0.25), 0.5), (from_turns(T, -0.25), 0.5)])
         arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
         assert char_moment(dist, character(T, 1)) == 0.0
-        assert row_ft_exact(arr, 10**9, character(T, 1)) == 0.0
+        assert row_ft_exact(arr, 10**9, (character(T, 1),))[0] == 0.0
 
     def test_huge_rows_no_loop(self):
         arr = torus_rademacher()
         # K_n = 1e9 must return promptly and match exp(K log z)
-        got = row_ft_exact(arr, 10**9, character(T, 1))
+        got = row_ft_exact(arr, 10**9, (character(T, 1),))[0]
         z = math.cos(1.0 / math.sqrt(1e9))
         assert got == pytest.approx(math.exp(1e9 * math.log(z)), rel=1e-12)
 
@@ -190,8 +192,8 @@ class TestRowFtExact:
         dist = row_distribution(T, [(from_angle(T, -math.pi), 1.0)])
         arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
         # moment is exactly -1; odd/even powers alternate sign exactly
-        assert row_ft_exact(arr, 3, character(T, 1)) == -1.0
-        assert row_ft_exact(arr, 4, character(T, 1)) == 1.0
+        assert row_ft_exact(arr, 3, (character(T, 1),))[0] == -1.0
+        assert row_ft_exact(arr, 4, (character(T, 1),))[0] == 1.0
 
     def test_general_rows_product(self):
         x = from_angle(T, 0.8)
@@ -202,7 +204,7 @@ class TestRowFtExact:
         arr = GeneralArray(T, lambda n: rows)
         chi = character(T, 2)
         expected = char_moment(rows[0], chi) * char_moment(rows[1], chi)
-        assert row_ft_exact(arr, 1, chi) == pytest.approx(expected, abs=1e-14)
+        assert row_ft_exact(arr, 1, (chi,))[0] == pytest.approx(expected, abs=1e-14)
 
     def test_modulus_bounded(self):
         arr = padic_bernoulli()
@@ -210,13 +212,13 @@ class TestRowFtExact:
         for n in (100, 10_000):
             for d in range(3):
                 for ell in range(2 ** (d + 1)):
-                    assert abs(row_ft_exact(arr, n, character(g, ell, d))) <= 1.0 + 1e-12
+                    assert abs(row_ft_exact(arr, n, (character(g, ell, d),))[0]) <= 1.0 + 1e-12
 
     def test_symmetric_rows_real(self):
         arr = torus_rademacher()
         for n in GRID:
             for ell in range(1, 9):
-                assert abs(row_ft_exact(arr, n, character(T, ell)).imag) <= 1e-10
+                assert abs(row_ft_exact(arr, n, (character(T, ell),))[0].imag) <= 1e-10
 
     def test_symmetric_power_identity(self):
         # row FT equals (1 - gap/K)^K for i.i.d. symmetric rows
@@ -225,8 +227,8 @@ class TestRowFtExact:
             K = arr.row_count(n)
             for ell in (1, 3, 7):
                 chi = character(T, ell)
-                lhs = row_ft_exact(arr, n, chi)
-                rhs = (1.0 - symmetric_stat(arr, n, chi) / K) ** K
+                lhs = row_ft_exact(arr, n, (chi,))[0]
+                rhs = (1.0 - symmetric_stat(arr, n, (chi,))[0] / K) ** K
                 assert abs(lhs - rhs) <= 1e-10
 
 
@@ -251,10 +253,10 @@ class TestSums:
             pytest.param(stat, args, id=stat.__name__)
             for stat, args in (
                 (sum_local_means, ()),
-                (row_ft_exact, (character(T, 3),)),
-                (sum_var_g, (character(T, 2),)),
-                (sum_tail, (Neighborhood(T, eps=0.3),)),
-                (infinitesimality_stat, (Neighborhood(T, eps=0.3),)),
+                (row_ft_exact, ((character(T, 3),),)),
+                (sum_var_g, ((character(T, 2),),)),
+                (sum_tail, ((Neighborhood(T, eps=0.3),),)),
+                (infinitesimality_stat, ((Neighborhood(T, eps=0.3),),)),
                 (sum_cylinder, (from_int(padic_group(2), 3), 2)),
             )
         ],
@@ -267,6 +269,8 @@ class TestSums:
         arr_iid = bernoulli_array(g, x, p=constant(0.2), K=constant(7.0))
         arr_gen = GeneralArray(g, lambda n: (dist,) * 7)
         got, want = stat(arr_iid, 5, *args), stat(arr_gen, 5, *args)
+        if isinstance(got, tuple):
+            got, want = got[0], want[0]
         if stat is sum_local_means:
             assert elements_close(got, want, 1e-12)
         else:
@@ -275,40 +279,40 @@ class TestSums:
 
     def test_sum_var_g_rademacher(self):
         arr = rademacher_array(T, K=constant(10_000.0), angle=constant(0.01))
-        assert sum_var_g(arr, 1, character(T, 1)) == pytest.approx(1.0, rel=1e-12)
+        assert sum_var_g(arr, 1, (character(T, 1),))[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_sum_var_g_padic_zero(self):
         arr = padic_bernoulli()
-        assert sum_var_g(arr, 100, character(arr.group, 1, 1)) == 0.0
+        assert sum_var_g(arr, 100, (character(arr.group, 1, 1),))[0] == 0.0
 
     def test_sum_var_g_point_mass_rows(self):
         x = from_angle(T, 0.3)
         arr = GeneralArray(T, lambda n: (row_distribution(T, [(x, 1.0)]),) * 5)
-        assert sum_var_g(arr, 1, character(T, 2)) == 0.0
+        assert sum_var_g(arr, 1, (character(T, 2),))[0] == 0.0
 
     def test_sum_tail_bernoulli(self):
         arr = padic_bernoulli()  # p_n = 2/n, x outside lambda(1)
         U = Neighborhood(arr.group, rank=1)
         for n in GRID:
-            assert sum_tail(arr, n, U) == pytest.approx(2.0, rel=1e-12)
+            assert sum_tail(arr, n, (U,))[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_sum_tail_rademacher_inside(self):
         arr = torus_rademacher()
         U = Neighborhood(T, eps=0.5)
-        assert sum_tail(arr, 100, U) == 0.0  # |arg| = 0.1 < 0.5
+        assert sum_tail(arr, 100, (U,))[0] == 0.0  # |arg| = 0.1 < 0.5
 
     def test_sum_tail_monotone_in_nested_neighborhoods(self):
         arr = bernoulli_array(T, from_angle(T, 1.0), p=power(1.0, -1.0), K=linear(1.0))
         small, big = Neighborhood(T, eps=0.5), Neighborhood(T, eps=2.0)
         for n in GRID:
-            assert sum_tail(arr, n, small) >= sum_tail(arr, n, big)
+            assert sum_tail(arr, n, (small,))[0] >= sum_tail(arr, n, (big,))[0]
 
     def test_infinitesimality(self):
         arr = padic_bernoulli()
         U = Neighborhood(arr.group, rank=1)
-        assert infinitesimality_stat(arr, 1000, U) == pytest.approx(0.002, rel=1e-12)
+        assert infinitesimality_stat(arr, 1000, (U,))[0] == pytest.approx(0.002, rel=1e-12)
         arr2 = torus_rademacher()
-        assert infinitesimality_stat(arr2, 1000, Neighborhood(T, eps=1.0)) == 0.0
+        assert infinitesimality_stat(arr2, 1000, (Neighborhood(T, eps=1.0),))[0] == 0.0
 
     def test_infinitesimality_general_rows_max(self):
         x = from_angle(T, 1.0)
@@ -317,7 +321,7 @@ class TestSums:
             row_distribution(T, [(x, 0.1), (identity(T), 0.9)]),
         )
         arr = GeneralArray(T, lambda n: rows)
-        assert infinitesimality_stat(arr, 1, Neighborhood(T, eps=0.5)) == pytest.approx(0.3)
+        assert infinitesimality_stat(arr, 1, (Neighborhood(T, eps=0.5),))[0] == pytest.approx(0.3)
 
 
 # (l, d) characters and neighborhoods of the packed-row oracle, per group
@@ -326,6 +330,45 @@ PACKED_CASES = {
     "padic": ([(1, 0), (5, 2), (17, 5)], [dict(rank=1), dict(rank=2)]),
     "padic-large": ([(1, 0), (200, 1), (12345, 3)], [dict(rank=1), dict(rank=2)]),
     "solenoid": ([(1, 0), (-5, 2), (3, 6)], [dict(eps=1.0), dict(eps=0.5, d=2)]),
+}
+
+
+def _var_local_inner(dist, chi):
+    """The variance of g(X, chi) under one row law, term by term: the
+    scalar reference of sum_var_g.  Squares are products, as in the vector
+    pass (libm's pow(x, 2) can be one ulp off the correctly rounded x * x)."""
+    gs = [(w, local_inner(x, chi)) for x, w in dist.atoms]
+    m1 = sum(w * v for w, v in gs)
+    m2 = sum(w * (v * v) for w, v in gs)
+    return m2 - m1 * m1
+
+
+def _three_point(n):
+    x = from_angle(T, 1.0 / math.sqrt(n))
+    return row_distribution(T, [(identity(T), 0.5), (x, 0.25), (neg(x), 0.25)])
+
+
+# i.i.d. arrays of the scalar-reference test, with their PACKED_CASES entry
+IID_CASES = {
+    "rademacher-torus": (lambda: torus_rademacher(), "torus"),
+    "rademacher-solenoid": (
+        lambda: rademacher_array(solenoid_group(3, 6), K=linear(1.0), angle=power(1.0, -0.5)),
+        "solenoid",
+    ),
+    "bernoulli-padic": (
+        lambda: bernoulli_array(
+            padic_group(2, 16), from_int(padic_group(2, 16), 6), p=power(0.5, -1.0), K=linear(1.0)
+        ),
+        "padic",
+    ),
+    "bernoulli-padic-large": (
+        lambda: bernoulli_array(
+            padic_group(101, 8), from_int(padic_group(101, 8), 7 * 101), p=power(0.5, -1.0),
+            K=linear(1.0),
+        ),
+        "padic-large",
+    ),
+    "symmetric-3-atom": (lambda: iid_symmetric_array(T, _three_point, K=linear(1.0)), "torus"),
 }
 
 
@@ -367,15 +410,15 @@ class TestPackedRows:
             want = 1.0
             for dist in rows:
                 want *= char_moment(dist, chi)
-            assert abs(row_ft_exact(arr, 1, chi) - want) <= 1e-12
+            assert abs(row_ft_exact(arr, 1, (chi,))[0] - want) <= 1e-12
             want = sum(_var_local_inner(dist, chi) for dist in rows)
-            assert sum_var_g(arr, 1, chi) == pytest.approx(want, abs=1e-12)
+            assert sum_var_g(arr, 1, (chi,))[0] == pytest.approx(want, abs=1e-12)
         for kw in nbhds:
             U = Neighborhood(g, **kw)
             tails = [tail_mass_measure(dist.measure, U) for dist in rows]
             assert 0.0 < sum(tails) < len(rows)
-            assert sum_tail(arr, 1, U) == pytest.approx(sum(tails), abs=1e-12)
-            assert infinitesimality_stat(arr, 1, U) == pytest.approx(max(tails), abs=1e-12)
+            assert sum_tail(arr, 1, (U,))[0] == pytest.approx(sum(tails), abs=1e-12)
+            assert infinitesimality_stat(arr, 1, (U,))[0] == pytest.approx(max(tails), abs=1e-12)
         want = identity(g)
         for dist in rows:
             want = add(want, local_mean(dist.measure))
@@ -387,6 +430,54 @@ class TestPackedRows:
                 assert want > 0.0
                 assert sum_cylinder(arr, 1, x0, r) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 7, 10**6, 10**12])
+    @pytest.mark.parametrize("case", sorted(IID_CASES))
+    def test_iid_statistics_equal_scalar_reference(self, case, n):
+        # an i.i.d. row is one entry taken K_n times: the table pass must
+        # give the closed forms of the per-entry scalar functions bit for bit
+        make, name = IID_CASES[case]
+        arr = make()
+        g = arr.group
+        chars = tuple(character(g, l, d) for l, d in PACKED_CASES[name][0])
+        nbhds = tuple(Neighborhood(g, **kw) for kw in PACKED_CASES[name][1])
+        dist, K = arr.iid_dist(n), arr.row_count(n)
+        assert K == n
+        moments = [char_moment(dist, chi) for chi in chars]
+        assert row_ft_exact(arr, n, chars) == tuple(_power(z, K) for z in moments)
+        assert symmetric_stat(arr, n, chars) == tuple(K * (1.0 - z.real) for z in moments)
+        want = tuple(K * _var_local_inner(dist, chi) for chi in chars)
+        assert sum_var_g(arr, n, chars) == want
+        tails = tuple(tail_mass_measure(dist.measure, U) for U in nbhds)
+        assert sum_tail(arr, n, nbhds) == tuple(K * t for t in tails)
+        assert infinitesimality_stat(arr, n, nbhds) == tails
+        assert sum_local_means(arr, n) == scale(K, local_mean(dist.measure))
+        if g.kind == "padic":
+            for r in (1, 2, 3):
+                for x0 in (arr.x(n), identity(g), from_int(g, 3)):
+                    want = K * cylinder_mass(dist.measure, x0, r)
+                    assert sum_cylinder(arr, n, x0, r) == want
+
+    @pytest.mark.parametrize("g", [torus_group(), solenoid_group(3, 6)], ids=["torus", "solenoid"])
+    @pytest.mark.parametrize("entries", [2_000, 7_500])
+    def test_chunked_passes_match_one_item_calls(self, g, entries):
+        # 4,000 atoms take 4 characters per chunk, 15,000 atoms one
+        t = np.random.default_rng(entries).uniform(-0.4, 0.4, entries)
+        row = PackedRow(g, np.stack([t, -t], axis=1).ravel(), np.full(2 * entries, 0.5),
+                        np.arange(0, 2 * entries, 2))
+        arr = GeneralArray(g, table_rule=lambda n: row)
+        depth = 0 if g.kind == "torus" else 2  # solenoid items reach y_0, y_1 and y_2
+        ells = ((1, 0), (-2, 0), (3, 1), (5, 2), (8, 0))
+        chars = tuple(character(g, l, min(d, depth)) for l, d in ells)
+        radii = ((0.1, 0), (0.5, 2), (1.0, 1), (2.0, 0), (3.0, 2))
+        nbhds = tuple(Neighborhood(g, eps=e, d=min(d, depth)) for e, d in radii)
+        for stat, items in (
+            (row_ft_exact, chars),
+            (sum_var_g, chars),
+            (sum_tail, nbhds),
+            (infinitesimality_stat, nbhds),
+        ):
+            assert stat(arr, 1, items) == tuple(stat(arr, 1, (item,))[0] for item in items)
+
     def test_table_rule_rows(self):
         g = padic_group(101, 8)
         rows = _random_general_rows(g, np.random.default_rng(5), K=6)
@@ -397,7 +488,9 @@ class TestPackedRows:
         assert arr.rows(3) == rows and arr.rows(3) is not rows  # built from the table
         assert arr.rows(3) is arr.rows(3)
         chi = character(g, 200, 1)
-        assert row_ft_exact(arr, 3, chi) == row_ft_exact(GeneralArray(g, lambda n: rows), 3, chi)
+        assert row_ft_exact(arr, 3, (chi,)) == row_ft_exact(
+            GeneralArray(g, lambda n: rows), 3, (chi,)
+        )
         with pytest.raises(ValueError, match="another group"):
             GeneralArray(T, table_rule=lambda n: t).row_count(1)
         with pytest.raises(TypeError, match="exactly one"):
@@ -407,31 +500,31 @@ class TestPackedRows:
         g = padic_group(2)
         arr = GeneralArray(T, lambda n: (row_distribution(g, [(identity(g), 1.0)]),))
         with pytest.raises(ValueError, match="another group"):
-            row_ft_exact(arr, 1, character(T, 1))
+            row_ft_exact(arr, 1, (character(T, 1),))
 
 
 class TestStats:
     def test_symmetric_stat_value(self):
         arr = rademacher_array(T, K=linear(1.0), angle=power(1.0, -0.5))
-        got = symmetric_stat(arr, 10_000, character(T, 1))
+        got = symmetric_stat(arr, 10_000, (character(T, 1),))[0]
         assert got == pytest.approx(10_000 * (1 - math.cos(0.01)), rel=1e-12)
         assert got == pytest.approx(0.4999958, abs=1e-6)
 
     def test_symmetric_stat_trivial(self):
         arr = torus_rademacher()
-        assert symmetric_stat(arr, 100, character(T, 0)) == 0.0
+        assert symmetric_stat(arr, 100, (character(T, 0),))[0] == 0.0
 
     def test_symmetric_stat_bernoulli_sign_char(self):
         arr = padic_bernoulli(coef=1.0, exp=-1.0)
         # chi(x) = -1: K(1 - (1 - 2 p)) = 2 K p
         for n in GRID:
-            got = symmetric_stat(arr, n, character(arr.group, 1, 0))
+            got = symmetric_stat(arr, n, (character(arr.group, 1, 0),))[0]
             assert got == pytest.approx(2.0, rel=1e-9)
 
     def test_symmetric_stat_rejects_general(self):
         arr = GeneralArray(T, lambda n: (row_distribution(T, [(identity(T), 1.0)]),))
         with pytest.raises(ValueError, match="i.i.d."):
-            symmetric_stat(arr, 1, character(T, 1))
+            symmetric_stat(arr, 1, (character(T, 1),))
 
     def test_bernoulli_rate(self):
         assert bernoulli_rate(padic_bernoulli(), 1000) == pytest.approx(2.0)
@@ -449,7 +542,7 @@ class TestStats:
         arr = torus_rademacher()
         chi = character(T, 2)
         gaps = [
-            abs(symmetric_stat(arr, n, chi) - 0.5 * sum_var_g(arr, n, chi)) for n in GRID
+            abs(symmetric_stat(arr, n, (chi,))[0] - 0.5 * sum_var_g(arr, n, (chi,))[0]) for n in GRID
         ]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-4

@@ -148,7 +148,7 @@ class TestRunners:
             n = int(row["n"])
             ell = int(row["char_id"].split(":")[1])
             chi = character(cfg.group, ell)
-            exact = row_ft_exact(cfg.array, n, chi)
+            exact = row_ft_exact(cfg.array, n, (chi,))[0]
             limit = limit_law_ft(cfg.law, chi)
             assert float(row["re_exact"]) == exact.real
             assert float(row["im_exact"]) == exact.imag
@@ -169,10 +169,10 @@ class TestRunners:
             name = row["condition"]
             if name.startswith("char_gap"):
                 ell = int(name.split("l:")[1].rstrip("]"))
-                assert value == symmetric_stat(cfg.array, n, character(cfg.group, ell))
+                assert value == symmetric_stat(cfg.array, n, (character(cfg.group, ell),))[0]
             elif name.startswith("var_sum"):
                 ell = int(name.split("l:")[1].rstrip("]"))
-                assert value == sum_var_g(cfg.array, n, character(cfg.group, ell))
+                assert value == sum_var_g(cfg.array, n, (character(cfg.group, ell),))[0]
             elif name == "ft_sup_distance":
                 assert value == ft_sup_distance(
                     cfg.array, cfg.law, n, cfg.settings.characters
@@ -207,7 +207,7 @@ class TestRunners:
         with open(out / "verify" / "ft_table.csv", newline="") as fh:
             for row in csv.DictReader(fh):
                 chi = chars[row["char_id"]]
-                exact = row_ft_exact(cfg.array, int(row["n"]), chi)
+                exact = row_ft_exact(cfg.array, int(row["n"]), (chi,))[0]
                 limit = limit_law_ft(cfg.law, chi)
                 assert float(row["re_exact"]) == exact.real
                 assert float(row["im_exact"]) == exact.imag
@@ -233,7 +233,7 @@ class TestRunners:
         for row in rows:
             chi = chars[row["char_id"]]
             if row["kind"] == "array":
-                exact = row_ft_exact(cfg.array, int(row["n"]), chi)
+                exact = row_ft_exact(cfg.array, int(row["n"]), (chi,))[0]
             else:
                 exact = limit_law_ft(cfg.law, chi)
             assert float(row["re_exact"]) == exact.real
@@ -484,6 +484,10 @@ _INVALID = {
         [[{"x": {"angle": 0.1}, "weight": 1.0}]],
     ),
     "law matching no theorem": ("torus_clt", ("law",), {"H": {"kind": "full"}, "b": 1.0}),
+    "null out": ("torus_clt", ("out",), None),
+    "numeric out": ("torus_clt", ("out",), 5),
+    "object out": ("torus_clt", ("out",), {"a": 1}),
+    "empty out": ("torus_clt", ("out",), ""),
 }
 
 
@@ -495,6 +499,16 @@ class TestExitCodeContract:
         doc = _mutated(_bundled_doc(base) if isinstance(base, str) else base, path, value)
         assert _run_cli(tmp_path, command, doc) == 2
         assert "error: invalid config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [None, 5, {"a": 1}, ""])
+    def test_invalid_out_creates_nothing(self, tmp_path, monkeypatch, capsys, out):
+        # without --out the config's `out` names the report directory
+        monkeypatch.chdir(tmp_path)
+        doc = _mutated(_bundled_doc("torus_clt"), ("out",), out)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert cli.main(["conditions", "--config", "cfg.json"]) == 2
+        assert "out must be a non-empty string" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_large_default_character_set_exit_2(self, tmp_path, capsys):
         group = {"kind": "padic", "p": 23, "depth": 4}

@@ -329,11 +329,11 @@ class TestBlocks:
         values = np.array([element_value(x) for x in xs], dtype=block_dtype(group))
         for l, d in BLOCK_CHARS[group.kind]:
             chi = character(group, l, d)
-            got = local_inner_block(group, chi, values)
+            got = local_inner_block(group, (chi,), values)[0]
             assert got.tolist() == [local_inner(x, chi) for x in xs]
         for kw in nbhds:
             U = Neighborhood(group, **kw)
-            got = in_nbhd_block(group, U, values)
+            got = in_nbhd_block(group, (U,), values)[0]
             assert got.tolist() == [in_nbhd(x, U) for x in xs]
 
     def test_cis_quarter_turns_bit_exact(self):

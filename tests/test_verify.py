@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from lcalim import arrays
 from lcalim.arrays import (
     GeneralArray,
     bernoulli_array,
@@ -15,6 +16,7 @@ from lcalim.arrays import (
 )
 from lcalim.groups import (
     canonical_character,
+    char_eval_block,
     character,
     from_angle,
     from_int,
@@ -326,7 +328,7 @@ class TestCheckTheorem:
         cylinders = [c for c in report.conditions if c.name.startswith("cylinder")]
         assert cylinders and all(c.passed for c in cylinders)
 
-    def test_rows_built_once_per_grid_point(self):
+    def test_rows_built_once_per_grid_point(self, monkeypatch):
         calls = Counter()
         grid = (10, 20, 40, 80)
 
@@ -351,6 +353,21 @@ class TestCheckTheorem:
         report = check_theorem(arr, gauss_law(T, 1.0), VerifySettings(grid=grid))
         assert report.theorem == "symmetric-clt"
         assert calls == Counter(grid)
+
+        # one character pass per grid point for the FT table and one for the
+        # moment gaps, whatever the number of characters
+        evals = []
+
+        def counting(group, chars, values):
+            evals.append(len(chars))
+            return char_eval_block(group, chars, values)
+
+        monkeypatch.setattr(arrays, "char_eval_block", counting)
+        for count in (1, 4, 16):
+            evals.clear()
+            chars = tuple(character(T, l) for l in range(1, count + 1))
+            check_theorem(arr, gauss_law(T, 1.0), VerifySettings(grid=grid, characters=chars))
+            assert evals == [count] * (2 * len(grid))
 
     def test_dispatch_rejects_unsupported_pairs(self):
         # general array against a Haar law has no covering theorem here
