@@ -72,6 +72,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"error: invalid config: config is not valid UTF-8: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed must be non-negative")

@@ -6,6 +6,7 @@ this document plus the master seed.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from dataclasses import dataclass
@@ -85,8 +86,8 @@ def _get(doc: dict, key: str, context: str):
 
 
 # Typed getters: each returns the value as the named field's type or
-# raises ConfigError naming the field.  They run once per atom of large
-# general arrays, so they check inline instead of through _require.
+# raises ConfigError naming the field.  The bulk readers of general rows
+# (_bulk_ints, _bulk_values) accept exactly the values they accept.
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -151,39 +152,49 @@ def parse_group(doc) -> GroupId:
     return group
 
 
+# the keys of an element object, in the order _element_value looks for them
+_ELEMENT_KEYS = {
+    TORUS: ("angle", "turns"),
+    PADIC: ("digits", "int"),
+    SOLENOID: ("base_angle", "deep_angle", "turns"),
+}
+
+
+def _turns(group: GroupId, key: str, value):
+    """The turns that a number, or an array of numbers, under a torus or
+    solenoid element key stands for."""
+    if key == "turns":
+        return value
+    if key == "base_angle":
+        # the branch-0 tower over arg y_0, as in from_base_angle
+        return value / TWO_PI / group.p**group.depth
+    return value / TWO_PI
+
+
 def _element_value(doc, group: GroupId, context: str):
     """The block entry of the element that doc describes, before turn
     reduction: its turns on angle groups, its residue on padic groups."""
     _dict(doc, context)
-    if group.kind == TORUS:
-        if "angle" in doc:
-            return _float(doc["angle"], f"{context}.angle") / TWO_PI
-        if "turns" in doc:
-            return _float(doc["turns"], f"{context}.turns")
-        raise ConfigError(f"{context}: torus elements need 'angle' or 'turns'")
-    if group.kind == PADIC:
+    keys = _ELEMENT_KEYS[group.kind]
+    key = next((k for k in keys if k in doc), None)
+    if key is None:
+        names = ", ".join(map(repr, keys[:-1]))
+        raise ConfigError(f"{context}: {group.kind} elements need {names} or {keys[-1]!r}")
+    name = f"{context}.{key}"
+    if key == "digits":
+        # short digit vectors are padded with zeros up to the depth
         p = group.p
-        if "digits" in doc:
-            # short digit vectors are padded with zeros up to the depth
-            digits = _ints(doc["digits"], f"{context}.digits")
-            _require(
-                len(digits) <= group.depth + 1,
-                f"{context}: more digits than the working depth allows",
-            )
-            for d in digits:
-                _require(0 <= d < p, f"{context}: digit {d} out of range for p={p}")
-            return sum(d * p**j for j, d in enumerate(digits))
-        if "int" in doc:
-            return _int(doc["int"], f"{context}.int") % group.modulus
-        raise ConfigError(f"{context}: padic elements need 'digits' or 'int'")
-    if "base_angle" in doc:
-        # the branch-0 tower over arg y_0, as in from_base_angle
-        return _float(doc["base_angle"], f"{context}.base_angle") / TWO_PI / group.p**group.depth
-    if "deep_angle" in doc:
-        return _float(doc["deep_angle"], f"{context}.deep_angle") / TWO_PI
-    if "turns" in doc:
-        return _float(doc["turns"], f"{context}.turns")
-    raise ConfigError(f"{context}: solenoid elements need 'base_angle', 'deep_angle' or 'turns'")
+        digits = _ints(doc[key], name)
+        _require(
+            len(digits) <= group.depth + 1,
+            f"{context}: more digits than the working depth allows",
+        )
+        for d in digits:
+            _require(0 <= d < p, f"{context}: digit {d} out of range for p={p}")
+        return sum(d * p**j for j, d in enumerate(digits))
+    if key == "int":
+        return _int(doc[key], name) % group.modulus
+    return _turns(group, key, _float(doc[key], name))
 
 
 def parse_element(doc, group: GroupId, context: str = "element") -> GroupElement:
@@ -232,37 +243,118 @@ def _row_law(doc, group: GroupId, context: str):
         raise ConfigError(f"{context}: {exc}") from exc
 
 
+def _bulk_ints(values: list):
+    """The values as Python ints when each is a JSON integer (see _int),
+    else None."""
+    types = set(map(type, values))
+    if types <= {int}:
+        return values
+    if types <= {int, float} and all(v.is_integer() for v in values if type(v) is float):
+        return [*map(int, values)]
+    return None
+
+
+def _bulk_values(group: GroupId, key: str, raw: list):
+    """_element_value of the elements {key: raw[i]}, as one array before
+    turn reduction, or None when some raw[i] is not one that
+    _element_value accepts."""
+    if group.kind != PADIC:
+        if set(map(type, raw)) - {float, int}:
+            return None
+        try:
+            t = np.array(raw, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            return None
+        # < rather than <=: an int may round down to the largest float
+        return _turns(group, key, t) if (np.abs(t) < _FLOAT_MAX).all() else None
+    if key == "int":
+        ints = _bulk_ints(raw)
+        return None if ints is None else np.array(ints, dtype=object) % group.modulus
+    if set(map(type, raw)) - {list}:
+        return None
+    lengths = [*map(len, raw)]
+    width = max(lengths, default=0)
+    digits = _bulk_ints([d for ds in raw for d in ds])
+    if digits is None or width > group.depth + 1:
+        return None
+    if digits and not 0 <= min(digits) <= max(digits) < group.p:
+        return None
+    # one row per element: its digits, then zeros up to the widest
+    table = np.zeros((len(raw), width), dtype=object)
+    element = np.repeat(np.arange(len(raw)), lengths)
+    place = np.arange(len(digits)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    table[element, place] = np.array(digits, dtype=object)
+    return table @ np.array([group.p**j for j in range(width)], dtype=object)
+
+
+def _read_row(entries: list, group: GroupId):
+    """The atoms of a general row read in bulk: (block values, weights,
+    atom count of each entry), or None unless every entry is a list of
+    {"x": element, "weight": number} objects and every element has a key
+    that _element_value reads, with a value that it accepts."""
+    if set(map(type, entries)) - {list}:
+        return None
+    atoms = [atom for entry in entries for atom in entry]
+    if set(map(type, atoms)) - {dict}:
+        return None
+    try:
+        xs = [atom["x"] for atom in atoms]
+        weights = [atom["weight"] for atom in atoms]
+    except KeyError:
+        return None
+    if set(map(type, xs)) - {dict} or set(map(type, weights)) - {float, int}:
+        return None
+    order = _ELEMENT_KEYS[group.kind]
+    if set(map(len, xs)) == {1}:
+        keys = [*map(next, map(iter, xs))]
+    else:  # the key that _element_value reads, or None
+        keys = [next((k for k in order if k in x), None) for x in xs]
+    names = set(keys)
+    if names - set(order):
+        return None
+    raw = [*map(dict.__getitem__, xs, keys)]
+    if len(names) == 1:
+        values = _bulk_values(group, keys[0], raw)
+    else:  # keys mixed in the row (or no atoms): each key's values scattered
+        values = np.empty(len(raw), dtype=float if group.kind != PADIC else object)
+        key_of = np.array(keys)
+        for key in names:
+            at = np.flatnonzero(key_of == key)
+            part = _bulk_values(group, key, [raw[i] for i in at.tolist()])
+            if part is None:
+                return None
+            values[at] = part
+    if values is None:
+        return None
+    try:
+        weights = np.array(weights, dtype=float)
+    except OverflowError:
+        return None
+    if group.kind == PADIC:
+        values = values.astype(block_dtype(group))
+    else:
+        values = reduce_turns_block(values)
+    return values, weights, np.array([*map(len, entries)], dtype=np.intp)
+
+
 def _general_row(entries: list, group: GroupId, context: str) -> PackedRow:
     """One row of a general array, read from its JSON entries straight
     into a PackedRow.
 
-    One Python pass collects every atom's block value and weight; numpy
-    reduces the turns and checks the weights and masses (plain_entries).
-    An entry that this fast path does not take as given (a malformed
-    atom, an atom to merge or drop, or a failed check) goes through
+    _read_row reads every atom in bulk, and numpy checks the weights and
+    masses (plain_entries).  An entry that this fast path does not take as
+    given (an atom to merge or drop, or a failed check) goes through
     _row_law, in entry order, so the first invalid entry raises exactly
-    the error that per-entry parsing would."""
-    raw, weights, counts = [], [], []
-    for atoms in entries:
-        start = len(raw)
-        try:
-            if type(atoms) is not list:
-                raise TypeError("not a list")
-            for atom in atoms:
-                # the context only names an error that _row_law raises again
-                raw.append(_element_value(atom["x"], group, "x"))
-                w = atom["weight"]
-                weights.append(w if type(w) is float else _float(w, "weight"))
-        except (KeyError, TypeError, ValueError):
-            del raw[start:], weights[start:]  # an empty entry fails the mass check
-        counts.append(len(raw) - start)
-    if group.kind == PADIC:
-        values = np.array(raw, dtype=block_dtype(group))
+    the error that per-entry parsing would; when the row does not read
+    cleanly, every entry does."""
+    read = _read_row(entries, group)
+    if read is None:
+        values, weights = np.empty(0, dtype=block_dtype(group)), np.empty(0)
+        counts = np.zeros(len(entries), dtype=np.intp)
+        plain = np.zeros(len(entries), dtype=bool)
     else:
-        values = reduce_turns_block(np.array(raw, dtype=float))
-    weights = np.array(weights, dtype=float)
-    counts = np.array(counts, dtype=np.intp)
-    plain = plain_entries(group, values, weights, counts)
+        values, weights, counts = read
+        plain = plain_entries(group, values, weights, counts)
     starts = np.cumsum(counts) - counts
     if plain.all():
         return PackedRow(group, values, weights, starts)
@@ -422,10 +514,25 @@ def parse_neighborhoods(doc, group: GroupId) -> tuple[Neighborhood, ...]:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate an experiment document; raises ConfigError
-    with the offending field named."""
+    with the offending field named.
+
+    The cyclic garbage collector is paused meanwhile, and left as the
+    caller had it: the JSON document and the tables built from it hold no
+    reference cycles, so its passes over their many new objects would
+    free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_config(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_config(text: str) -> ExperimentConfig:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "config must be a JSON object")
 

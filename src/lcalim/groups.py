@@ -409,15 +409,21 @@ def scale_block(counts: np.ndarray, x: GroupElement) -> np.ndarray:
 
 
 def cis_turns_block(t: np.ndarray) -> np.ndarray:
-    """_cis_turns of every entry, with the same quarter-turn folding."""
+    """_cis_turns of every entry, with the same quarter-turn folding.
+
+    The quarter q picks cos or sin for each part, and a sign: a product
+    with 1.0 or -1.0 is an exact copy or negation, signed zeros included,
+    and costs less than a branch on q per entry."""
     t = reduce_turns_block(t)
-    q = np.rint(4.0 * t)
+    q = np.rint(4.0 * t)  # the nearest quarter turn, one of -2, ..., 2
     a = TWO_PI * (t - 0.25 * q)
     c, s = np.cos(a), np.sin(a)
-    q = q.astype(np.int64) % 4
+    odd = np.abs(q) == 1.0  # a quarter turn either way swaps cos and sin
     out = np.empty(t.shape, dtype=complex)
-    out.real = np.choose(q, (c, -s, -c, s))
-    out.imag = np.choose(q, (s, c, -s, -c))
+    # the real part is negated at q = 1, +-2, where q (q + 1) > 1, and the
+    # imaginary part at q = -1, +-2, where q (q - 1) > 1
+    out.real = np.where(odd, s, c) * (1.0 - 2.0 * (q * (q + 1.0) > 1.0))
+    out.imag = np.where(odd, c, s) * (1.0 - 2.0 * (q * (q - 1.0) > 1.0))
     return out
 
 
@@ -438,13 +444,13 @@ def char_eval_block(group: GroupId, chars, values: np.ndarray) -> np.ndarray:
     deepest = max((chi.d for chi in chars), default=0)
     if deepest > group.depth:
         raise DepthOverflowError(f"character depth {deepest} beyond working depth {group.depth}")
+    if group.kind == TORUS:
+        return cis_turns_block(values[:, None] * np.array([chi.ell for chi in chars], dtype=float))
     if group.kind == SOLENOID:
         ys = _coordinates_block(group, values, min((chi.d for chi in chars), default=0))
     phases = np.empty((len(values), len(chars)))
     for k, chi in enumerate(chars):
-        if group.kind == TORUS:
-            phases[:, k] = chi.ell * values
-        elif group.kind == PADIC:
+        if group.kind == PADIC:
             q = group.p ** (chi.d + 1)
             phases[:, k] = chi.ell * (values % q) % q / q
         else:

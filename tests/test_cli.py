@@ -2,13 +2,14 @@ import csv
 import json
 import math
 import os
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcalim import cli
+from lcalim import arrays, cli
 from lcalim.arrays import row_ft_exact
 from lcalim.config import parse_config
 from lcalim.groups import character
@@ -334,6 +335,22 @@ class TestCLI:
         rc = cli.main(["verify", "--config", str(bad)])
         assert rc == 2
 
+    @pytest.mark.parametrize("name", ["torus_clt", "padic_poisson", "bernoulli_mismatch"])
+    def test_null_rule_checked_once_per_verify(self, tmp_path, monkeypatch, name):
+        # every binding of check_null_rule in the package counts
+        calls = []
+        real = arrays.check_null_rule
+
+        def counting(array, grid):
+            calls.append(grid)
+            return real(array, grid)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("lcalim")]:
+            if getattr(module, "check_null_rule", None) is real:
+                monkeypatch.setattr(module, "check_null_rule", counting)
+        cli.main(["verify", "--config", name, "--out", str(tmp_path / "o")])
+        assert len(calls) == 1
+
     def test_missing_config_exit_3(self, tmp_path):
         rc = cli.main(["verify", "--config", str(tmp_path / "nope.json")])
         assert rc == 3
@@ -530,6 +547,21 @@ class TestExitCodeContract:
         argv = [command, "--config", "torus_clt", "--out", str(tmp_path / "o"), "--seed", "-1"]
         assert cli.main(argv) == 2
         assert "--seed must be non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert cli.main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "error: invalid config: config is not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
+    def test_deeply_nested_config_exit_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "error: invalid config: config is not valid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["general_torus", "general_padic"])
     def test_general_fuzz_docs_run(self, tmp_path, name):

@@ -7,6 +7,7 @@ tables must agree bit for bit; on invalid ones the ConfigError message
 must be the one the per-entry path raises first.
 """
 
+import gc
 import json
 import math
 import re
@@ -14,9 +15,28 @@ import re
 import numpy as np
 import pytest
 
-from lcalim.arrays import pack_rows, plain_entries
-from lcalim.config import _general_row, _row_law, parse_config, parse_element
-from lcalim.groups import padic_group, reduce_turns_block, solenoid_group, torus_group
+from lcalim import config
+from lcalim.arrays import PackedRow, pack_rows, plain_entries
+from lcalim.config import (
+    _FLOAT_MAX,
+    _dict,
+    _float,
+    _general_row,
+    _int,
+    _ints,
+    _row_law,
+    parse_config,
+    parse_element,
+)
+from lcalim.groups import (
+    TWO_PI,
+    block_dtype,
+    element_value,
+    padic_group,
+    reduce_turns_block,
+    solenoid_group,
+    torus_group,
+)
 from lcalim.verify import ConfigError
 
 GROUPS = {
@@ -296,3 +316,260 @@ class TestParseGeneral:
         message = "^array rules do not cover the grid: array.rows has no entry for n=4$"
         with pytest.raises(ConfigError, match=message):
             parse_config(_general_doc(rows))
+
+
+# The per-atom reader that the bulk _read_row replaced, kept as its
+# reference: one _element_value call per atom, then the same table
+# assembly as _general_row.
+def _per_atom_element_value(doc, group, context):
+    _dict(doc, context)
+    if group.kind == "torus":
+        if "angle" in doc:
+            return _float(doc["angle"], f"{context}.angle") / TWO_PI
+        if "turns" in doc:
+            return _float(doc["turns"], f"{context}.turns")
+        raise ConfigError(f"{context}: torus elements need 'angle' or 'turns'")
+    if group.kind == "padic":
+        p = group.p
+        if "digits" in doc:
+            digits = _ints(doc["digits"], f"{context}.digits")
+            if len(digits) > group.depth + 1:
+                raise ConfigError(f"{context}: more digits than the working depth allows")
+            for d in digits:
+                if not 0 <= d < p:
+                    raise ConfigError(f"{context}: digit {d} out of range for p={p}")
+            return sum(d * p**j for j, d in enumerate(digits))
+        if "int" in doc:
+            return _int(doc["int"], f"{context}.int") % group.modulus
+        raise ConfigError(f"{context}: padic elements need 'digits' or 'int'")
+    if "base_angle" in doc:
+        return _float(doc["base_angle"], f"{context}.base_angle") / TWO_PI / group.p**group.depth
+    if "deep_angle" in doc:
+        return _float(doc["deep_angle"], f"{context}.deep_angle") / TWO_PI
+    if "turns" in doc:
+        return _float(doc["turns"], f"{context}.turns")
+    raise ConfigError(f"{context}: solenoid elements need 'base_angle', 'deep_angle' or 'turns'")
+
+
+def _per_atom_general_row(entries, group, context):
+    raw, weights, counts = [], [], []
+    for atoms in entries:
+        start = len(raw)
+        try:
+            if type(atoms) is not list:
+                raise TypeError("not a list")
+            for atom in atoms:
+                raw.append(_per_atom_element_value(atom["x"], group, "x"))
+                w = atom["weight"]
+                weights.append(w if type(w) is float else _float(w, "weight"))
+        except (KeyError, TypeError, ValueError):
+            del raw[start:], weights[start:]
+        counts.append(len(raw) - start)
+    if group.kind == "padic":
+        values = np.array(raw, dtype=block_dtype(group))
+    else:
+        values = reduce_turns_block(np.array(raw, dtype=float))
+    weights = np.array(weights, dtype=float)
+    counts = np.array(counts, dtype=np.intp)
+    plain = plain_entries(group, values, weights, counts)
+    first = np.append(np.cumsum(counts) - counts, len(values))
+    parts, done = [], 0
+    for k in np.flatnonzero(~plain).tolist():
+        law = config._row_law(entries[k], group, f"{context}[{k}]")
+        parts.append((values[first[done] : first[k]], weights[first[done] : first[k]]))
+        parts.append(
+            (
+                np.array([element_value(x) for x, _ in law.atoms], dtype=values.dtype),
+                np.array([w for _, w in law.atoms], dtype=float),
+            )
+        )
+        counts[k] = len(law.atoms)
+        done = k + 1
+    parts.append((values[first[done] :], weights[first[done] :]))
+    return PackedRow(
+        group,
+        np.concatenate([v for v, _ in parts]),
+        np.concatenate([w for _, w in parts]),
+        np.cumsum(counts) - counts,
+    )
+
+
+def _read(reader, entries, group):
+    """The table that reader makes of the row, or its ConfigError text."""
+    try:
+        return reader(entries, group, "array.rows[5]"), None
+    except ConfigError as exc:
+        return None, str(exc)
+
+
+ELEMENT_KEYS = {
+    "torus": ("angle", "turns"),
+    "padic": ("int", "digits"),
+    "padic-large": ("int", "digits"),
+    "solenoid": ("base_angle", "deep_angle", "turns"),
+}
+
+
+def _keyed_element(g, key, rng):
+    """A random element under the given key, its numbers of every JSON type
+    the key takes: floats and ints, integral floats for padic integers."""
+    if key == "digits":
+        digits = [int(d) for d in rng.integers(0, g.p, int(rng.integers(0, g.depth + 2)))]
+        return {key: [float(d) if rng.random() < 0.1 else d for d in digits]}
+    if key == "int":
+        value = int(rng.integers(-(2**62), 2**62)) * [1, g.modulus**3][int(rng.integers(0, 2))]
+        return {key: float(value % 4096) if rng.random() < 0.1 else value}
+    if rng.random() < 0.2:
+        return {key: int(rng.integers(-5, 6))}
+    return {key: float(rng.uniform(-1e3, 1e3)) * [1.0, 1e-9, 1e9][int(rng.integers(0, 3))]}
+
+
+def _keyed_row(g, keys, rng, count=300):
+    """Valid entries of two to four distinct atoms, their elements given
+    under the keys in turn; the weights add to 1 (integral ones included)."""
+    entries = []
+    for k in range(count):
+        width = int(rng.integers(1, 5))
+        if width == 1:
+            atoms = [{"x": _keyed_element(g, keys[k % len(keys)], rng), "weight": 1}]
+        else:
+            w = rng.random(width)
+            atoms = [
+                {"x": _keyed_element(g, keys[(k + i) % len(keys)], rng), "weight": float(v)}
+                for i, v in enumerate(w / w.sum())
+            ]
+        entries.append(json.loads(json.dumps(atoms)))
+    return entries
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(GROUPS))
+class TestBulkRead:
+    def test_every_key_reads_in_bulk_like_the_per_atom_reader(self, name, monkeypatch):
+        g = GROUPS[name]
+        rng = np.random.default_rng(21)
+        rows = [_keyed_row(g, (key,), rng) for key in ELEMENT_KEYS[name]]
+        rows.append(_keyed_row(g, ELEMENT_KEYS[name], rng))  # keys mixed in a row
+        # every third element object also has the group's other keys and
+        # one it does not read; _element_value reads the first key it knows
+        extra = json.loads(json.dumps(rows[-1]))
+        for i, atom in enumerate(a for entry in extra for a in entry):
+            if i % 3 == 0:
+                others = {k: [1] if k == "digits" else 1 for k in ELEMENT_KEYS[name]}
+                atom["x"] = dict(others, **atom["x"], note="kept")
+        rows.append(extra)
+        calls = []
+        monkeypatch.setattr(config, "_row_law", lambda *args: calls.append(args) or _row_law(*args))
+        for entries in rows:
+            assert config._read_row(entries, g) is not None
+            calls.clear()
+            want, _ = _read(_per_atom_general_row, entries, g)
+            fallback = len(calls)
+            calls.clear()
+            row = _general_row(entries, g, "array.rows[5]")
+            _assert_same_table(row, want)
+            # only entries the per-atom reader could not take as given
+            assert len(calls) == fallback
+
+    @pytest.mark.parametrize(
+        "atom",
+        [
+            {"x": {"N": True}, "weight": 0.5},
+            {"x": {"N": 0}, "weight": True},
+            {"x": {"N": "0.1"}, "weight": 0.5},
+            {"x": {"N": 0}, "weight": "0.5"},
+            {"x": {"N": float("nan")}, "weight": 0.5},
+            {"x": {"N": 0}, "weight": float("nan")},
+            {"x": {"N": 1e400}, "weight": 0.5},
+            {"x": {"N": 0}, "weight": 1e400},
+            {"x": {"N": 10**400}, "weight": 0.5},
+            {"x": {"N": 0}, "weight": 10**400},
+            {"x": {"N": int(_FLOAT_MAX) + 2**969}, "weight": 0.5},  # rounds to _FLOAT_MAX
+            {"x": {"N": _FLOAT_MAX}, "weight": 0.5},
+            {"x": {"N": 2.5}, "weight": 0.5},
+            {"x": {"N": 7.0}, "weight": 0.5},
+            {"weight": 0.5},
+            {"x": {"N": 0}},
+            {"x": {}, "weight": 0.5},
+            {"x": {"N": 0, "turns": 0.25}, "weight": 0.5},
+            {"x": {"N": 0, "angle": 0.25}, "weight": 0.5},
+            {"x": {"N": 0, "int": 3}, "weight": 0.5},
+            {"x": {"digits": [1, 2], "int": 5}, "weight": 0.5},
+            {"x": {"spin": 0.1}, "weight": 0.5},
+            {"x": {"N": 0}, "weight": 0.5, "note": "extra"},
+            {"x": [0.1], "weight": 0.5},
+            {"x": {"digits": [1] * 40}, "weight": 0.5},
+            {"x": {"digits": [0, -1]}, "weight": 0.5},
+            {"x": {"digits": [0, 2**40]}, "weight": 0.5},
+            {"x": {"digits": [0, 1.5]}, "weight": 0.5},
+            {"x": {"digits": [0, True]}, "weight": 0.5},
+            {"x": {"digits": 5}, "weight": 0.5},
+            [{"x": {"N": 0}, "weight": 0.5}],
+            "atom",
+        ],
+    )
+    def test_malformed_atoms_raise_the_per_atom_error(self, name, atom):
+        # the atom sits in entry 3 of a clean row; "N" stands for the key
+        # of the group's plain number form
+        g = GROUPS[name]
+        number = "int" if g.kind == "padic" else "turns"
+        atom = json.loads(json.dumps(atom).replace('"N"', json.dumps(number)))
+        rng = np.random.default_rng(22)
+        entries = _keyed_row(g, ELEMENT_KEYS[name], rng, count=6)
+        entries[3] = [atom, {"x": _keyed_element(g, ELEMENT_KEYS[name][0], rng), "weight": 0.5}]
+        want, message = _read(_per_atom_general_row, entries, g)
+        got, got_message = _read(_general_row, entries, g)
+        assert got_message == message
+        if message is None:
+            _assert_same_table(got, want)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"0": [{"x": {"turns": 0.1}, "weight": 1.0}]},
+            "entry",
+            None,
+            [],
+            [{"x": {"turns": 0.1}, "weight": 0.5}, {"x": {"turns": 0.1}, "weight": 0.5}],
+            [{"x": {"turns": 0.1}, "weight": 0.5}, {"x": {"turns": 0.1 + 1e-13}, "weight": 0.5}],
+        ],
+        ids=["object", "string", "null", "empty", "same-atom", "atoms-to-merge"],
+    )
+    def test_malformed_entries_raise_the_per_atom_error(self, name, entry):
+        g = GROUPS[name]
+        keys = ELEMENT_KEYS[name]
+        if isinstance(entry, list) and g.kind == "padic":  # equal residues
+            entry = [{"x": {"int": 1 + i * g.modulus}, "weight": 0.5} for i in range(len(entry))]
+        entries = _keyed_row(g, keys, np.random.default_rng(23), count=6)
+        entries[2] = entry
+        want, message = _read(_per_atom_general_row, entries, g)
+        got, got_message = _read(_general_row, entries, g)
+        assert got_message == message
+        if message is None:
+            _assert_same_table(got, want)
+
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_paused_while_parsing_and_restored(self, monkeypatch, enabled):
+        seen = []
+        real = config.parse_group
+
+        def recording(doc):
+            seen.append(gc.isenabled())
+            return real(doc)
+
+        monkeypatch.setattr(config, "parse_group", recording)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            parse_config(_general_doc(TestParseGeneral.ROWS))
+            assert gc.isenabled() == enabled
+            with pytest.raises(ConfigError):
+                parse_config(_general_doc({"2": [[{"x": {"int": 1}, "weight": 0.5}]]}))
+            assert gc.isenabled() == enabled
+            with pytest.raises(ConfigError):
+                parse_config("{broken")
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert seen == [False, False]

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lcalim.groups import (
+    TWO_PI,
     Character,
     DepthOverflowError,
     GroupMismatchError,
@@ -42,6 +43,7 @@ from lcalim.groups import (
     neg,
     padic_group,
     padic_metric,
+    reduce_turns_block,
     scale,
     scale_block,
     solenoid_group,
@@ -293,6 +295,36 @@ def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
+def _choose_cis_turns_block(t: np.ndarray) -> np.ndarray:
+    """The np.choose formulation of cis_turns_block that the branch-free
+    kernel replaced, kept as its bit-for-bit reference."""
+    t = reduce_turns_block(t)
+    q = np.rint(4.0 * t)
+    a = TWO_PI * (t - 0.25 * q)
+    c, s = np.cos(a), np.sin(a)
+    q = q.astype(np.int64) % 4
+    out = np.empty(t.shape, dtype=complex)
+    out.real = np.choose(q, (c, -s, -c, s))
+    out.imag = np.choose(q, (s, c, -s, -c))
+    return out
+
+
+# turns up to 2^40 in size: any float, exact quarter and eighth turns
+# (the ties of the quarter rounding), and near misses of quarter turns
+_TURNS = st.one_of(
+    st.floats(-(2.0**40), 2.0**40, allow_nan=False),
+    st.integers(-(2**43), 2**43).map(lambda k: k / 8),
+    st.tuples(st.integers(-(2**42), 2**42), st.floats(-1e-9, 1e-9)).map(
+        lambda kd: kd[0] / 4 + kd[1]
+    ),
+    st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0**40, -(2.0**40)]),
+)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestBlocks:
     @pytest.mark.parametrize(
         "group",
@@ -340,6 +372,25 @@ class TestBlocks:
         t = np.array([0.0, 0.25, -0.25, -0.5])
         for ti, z in zip(t, cis_turns_block(t)):
             assert _bits(z) == _bits(_cis_turns(float(ti)))
+
+    @given(st.lists(_TURNS, min_size=1, max_size=60), st.integers(1, 3))
+    def test_cis_turns_block_equals_choose_kernel_bitwise(self, turns, width):
+        t = np.array(turns)
+        assert _same_bits(cis_turns_block(t), _choose_cis_turns_block(t))
+        t = np.resize(t, (len(turns), width))  # the characters x atoms layout
+        assert _same_bits(cis_turns_block(t), _choose_cis_turns_block(t))
+
+    @given(
+        st.lists(st.floats(-0.5, 0.5, exclude_max=True), min_size=1, max_size=40),
+        st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=20),
+    )
+    def test_torus_block_equals_column_loop_bitwise(self, turns, ells):
+        # one broadcast product per call, against one column per character
+        values, chars = np.array(turns), [character(T, ell) for ell in ells]
+        phases = np.empty((len(values), len(chars)))
+        for k, chi in enumerate(chars):
+            phases[:, k] = chi.ell * values
+        assert _same_bits(char_eval_block(T, chars, values), _choose_cis_turns_block(phases))
 
     def test_quarter_turn_elements_bit_exact(self):
         T = torus_group()
