@@ -26,16 +26,20 @@ from .arrays import (
     symmetric_stat,
 )
 from .groups import (
-    character,
+    PADIC,
+    TWO_PI,
     char_eval,
+    char_eval_block,
+    character,
     from_angle,
     from_int,
     from_turns,
     full_subgroup,
     identity,
-    local_inner,
+    local_inner_block,
     neg,
     padic_group,
+    reduce_turns_block,
     solenoid_group,
     torus_group,
 )
@@ -84,7 +88,7 @@ def criterion_1():
     g = torus_group()
     array = _torus_clt_array()
     chars = tuple(character(g, l) for l in (1, 2, 3))
-    fts = row_ft_exact(array, 10**6, chars)
+    fts = row_ft_exact(array, (10**6,), chars)[0]
     worst = max(abs(got - math.exp(-(chi.ell**2) / 2.0)) for chi, got in zip(chars, fts))
     report = check_theorem(array, gauss_law(g, 1.0), VerifySettings(characters=chars))
     ok = worst <= 5e-4 and report.passed()
@@ -97,8 +101,8 @@ def criterion_2():
     g = torus_group()
     array = rademacher_array(g, K=linear(1.0), angle=power(1.0, -0.25))
     chars = tuple(character(g, l) for l in range(1, 6))
-    worst = max(abs(z) for z in row_ft_exact(array, 10**4, chars))
-    gaps = zip(*(symmetric_stat(array, n, chars) for n in WIDE_GRID))  # per character
+    worst = max(abs(z) for z in row_ft_exact(array, (10**4,), chars)[0])
+    gaps = zip(*symmetric_stat(array, WIDE_GRID, chars))  # per character
     diverged = all(trend_classify(zip(WIDE_GRID, seq)).kind == "diverges" for seq in gaps)
     ok = worst <= 1e-6 and diverged
     return ok, f"max |FT| at n=1e4 = {worst:.3g} (<= 1e-6), gaps diverge: {diverged}"
@@ -112,7 +116,7 @@ def criterion_3():
     n = 10**5
     x = array.x(n)
     chars = tuple(_padic_chars(g, 2))
-    fts = dict(zip(chars, row_ft_exact(array, n, chars)))
+    fts = dict(zip(chars, row_ft_exact(array, (n,), chars)[0]))
     worst = max(abs(fts[chi] - np.exp(2.0 * (char_eval(chi, x) - 1.0))) for chi in chars)
     # the character sending x to -1 pins the classical value exp(-4)
     spot = abs(fts[character(g, 1, 0)] - math.exp(-4.0))
@@ -130,7 +134,7 @@ def criterion_4():
     law = haar_law(full_subgroup(g))
     n = 10**6
     chars = _padic_chars(g, 2)
-    fts = row_ft_exact(array, n, chars)
+    fts = row_ft_exact(array, (n,), chars)[0]
     worst = max(abs(z) for chi, z in zip(chars, fts) if chi.ell != 0)
     indicator_ok = all(limit_law_ft(law, chi) == (1.0 if chi.ell == 0 else 0.0) for chi in chars)
     ok = worst <= 1e-3 and indicator_ok
@@ -144,7 +148,7 @@ def criterion_5():
     array = rademacher_array(g, K=linear(1.0), angle=power(1.0, -0.5))
     n = 10**6
     chars = tuple(character(g, ell, d) for d in (0, 1, 2) for ell in range(-3, 4))
-    fts = dict(zip(chars, row_ft_exact(array, n, chars)))
+    fts = dict(zip(chars, row_ft_exact(array, (n,), chars)[0]))
     worst = max(abs(fts[chi] - math.exp(-(chi.ell**2) / 2.0 ** (2 * chi.d + 1))) for chi in chars)
     spot = abs(fts[character(g, 1, 1)] - math.exp(-0.125))
     ok = worst <= 5e-4 and spot <= 5e-4
@@ -265,53 +269,90 @@ def _parallelogram_exact() -> bool:
     return True
 
 
+def _own_character(kernel, group, ells, ds, values) -> np.ndarray:
+    """kernel(group, (chi,), .) of every block value at its own character
+    chi = character(group, ell, d), one kernel call per distinct character;
+    complex, so that it holds char_eval_block and local_inner_block values."""
+    out = np.zeros(len(values), dtype=complex)
+    for ell, d in set(zip(ells.tolist(), ds.tolist())):
+        at = np.flatnonzero((ells == ell) & (ds == d))
+        out[at] = kernel(group, (character(group, ell, d),), values[at]).ravel()
+    return out
+
+
+def _columns(group, candidates):
+    """The (ell, d, element) candidates as arrays of ells, depths and block
+    values; torus and solenoid elements come as unreduced turns."""
+    ells, ds, values = (np.array(column) for column in zip(*candidates))
+    if group.kind != PADIC:
+        values = reduce_turns_block(values)
+    return ells, ds, values
+
+
+def _band_values(group, ells, ds, values):
+    """g(x, chi) and 1 - Re chi(x) of every sample."""
+    g = _own_character(local_inner_block, group, ells, ds, values).real
+    return g, 1.0 - _own_character(char_eval_block, group, ells, ds, values).real
+
+
+def _accepted(group, draw, need: int):
+    """The first `need` candidates of draw() whose |g(x, chi)| lies in
+    [1e-3, pi/2], as columns.  Candidates are drawn one at a time, in rounds
+    of as many as are still needed: no round can overshoot, so the
+    generator stops after the same draw as a loop that tests each one."""
+    kept = []
+    while need:
+        columns = _columns(group, [draw() for _ in range(need)])
+        g = np.abs(_own_character(local_inner_block, group, *columns).real)
+        ok = (1e-3 <= g) & (g <= math.pi / 2)
+        kept.append([column[ok] for column in columns])
+        need -= int(ok.sum())
+    return [np.concatenate(column) for column in zip(*kept)]
+
+
+def _band_samples(rng, torus: int, padic: int, solenoid: int):
+    """The samples of criterion 8, as (group, ells, ds, values) per group,
+    drawn in the generator's scalar order."""
+    uniform, integers = rng.uniform, rng.integers
+    gt, gp, gs = torus_group(), padic_group(2), solenoid_group(2, depth=8)
+
+    def on_torus():
+        theta = uniform(-math.pi / 2, math.pi / 2)
+        return integers(-8, 9), 0, theta / TWO_PI
+
+    def on_padic():
+        d = int(integers(0, 4))
+        ell = integers(0, 2 ** (d + 1))
+        return ell, d, int(integers(0, 2 ** (gp.depth - d))) * 2 ** (d + 1) % gp.modulus
+
+    def on_solenoid():
+        d = int(integers(0, 4))
+        ell = integers(-8, 9)
+        u = uniform(-math.pi / (2 * 2**d), math.pi / (2 * 2**d))
+        return ell, d, (u / (2 * math.pi)) / 2 ** (gs.depth - d)
+
+    return [
+        (gt, *_accepted(gt, on_torus, torus)),
+        (gp, *_columns(gp, [on_padic() for _ in range(padic)])),
+        (gs, *_accepted(gs, on_solenoid, solenoid)),
+    ]
+
+
 def criterion_8():
     """Two-sided moment inequality, sampled where the character equals the
     exponential of the local inner product and |g| <= pi/2.
 
     Angles are kept >= 1e-3 so the comparison is not dominated by the
-    floating cancellation of 1 - cos at machine scale.
+    floating cancellation of 1 - cos at machine scale.  The samples are
+    drawn one at a time and evaluated with the block kernels.
     """
-    rng = np.random.default_rng(8)
     total = 0
     violations = 0
-    gt = torus_group()
-    while total < 40_000:
-        theta = float(rng.uniform(-math.pi / 2, math.pi / 2))
-        ell = int(rng.integers(-8, 9))
-        x = from_angle(gt, theta)
-        gval = local_inner(x, character(gt, ell))
-        if not 1e-3 <= abs(gval) <= math.pi / 2:
-            continue
-        total += 1
-        one_minus = 1.0 - char_eval(character(gt, ell), x).real
-        if not (0.25 * gval**2 <= one_minus <= 0.5 * gval**2):
-            violations += 1
-    gp = padic_group(2)
-    for _ in range(20_000):
-        d = int(rng.integers(0, 4))
-        ell = int(rng.integers(0, 2 ** (d + 1)))
-        chi = character(gp, ell, d)
-        x = from_int(gp, int(rng.integers(0, 2 ** (gp.depth - d))) * 2 ** (d + 1))
-        gval = local_inner(x, chi)
-        one_minus = 1.0 - char_eval(chi, x).real
-        total += 1
-        if not (0.25 * gval**2 <= one_minus <= 0.5 * gval**2):
-            violations += 1
-    gs = solenoid_group(2, depth=8)
-    while total < 100_000:
-        d = int(rng.integers(0, 4))
-        ell = int(rng.integers(-8, 9))
-        u = float(rng.uniform(-math.pi / (2 * 2**d), math.pi / (2 * 2**d)))
-        x = from_turns(gs, (u / (2 * math.pi)) / 2 ** (gs.depth - d))
-        chi = character(gs, ell, d)
-        gval = local_inner(x, chi)
-        if not 1e-3 <= abs(gval) <= math.pi / 2:
-            continue
-        total += 1
-        one_minus = 1.0 - char_eval(chi, x).real
-        if not (0.25 * gval**2 <= one_minus <= 0.5 * gval**2):
-            violations += 1
+    for group, *columns in _band_samples(np.random.default_rng(8), 40_000, 20_000, 40_000):
+        g, one_minus = _band_values(group, *columns)
+        inside = (0.25 * g * g <= one_minus) & (one_minus <= 0.5 * g * g)
+        total += len(g)
+        violations += len(g) - int(np.count_nonzero(inside))
     ok = violations == 0 and total >= 100_000
     return ok, f"{violations} violations in {total} samples"
 
@@ -347,7 +388,7 @@ def criterion_10():
         est = empirical_ft(array, n, chars, M, stream)
         rerun = empirical_ft(array, n, chars, M, stream)
         identical = identical and est.estimates == rerun.estimates
-        for emp, exact in zip(est.estimates, row_ft_exact(array, n, est.chars)):
+        for emp, exact in zip(est.estimates, row_ft_exact(array, (n,), est.chars)[0]):
             worst = max(worst, abs(emp - exact))
     ok = worst <= bound and identical
     return ok, f"max |emp - exact| = {worst:.4g} (<= {bound:.4g}), rerun identical: {identical}"
@@ -360,13 +401,14 @@ def criterion_11():
     array = _padic_poisson_array()
     g = array.group
     eta = scale_measure(point_mass(array.x(1)), 2.0)
-    worst = 0.0
-    for r in (1, 2, 3):
-        for res in range(1, 2**r):
-            x0 = from_int(g, res)
-            target = cylinder_mass(eta, x0, r)
-            for n in (100, 1_000, 10_000, 100_000, 1_000_000):
-                worst = max(worst, abs(sum_cylinder(array, n, x0, r) - target))
+    cylinders = [(from_int(g, res), r) for r in (1, 2, 3) for res in range(1, 2**r)]
+    targets = [cylinder_mass(eta, x0, r) for x0, r in cylinders]
+    grid = (100, 1_000, 10_000, 100_000, 1_000_000)
+    worst = max(
+        abs(v - target)
+        for values in sum_cylinder(array, grid, cylinders)
+        for v, target in zip(values, targets)
+    )
     ok = worst <= 1e-9
     return ok, f"max |row cylinder sum - levy cylinder mass| = {worst:.3g} (<= 1e-9)"
 

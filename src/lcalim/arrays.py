@@ -9,9 +9,16 @@ reproducible from the experiment description alone.
 Every row is one PackedRow table of distinct entries, each taken `copies`
 times: an i.i.d. row is its one entry taken K_n times, so no loop of
 length K_n is run and K_n up to 1e15 is cheap, and a general row is its
-K_n entries taken once each.  Every statistic is one body over that table
-and takes all the characters (or neighborhoods) of a grid point at once,
-evaluated in chunks of at most MAX_TEMP // 4 atom x character values.
+K_n entries taken once each.  Every statistic is one body over such a
+table and takes a sequence of grid points with all their characters (or
+neighborhoods, or cylinders) at once, returning one result per point.
+Consecutive grid rows are joined into one table, a grid block, while its
+atoms times the items stay within MAX_TEMP // 4 values; a larger row is a
+block of its own and takes its items in chunks of at most that many atom
+x item values.  Each block is one vector pass, whose per-entry values are
+then folded row by row: on a reshape when the rows have equally many
+entries, one contiguous slice per row otherwise, so that each row keeps
+the reduction order of a pass over it alone.
 """
 
 from __future__ import annotations
@@ -350,7 +357,19 @@ def plain_entries(group: GroupId, values: np.ndarray, weights: np.ndarray, count
     mass = np.bincount(entry, weights=np.where(bad, 0.0, weights), minlength=len(counts))
     plain &= np.abs(mass - 1.0) <= 1e-12 - 2 * counts * np.finfo(float).eps
     # close atoms are neighbours once each entry is sorted, circularly on
-    # angle groups; stable argsorts, since lexsort rejects object residues
+    # angle groups
+    m = int(counts[0]) if len(counts) else 0
+    if m and (counts == m).all():  # every entry's atoms sorted in one call
+        v = np.sort(values.reshape(-1, m), axis=-1)
+        if group.kind == PADIC:
+            close = (v[:, 1:] == v[:, :-1]).any(axis=-1)
+        else:
+            close = (v[:, 1:] - v[:, :-1] <= 2 * ATOM_TOL_TURNS).any(axis=-1)
+            if m > 1:
+                close |= v[:, 0] + 1.0 - v[:, -1] <= 2 * ATOM_TOL_TURNS
+        return plain & ~close
+    # entries of different sizes: stable argsorts, since lexsort rejects
+    # object residues
     order = np.argsort(values, kind="stable")
     order = order[np.argsort(entry[order], kind="stable")]
     v, e = values[order], entry[order]
@@ -438,11 +457,69 @@ def _power(z: complex, K: int) -> complex:
     return cmath.exp(K * cmath.log(z))
 
 
-def _chunked(row: PackedRow, items, stat) -> list:
-    """stat of consecutive chunks of the items, one Python number per item; a
-    chunk x atoms array holds at most MAX_TEMP // 4 values (a pass keeps several)."""
-    step = max(1, MAX_TEMP // 4 // max(1, len(row.values)))
-    return [v for i in range(0, len(items), step) for v in stat(items[i : i + step]).tolist()]
+def _join(rows) -> PackedRow:
+    """The rows as one table, their entries one after the other; the
+    copies of the rows are left to the caller."""
+    if len(rows) == 1:
+        return rows[0]
+    offsets = np.cumsum([0] + [len(row.values) for row in rows[:-1]]).tolist()
+    return PackedRow(
+        rows[0].group,
+        np.concatenate([row.values for row in rows]),
+        np.concatenate([row.weights for row in rows]),
+        np.concatenate([row.starts + offset for row, offset in zip(rows, offsets)]),
+    )
+
+
+def _blocks(rows, items: int):
+    """(start, stop) of each run of consecutive rows whose atoms times the
+    items fit in MAX_TEMP // 4 values; a row larger than that is a run of
+    its own, and its items are taken in chunks."""
+    start, atoms = 0, 0
+    for k, row in enumerate(rows):
+        if k > start and (atoms + len(row.values)) * items > MAX_TEMP // 4:
+            yield start, k
+            start, atoms = k, 0
+        atoms += len(row.values)
+    if rows:
+        yield start, len(rows)
+
+
+def _fold(x: np.ndarray, counts: list, reduce) -> list:
+    """reduce over each row's entries of x (items x the block's entries):
+    per row, one Python number per item.  Rows with equally many entries
+    are reduced in one call on a reshape, others one contiguous slice at a
+    time, so every row keeps the order of a pass over it alone."""
+    if min(counts) == max(counts):
+        return reduce(x.reshape(len(x), len(counts), counts[0])).T.tolist()
+    ends = np.cumsum(counts).tolist()
+    return [reduce(x[:, a:b]).tolist() for a, b in zip([0] + ends, ends)]
+
+
+def _grid_pass(array: TriangularArraySpec, ns, items, per_entry, reduce) -> list:
+    """(row, values) at every grid point of ns: per_entry(block, chunk) is
+    the chunk x entries array of a chunk of the items on a block of joined
+    rows (see _blocks), and reduce folds it over each row's entries."""
+    rows = [array.packed(n) for n in ns]
+    if not items:
+        return [(row, []) for row in rows]
+    out = []
+    for a, b in _blocks(rows, len(items)):
+        block, counts = _join(rows[a:b]), [len(row.starts) for row in rows[a:b]]
+        step = max(1, MAX_TEMP // 4 // max(1, len(block.values)))
+        values = [[] for _ in counts]
+        for i in range(0, len(items), step):
+            for acc, v in zip(values, _fold(per_entry(block, items[i : i + step]), counts, reduce)):
+                acc += v
+        out += zip(rows[a:b], values)
+    return out
+
+
+def _row_sums(array: TriangularArraySpec, ns, items, per_entry) -> tuple[tuple[float, ...], ...]:
+    """copies times the sum of per_entry over each row's entries, for every
+    item and every grid point of ns (see _grid_pass)."""
+    sums = _grid_pass(array, ns, items, per_entry, lambda x: x.sum(axis=-1))
+    return tuple(tuple(row.copies * v for v in values) for row, values in sums)
 
 
 def _moments(row: PackedRow, chars) -> np.ndarray:
@@ -455,74 +532,79 @@ def _tail_masses(row: PackedRow, nbhds) -> np.ndarray:
     return row.entry_sums(~in_nbhd_block(row.group, nbhds, row.values))
 
 
-def row_ft_exact(array: TriangularArraySpec, n: int, chars) -> tuple[complex, ...]:
-    """FT of the row sum at every character: the product of the entries'
-    character moments, raised to the power `copies` (see _power).
+def row_ft_exact(array: TriangularArraySpec, ns, chars) -> tuple[tuple[complex, ...], ...]:
+    """FT of the row sum at every character, for every grid point of ns:
+    the product of the entries' character moments, raised to the power
+    `copies` (see _power).
 
     The product starts from the first factor, not from 1, so the signed
     zeros of a single factor survive.
     """
-    row = array.packed(n)
-    z = _chunked(row, chars, lambda c: np.multiply.reduce(_moments(row, c), axis=-1))
-    return tuple(_power(v, row.copies) for v in z)
+    z = _grid_pass(array, ns, chars, _moments, lambda m: np.multiply.reduce(m, axis=-1))
+    return tuple(tuple(_power(v, row.copies) for v in values) for row, values in z)
 
 
-def sum_local_means(array: TriangularArraySpec, n: int) -> GroupElement:
-    """Group sum of the local means of row n."""
+def sum_local_means(array: TriangularArraySpec, ns) -> tuple[GroupElement, ...]:
+    """Group sum of the local means of row n, for every grid point n of ns."""
     g = array.group
     if g.kind == PADIC:
-        return identity(g)
-    row = array.packed(n)
-    # local_mean of each entry, in turns
-    turns = row.entry_sums(h_arg_block(g, row.values)) / TWO_PI
-    if g.kind != TORUS:
-        turns /= g.p**g.depth
-    return from_turns(g, row.copies * float(reduce_turns_block(turns).sum()))
+        return (identity(g),) * len(ns)
+
+    def turns(row, _):  # local_mean of each entry, in turns, reduced
+        t = row.entry_sums(h_arg_block(g, row.values)[None]) / TWO_PI
+        if g.kind != TORUS:
+            t /= g.p**g.depth
+        return reduce_turns_block(t)
+
+    # the one item is the row's mean
+    return tuple(from_turns(g, v) for (v,) in _row_sums(array, ns, (None,), turns))
 
 
-def sum_var_g(array: TriangularArraySpec, n: int, chars) -> tuple[float, ...]:
-    """Sum over row n of the variances of g(X, chi), for every character."""
-    row = array.packed(n)
+def sum_var_g(array: TriangularArraySpec, ns, chars) -> tuple[tuple[float, ...], ...]:
+    """Sum over row n of the variances of g(X, chi), for every character and
+    every grid point n of ns."""
 
-    def variances(c):
+    def variances(row, c):
         inner = local_inner_block(row.group, c, row.values)
         m1, m2 = row.entry_sums(inner), row.entry_sums(inner * inner)
-        return (m2 - m1 * m1).sum(axis=-1)
+        return m2 - m1 * m1
 
-    return tuple(row.copies * v for v in _chunked(row, chars, variances))
-
-
-def sum_tail(array: TriangularArraySpec, n: int, nbhds) -> tuple[float, ...]:
-    """Sum over row n of the probabilities of landing outside U, per U."""
-    row = array.packed(n)
-    tails = _chunked(row, nbhds, lambda c: _tail_masses(row, c).sum(axis=-1))
-    return tuple(row.copies * v for v in tails)
+    return _row_sums(array, ns, chars, variances)
 
 
-def sum_cylinder(array: TriangularArraySpec, n: int, x0: GroupElement, r: int) -> float:
+def sum_tail(array: TriangularArraySpec, ns, nbhds) -> tuple[tuple[float, ...], ...]:
+    """Sum over row n of the probabilities of landing outside U, per U, for
+    every grid point n of ns."""
+    return _row_sums(array, ns, nbhds, _tail_masses)
+
+
+def sum_cylinder(array: TriangularArraySpec, ns, cylinders) -> tuple[tuple[float, ...], ...]:
     """Sum over row n of the probabilities of the padic cylinder
-    x0 + lambda(r)."""
-    q = cylinder_modulus(array.group, x0, r)
-    row = array.packed(n)
-    return row.copies * float(row.entry_sums((row.values - x0.residue) % q == 0).sum())
+    x0 + lambda(r), for every (x0, r) of cylinders and every grid point n
+    of ns."""
+    moduli = [(x0.residue, cylinder_modulus(array.group, x0, r)) for x0, r in cylinders]
+
+    def masses(row, chunk):
+        return row.entry_sums(np.array([(row.values - x) % q == 0 for x, q in chunk], dtype=bool))
+
+    return _row_sums(array, ns, moduli, masses)
 
 
-def infinitesimality_stat(array: TriangularArraySpec, n: int, nbhds) -> tuple[float, ...]:
-    """Largest tail probability in row n, for every neighborhood U; the
-    array is infinitesimal when this tends to 0 for every U."""
-    row = array.packed(n)
-    return tuple(_chunked(row, nbhds, lambda c: _tail_masses(row, c).max(axis=-1, initial=0.0)))
+def infinitesimality_stat(array: TriangularArraySpec, ns, nbhds) -> tuple[tuple[float, ...], ...]:
+    """Largest tail probability in row n, for every neighborhood U and every
+    grid point n of ns; the array is infinitesimal when this tends to 0 for
+    every U."""
+    tails = _grid_pass(array, ns, nbhds, _tail_masses, lambda t: t.max(axis=-1, initial=0.0))
+    return tuple(tuple(values) for _, values in tails)
 
 
-def symmetric_stat(array: TriangularArraySpec, n: int, chars) -> tuple[float, ...]:
-    """K_n * (1 - Re E chi(X_n1)) for i.i.d. rows, for every character: the
-    quantity whose limit decides between Gauss and Haar behaviour of
-    symmetric arrays."""
+def symmetric_stat(array: TriangularArraySpec, ns, chars) -> tuple[tuple[float, ...], ...]:
+    """K_n * (1 - Re E chi(X_n1)) for i.i.d. rows, for every character and
+    every grid point n of ns: the quantity whose limit decides between
+    Gauss and Haar behaviour of symmetric arrays."""
     if array.kind == "general":
         raise ValueError("symmetric_stat needs i.i.d. rows")
-    row = array.packed(n)
-    gaps = _chunked(row, chars, lambda c: (1.0 - _moments(row, c).real).sum(axis=-1))
-    return tuple(row.copies * v for v in gaps)
+    return _row_sums(array, ns, chars, lambda row, c: 1.0 - _moments(row, c).real)
 
 
 def bernoulli_rate(array: TriangularArraySpec, n: int) -> float:

@@ -269,14 +269,13 @@ class ConvergenceReport:
 def ft_sup_distance(array: TriangularArraySpec, law: LimitLaw, n: int, chars) -> float:
     """Largest absolute gap, over the character set, between the exact
     row-sum FT and the law's FT."""
-    exact = row_ft_exact(array, n, chars)
+    exact = row_ft_exact(array, (n,), chars)[0]
     return max(abs(z - limit_law_ft(law, chi)) for chi, z in zip(chars, exact))
 
 
 def _sequences(stat, array, grid, items) -> list[list[tuple[int, float]]]:
-    """One (n, value) sequence per item, from one stat call per grid point."""
-    values = [stat(array, n, items) for n in grid]
-    return [list(zip(grid, column)) for column in zip(*values)]
+    """One (n, value) sequence per item, from one stat call on the grid."""
+    return [list(zip(grid, column)) for column in zip(*stat(array, grid, items))]
 
 
 def _ft_converges_to_zero(values, window: int, ft_tol: float) -> bool:
@@ -388,7 +387,7 @@ def check_theorem(
     elif law.H.is_trivial():
         theorem = "gaiser"
         a = law.a
-        seq = [(n, element_distance(sum_local_means(array, n), a)) for n in grid]
+        seq = [(n, element_distance(m, a)) for n, m in zip(grid, sum_local_means(array, grid))]
         conditions.append(_target_value("mean_sum_gap", seq, classify, 0.0, tol))
         for chi, seq in zip(chars, _sequences(sum_var_g, array, grid, chars)):
             target = qform_eval(law.b, chi) + sum(
@@ -407,8 +406,7 @@ def check_theorem(
 
     limits = [limit_law_ft(law, chi) for chi in chars]
     ft_rows, ft_sup = [], []
-    for n in grid:
-        exact = row_ft_exact(array, n, chars)
+    for n, exact in zip(grid, row_ft_exact(array, grid, chars)):
         rows = [FtRow(n, chi.char_id, z, w) for chi, z, w in zip(chars, exact, limits)]
         ft_rows += rows
         ft_sup.append((n, max([0.0] + [row.abs_err for row in rows])))
@@ -444,9 +442,10 @@ def _levy_tail_conditions(array, law: LimitLaw, settings: VerifySettings, classi
         target = tail_mass_measure(law.eta.measure, U)
         out.append(_target_value(f"tail_sum[{U.label}]", seq, classify, target, settings.trend_tol))
     if law.group.kind == PADIC:
-        for x0, r in _cylinder_set(law, array, settings):
+        cylinders = _cylinder_set(law, array, settings)
+        seqs = _sequences(sum_cylinder, array, settings.grid, cylinders)
+        for (x0, r), seq in zip(cylinders, seqs):
             target = cylinder_mass(law.eta.measure, x0, r)
-            seq = [(n, sum_cylinder(array, n, x0, r)) for n in settings.grid]
             out.append(
                 _target_value(
                     f"cylinder[res:{x0.residue},r:{r}]",
@@ -523,8 +522,8 @@ def crosscheck_gensym2(
     chars = settings.characters
     limits = [limit_law_ft(law, chi) for chi in chars]
     ft_vals = [
-        max(abs(z - w) for z, w in zip(row_ft_exact(array, n, chars), limits))
-        for n in settings.grid
+        max(abs(z - w) for z, w in zip(exact, limits))
+        for exact in row_ft_exact(array, settings.grid, chars)
     ]
     ft_passed = _ft_converges_to_zero(ft_vals, settings.window, settings.ft_tol)
     moment, variance, tails = _clt_conditions(array, law.b, settings, classify)

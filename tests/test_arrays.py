@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lcalim import arrays
 from lcalim.arrays import (
     GeneralArray,
     PackedRow,
@@ -48,8 +49,9 @@ from lcalim.groups import (
     torus_group,
     trivial_subgroup,
 )
+from lcalim.groups import char_eval_block
 from lcalim.measures import cylinder_mass, local_mean, tail_mass_measure
-from lcalim.verify import predict_limit
+from lcalim.verify import default_characters, default_neighborhoods, predict_limit
 
 T = torus_group()
 GRID = (100, 1_000, 10_000, 100_000, 1_000_000)
@@ -158,33 +160,33 @@ class TestRowFtExact:
         arr = rademacher_array(
             T, K=constant(4.0), angle=table({9: math.pi / 4})
         )
-        got = row_ft_exact(arr, 9, (character(T, 1),))[0]
+        got = row_ft_exact(arr, (9,), (character(T, 1),))[0][0]
         assert got == pytest.approx(math.cos(math.pi / 4) ** 4, abs=1e-12)
         assert got.imag == 0.0
 
     def test_bernoulli_scalar_power_oracle(self):
         g = padic_group(2)
         arr = bernoulli_array(g, from_int(g, 1), p=constant(0.02), K=constant(100.0))
-        got = row_ft_exact(arr, 1, (character(g, 1, 0),))[0]
+        got = row_ft_exact(arr, (1,), (character(g, 1, 0),))[0][0]
         assert got == pytest.approx(0.96**100, abs=1e-12)
         assert got == pytest.approx(0.0168703, abs=1e-7)
 
     def test_trivial_character_exactly_one(self):
         arr = torus_rademacher()
         for n in GRID:
-            assert row_ft_exact(arr, n, (character(T, 0),))[0] == 1.0
+            assert row_ft_exact(arr, (n,), (character(T, 0),))[0][0] == 1.0
 
     def test_zero_moment_returns_exact_zero(self):
         # atoms at +-i: the moment vanishes exactly, so must the power
         dist = row_distribution(T, [(from_turns(T, 0.25), 0.5), (from_turns(T, -0.25), 0.5)])
         arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
         assert char_moment(dist, character(T, 1)) == 0.0
-        assert row_ft_exact(arr, 10**9, (character(T, 1),))[0] == 0.0
+        assert row_ft_exact(arr, (10**9,), (character(T, 1),))[0][0] == 0.0
 
     def test_huge_rows_no_loop(self):
         arr = torus_rademacher()
         # K_n = 1e9 must return promptly and match exp(K log z)
-        got = row_ft_exact(arr, 10**9, (character(T, 1),))[0]
+        got = row_ft_exact(arr, (10**9,), (character(T, 1),))[0][0]
         z = math.cos(1.0 / math.sqrt(1e9))
         assert got == pytest.approx(math.exp(1e9 * math.log(z)), rel=1e-12)
 
@@ -192,8 +194,8 @@ class TestRowFtExact:
         dist = row_distribution(T, [(from_angle(T, -math.pi), 1.0)])
         arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
         # moment is exactly -1; odd/even powers alternate sign exactly
-        assert row_ft_exact(arr, 3, (character(T, 1),))[0] == -1.0
-        assert row_ft_exact(arr, 4, (character(T, 1),))[0] == 1.0
+        assert row_ft_exact(arr, (3,), (character(T, 1),))[0][0] == -1.0
+        assert row_ft_exact(arr, (4,), (character(T, 1),))[0][0] == 1.0
 
     def test_general_rows_product(self):
         x = from_angle(T, 0.8)
@@ -204,7 +206,7 @@ class TestRowFtExact:
         arr = GeneralArray(T, lambda n: rows)
         chi = character(T, 2)
         expected = char_moment(rows[0], chi) * char_moment(rows[1], chi)
-        assert row_ft_exact(arr, 1, (chi,))[0] == pytest.approx(expected, abs=1e-14)
+        assert row_ft_exact(arr, (1,), (chi,))[0][0] == pytest.approx(expected, abs=1e-14)
 
     def test_modulus_bounded(self):
         arr = padic_bernoulli()
@@ -212,13 +214,14 @@ class TestRowFtExact:
         for n in (100, 10_000):
             for d in range(3):
                 for ell in range(2 ** (d + 1)):
-                    assert abs(row_ft_exact(arr, n, (character(g, ell, d),))[0]) <= 1.0 + 1e-12
+                    chi = character(g, ell, d)
+                    assert abs(row_ft_exact(arr, (n,), (chi,))[0][0]) <= 1.0 + 1e-12
 
     def test_symmetric_rows_real(self):
         arr = torus_rademacher()
         for n in GRID:
             for ell in range(1, 9):
-                assert abs(row_ft_exact(arr, n, (character(T, ell),))[0].imag) <= 1e-10
+                assert abs(row_ft_exact(arr, (n,), (character(T, ell),))[0][0].imag) <= 1e-10
 
     def test_symmetric_power_identity(self):
         # row FT equals (1 - gap/K)^K for i.i.d. symmetric rows
@@ -227,24 +230,24 @@ class TestRowFtExact:
             K = arr.row_count(n)
             for ell in (1, 3, 7):
                 chi = character(T, ell)
-                lhs = row_ft_exact(arr, n, (chi,))[0]
-                rhs = (1.0 - symmetric_stat(arr, n, (chi,))[0] / K) ** K
+                lhs = row_ft_exact(arr, (n,), (chi,))[0][0]
+                rhs = (1.0 - symmetric_stat(arr, (n,), (chi,))[0][0] / K) ** K
                 assert abs(lhs - rhs) <= 1e-10
 
 
 class TestSums:
     def test_sum_local_means_symmetric(self):
         arr = torus_rademacher()
-        assert sum_local_means(arr, 1000) == identity(T)
+        assert sum_local_means(arr, (1000,))[0] == identity(T)
 
     def test_sum_local_means_padic(self):
         arr = padic_bernoulli()
-        assert sum_local_means(arr, 1000) == identity(arr.group)
+        assert sum_local_means(arr, (1000,))[0] == identity(arr.group)
 
     def test_sum_local_means_torus_bernoulli(self):
         x = from_angle(T, 0.3)
         arr = bernoulli_array(T, x, p=constant(0.1), K=constant(10.0))
-        got = sum_local_means(arr, 1)
+        got = sum_local_means(arr, (1,))[0]
         assert elements_close(got, x, 1e-12)
 
     @pytest.mark.parametrize(
@@ -257,7 +260,7 @@ class TestSums:
                 (sum_var_g, ((character(T, 2),),)),
                 (sum_tail, ((Neighborhood(T, eps=0.3),),)),
                 (infinitesimality_stat, ((Neighborhood(T, eps=0.3),),)),
-                (sum_cylinder, (from_int(padic_group(2), 3), 2)),
+                (sum_cylinder, (((from_int(padic_group(2), 3), 2),),)),
             )
         ],
     )
@@ -268,7 +271,7 @@ class TestSums:
         dist = row_distribution(g, [(x, 0.2), (identity(g), 0.8)])
         arr_iid = bernoulli_array(g, x, p=constant(0.2), K=constant(7.0))
         arr_gen = GeneralArray(g, lambda n: (dist,) * 7)
-        got, want = stat(arr_iid, 5, *args), stat(arr_gen, 5, *args)
+        got, want = stat(arr_iid, (5,), *args)[0], stat(arr_gen, (5,), *args)[0]
         if isinstance(got, tuple):
             got, want = got[0], want[0]
         if stat is sum_local_means:
@@ -279,40 +282,40 @@ class TestSums:
 
     def test_sum_var_g_rademacher(self):
         arr = rademacher_array(T, K=constant(10_000.0), angle=constant(0.01))
-        assert sum_var_g(arr, 1, (character(T, 1),))[0] == pytest.approx(1.0, rel=1e-12)
+        assert sum_var_g(arr, (1,), (character(T, 1),))[0][0] == pytest.approx(1.0, rel=1e-12)
 
     def test_sum_var_g_padic_zero(self):
         arr = padic_bernoulli()
-        assert sum_var_g(arr, 100, (character(arr.group, 1, 1),))[0] == 0.0
+        assert sum_var_g(arr, (100,), (character(arr.group, 1, 1),))[0][0] == 0.0
 
     def test_sum_var_g_point_mass_rows(self):
         x = from_angle(T, 0.3)
         arr = GeneralArray(T, lambda n: (row_distribution(T, [(x, 1.0)]),) * 5)
-        assert sum_var_g(arr, 1, (character(T, 2),))[0] == 0.0
+        assert sum_var_g(arr, (1,), (character(T, 2),))[0][0] == 0.0
 
     def test_sum_tail_bernoulli(self):
         arr = padic_bernoulli()  # p_n = 2/n, x outside lambda(1)
         U = Neighborhood(arr.group, rank=1)
         for n in GRID:
-            assert sum_tail(arr, n, (U,))[0] == pytest.approx(2.0, rel=1e-12)
+            assert sum_tail(arr, (n,), (U,))[0][0] == pytest.approx(2.0, rel=1e-12)
 
     def test_sum_tail_rademacher_inside(self):
         arr = torus_rademacher()
         U = Neighborhood(T, eps=0.5)
-        assert sum_tail(arr, 100, (U,))[0] == 0.0  # |arg| = 0.1 < 0.5
+        assert sum_tail(arr, (100,), (U,))[0][0] == 0.0  # |arg| = 0.1 < 0.5
 
     def test_sum_tail_monotone_in_nested_neighborhoods(self):
         arr = bernoulli_array(T, from_angle(T, 1.0), p=power(1.0, -1.0), K=linear(1.0))
         small, big = Neighborhood(T, eps=0.5), Neighborhood(T, eps=2.0)
         for n in GRID:
-            assert sum_tail(arr, n, (small,))[0] >= sum_tail(arr, n, (big,))[0]
+            assert sum_tail(arr, (n,), (small,))[0][0] >= sum_tail(arr, (n,), (big,))[0][0]
 
     def test_infinitesimality(self):
         arr = padic_bernoulli()
         U = Neighborhood(arr.group, rank=1)
-        assert infinitesimality_stat(arr, 1000, (U,))[0] == pytest.approx(0.002, rel=1e-12)
+        assert infinitesimality_stat(arr, (1000,), (U,))[0][0] == pytest.approx(0.002, rel=1e-12)
         arr2 = torus_rademacher()
-        assert infinitesimality_stat(arr2, 1000, (Neighborhood(T, eps=1.0),))[0] == 0.0
+        assert infinitesimality_stat(arr2, (1000,), (Neighborhood(T, eps=1.0),))[0][0] == 0.0
 
     def test_infinitesimality_general_rows_max(self):
         x = from_angle(T, 1.0)
@@ -321,7 +324,8 @@ class TestSums:
             row_distribution(T, [(x, 0.1), (identity(T), 0.9)]),
         )
         arr = GeneralArray(T, lambda n: rows)
-        assert infinitesimality_stat(arr, 1, (Neighborhood(T, eps=0.5),))[0] == pytest.approx(0.3)
+        U = Neighborhood(T, eps=0.5)
+        assert infinitesimality_stat(arr, (1,), (U,))[0][0] == pytest.approx(0.3)
 
 
 # (l, d) characters and neighborhoods of the packed-row oracle, per group
@@ -410,25 +414,26 @@ class TestPackedRows:
             want = 1.0
             for dist in rows:
                 want *= char_moment(dist, chi)
-            assert abs(row_ft_exact(arr, 1, (chi,))[0] - want) <= 1e-12
+            assert abs(row_ft_exact(arr, (1,), (chi,))[0][0] - want) <= 1e-12
             want = sum(_var_local_inner(dist, chi) for dist in rows)
-            assert sum_var_g(arr, 1, (chi,))[0] == pytest.approx(want, abs=1e-12)
+            assert sum_var_g(arr, (1,), (chi,))[0][0] == pytest.approx(want, abs=1e-12)
         for kw in nbhds:
             U = Neighborhood(g, **kw)
             tails = [tail_mass_measure(dist.measure, U) for dist in rows]
             assert 0.0 < sum(tails) < len(rows)
-            assert sum_tail(arr, 1, (U,))[0] == pytest.approx(sum(tails), abs=1e-12)
-            assert infinitesimality_stat(arr, 1, (U,))[0] == pytest.approx(max(tails), abs=1e-12)
+            assert sum_tail(arr, (1,), (U,))[0][0] == pytest.approx(sum(tails), abs=1e-12)
+            got = infinitesimality_stat(arr, (1,), (U,))[0][0]
+            assert got == pytest.approx(max(tails), abs=1e-12)
         want = identity(g)
         for dist in rows:
             want = add(want, local_mean(dist.measure))
-        assert elements_close(sum_local_means(arr, 1), want, 1e-12)
+        assert elements_close(sum_local_means(arr, (1,))[0], want, 1e-12)
         if g.kind == "padic":
             for r in (1, 2, 3):
                 x0 = rows[0].atoms[0][0]
                 want = sum(cylinder_mass(dist.measure, x0, r) for dist in rows)
                 assert want > 0.0
-                assert sum_cylinder(arr, 1, x0, r) == pytest.approx(want, abs=1e-12)
+                assert sum_cylinder(arr, (1,), ((x0, r),))[0][0] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 7, 10**6, 10**12])
     @pytest.mark.parametrize("case", sorted(IID_CASES))
@@ -443,19 +448,19 @@ class TestPackedRows:
         dist, K = arr.iid_dist(n), arr.row_count(n)
         assert K == n
         moments = [char_moment(dist, chi) for chi in chars]
-        assert row_ft_exact(arr, n, chars) == tuple(_power(z, K) for z in moments)
-        assert symmetric_stat(arr, n, chars) == tuple(K * (1.0 - z.real) for z in moments)
+        assert row_ft_exact(arr, (n,), chars)[0] == tuple(_power(z, K) for z in moments)
+        assert symmetric_stat(arr, (n,), chars)[0] == tuple(K * (1.0 - z.real) for z in moments)
         want = tuple(K * _var_local_inner(dist, chi) for chi in chars)
-        assert sum_var_g(arr, n, chars) == want
+        assert sum_var_g(arr, (n,), chars)[0] == want
         tails = tuple(tail_mass_measure(dist.measure, U) for U in nbhds)
-        assert sum_tail(arr, n, nbhds) == tuple(K * t for t in tails)
-        assert infinitesimality_stat(arr, n, nbhds) == tails
-        assert sum_local_means(arr, n) == scale(K, local_mean(dist.measure))
+        assert sum_tail(arr, (n,), nbhds)[0] == tuple(K * t for t in tails)
+        assert infinitesimality_stat(arr, (n,), nbhds)[0] == tails
+        assert sum_local_means(arr, (n,))[0] == scale(K, local_mean(dist.measure))
         if g.kind == "padic":
             for r in (1, 2, 3):
                 for x0 in (arr.x(n), identity(g), from_int(g, 3)):
                     want = K * cylinder_mass(dist.measure, x0, r)
-                    assert sum_cylinder(arr, n, x0, r) == want
+                    assert sum_cylinder(arr, (n,), ((x0, r),))[0][0] == want
 
     @pytest.mark.parametrize("g", [torus_group(), solenoid_group(3, 6)], ids=["torus", "solenoid"])
     @pytest.mark.parametrize("entries", [2_000, 7_500])
@@ -476,7 +481,8 @@ class TestPackedRows:
             (sum_tail, nbhds),
             (infinitesimality_stat, nbhds),
         ):
-            assert stat(arr, 1, items) == tuple(stat(arr, 1, (item,))[0] for item in items)
+            one_at_a_time = tuple(stat(arr, (1,), (item,))[0][0] for item in items)
+            assert stat(arr, (1,), items)[0] == one_at_a_time
 
     def test_table_rule_rows(self):
         g = padic_group(101, 8)
@@ -488,9 +494,9 @@ class TestPackedRows:
         assert arr.rows(3) == rows and arr.rows(3) is not rows  # built from the table
         assert arr.rows(3) is arr.rows(3)
         chi = character(g, 200, 1)
-        assert row_ft_exact(arr, 3, (chi,)) == row_ft_exact(
-            GeneralArray(g, lambda n: rows), 3, (chi,)
-        )
+        assert row_ft_exact(arr, (3,), (chi,))[0] == row_ft_exact(
+            GeneralArray(g, lambda n: rows), (3,), (chi,)
+        )[0]
         with pytest.raises(ValueError, match="another group"):
             GeneralArray(T, table_rule=lambda n: t).row_count(1)
         with pytest.raises(TypeError, match="exactly one"):
@@ -500,31 +506,154 @@ class TestPackedRows:
         g = padic_group(2)
         arr = GeneralArray(T, lambda n: (row_distribution(g, [(identity(g), 1.0)]),))
         with pytest.raises(ValueError, match="another group"):
-            row_ft_exact(arr, 1, (character(T, 1),))
+            row_ft_exact(arr, (1,), (character(T, 1),))
+
+
+# 40 grid points from 1e2 to 1e12, as in the benchmark sweep
+SWEEP = tuple(sorted({round(10 ** (2 + k / 4)) for k in range(41)}))[:40]
+
+
+def _grid_cases(g):
+    """(characters, neighborhoods, cylinders) of the grid-pass tests: the
+    defaults, with depth-0 characters only on padic_group(101, 8)."""
+    chars = default_characters(g, max_d=0 if g.p == 101 else 3)
+    nbhds = default_neighborhoods(g)
+    cylinders = ()
+    if g.kind == "padic":
+        cylinders = tuple((from_int(g, res), r) for r in (1, 2, 3) for res in (1, 3, g.p**r - 1))
+    return chars, nbhds, cylinders
+
+
+def _assert_grid_equals_points(arr, grid, chars, nbhds, cylinders=()):
+    # repr tells every float bit pattern apart, signed zeros included
+    stats = [(row_ft_exact, chars), (sum_var_g, chars), (sum_tail, nbhds),
+             (infinitesimality_stat, nbhds)]
+    if arr.kind != "general":
+        stats.append((symmetric_stat, chars))
+    if arr.group.kind == "padic":
+        stats.append((sum_cylinder, cylinders))
+    for stat, items in stats:
+        whole = stat(arr, grid, items)
+        assert len(whole) == len(grid)
+        assert repr(whole) == repr(tuple(stat(arr, (n,), items)[0] for n in grid)), stat.__name__
+    whole = sum_local_means(arr, grid)
+    assert repr(whole) == repr(tuple(sum_local_means(arr, (n,))[0] for n in grid))
+
+
+GRID_GROUPS = {
+    "torus": torus_group(),
+    "solenoid": solenoid_group(3, 6),
+    "padic": padic_group(2, 16),
+    "padic-object": padic_group(101, 8),
+}
+
+
+class TestGridPass:
+    # a whole grid in one call must give, bit for bit, what one-point grids give
+
+    @pytest.mark.parametrize("name", sorted(GRID_GROUPS))
+    def test_iid_arrays(self, name):
+        g = GRID_GROUPS[name]
+        if g.kind == "padic":
+            x = from_int(g, 5 * g.p)
+            arr = bernoulli_array(g, x, p=power(3.0, -1.0), K=linear(1.0))
+        else:
+            arr = rademacher_array(g, K=linear(1.0), angle=power(1.0, -0.5))
+        _assert_grid_equals_points(arr, SWEEP, *_grid_cases(g))
+
+    def test_symmetric_three_atom_rows(self):
+        arr = iid_symmetric_array(T, _three_point, K=linear(1.0))
+        _assert_grid_equals_points(arr, SWEEP, *_grid_cases(T))
+
+    @pytest.mark.parametrize("name", sorted(GRID_GROUPS))
+    def test_bernoulli_rows_losing_an_atom(self, name):
+        # p_n = 0 drops the atom x and p_n = 1 the identity: one-atom and
+        # two-atom entries then share a block
+        g = GRID_GROUPS[name]
+        x = from_int(g, 3) if g.kind == "padic" else from_turns(g, 0.3)
+        rates = {n: (0.0 if k % 3 == 0 else 1.0 if k % 7 == 0 else 1.0 / n)
+                 for k, n in enumerate(SWEEP)}
+        arr = bernoulli_array(g, x, p=table(rates), K=linear(1.0))
+        widths = {len(arr.packed(n).values) for n in SWEEP}
+        assert widths == {1, 2}
+        _assert_grid_equals_points(arr, SWEEP, *_grid_cases(g))
+
+    @pytest.mark.parametrize("name", sorted(GRID_GROUPS))
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal-rows", "ragged-rows"])
+    def test_general_rows(self, name, equal):
+        # rows of equal entry counts are folded on a reshape, others one
+        # slice per row
+        g = GRID_GROUPS[name]
+        rng = np.random.default_rng(11)
+        grid = (2, 3, 5, 8, 13, 21, 34)
+        rows = {n: _random_general_rows(g, rng, K=40 if equal else 3 * n) for n in grid}
+        arr = GeneralArray(g, lambda n: rows[n])
+        _assert_grid_equals_points(arr, grid, *_grid_cases(g))
+
+    @pytest.mark.parametrize("g", [torus_group(), solenoid_group(3, 6)], ids=["torus", "solenoid"])
+    def test_rows_straddling_the_block_bound(self, g, monkeypatch):
+        # 5 characters: rows of 200, 800 and 1,200 atoms join (11,000 values),
+        # 4,000 atoms run alone in chunks of 4 characters and 18,000 atoms
+        # one character at a time
+        rng = np.random.default_rng(3)
+        grid = (100, 400, 600, 2_000, 9_000)
+
+        def two_atom_row(n):
+            t = rng.uniform(-0.4, 0.4, n)
+            return PackedRow(g, np.stack([t, -t], axis=1).ravel(), np.full(2 * n, 0.5),
+                             np.arange(0, 2 * n, 2))
+
+        rows = {n: two_atom_row(n) for n in grid}
+        arr = GeneralArray(g, table_rule=lambda n: rows[n])
+        depth = 0 if g.kind == "torus" else 2
+        chars = tuple(character(g, l, min(d, depth)) for l, d in
+                      ((1, 0), (-2, 0), (3, 1), (5, 2), (8, 0)))
+        nbhds = tuple(Neighborhood(g, eps=e, d=min(d, depth)) for e, d in
+                      ((0.1, 0), (0.5, 2), (1.0, 1), (2.0, 0), (3.0, 2)))
+        passes = []
+
+        def counting(group, items, values):
+            passes.append((len(items), len(values)))
+            return char_eval_block(group, items, values)
+
+        monkeypatch.setattr(arrays, "char_eval_block", counting)
+        row_ft_exact(arr, grid, chars)
+        assert passes == [(5, 2_200), (4, 4_000), (1, 4_000)] + [(1, 18_000)] * 5
+        _assert_grid_equals_points(arr, grid, chars, nbhds)
+
+    @pytest.mark.parametrize("name", sorted(GRID_GROUPS))
+    def test_empty_item_sets(self, name):
+        g = GRID_GROUPS[name]
+        arr = GeneralArray(g, lambda n: _random_general_rows(g, np.random.default_rng(n), K=n))
+        for stat in (row_ft_exact, sum_var_g, sum_tail, infinitesimality_stat, sum_cylinder):
+            if stat is sum_cylinder and g.kind != "padic":
+                continue
+            assert stat(arr, SWEEP[:5], ()) == ((),) * 5
+        assert row_ft_exact(arr, (), _grid_cases(g)[0]) == ()
 
 
 class TestStats:
     def test_symmetric_stat_value(self):
         arr = rademacher_array(T, K=linear(1.0), angle=power(1.0, -0.5))
-        got = symmetric_stat(arr, 10_000, (character(T, 1),))[0]
+        got = symmetric_stat(arr, (10_000,), (character(T, 1),))[0][0]
         assert got == pytest.approx(10_000 * (1 - math.cos(0.01)), rel=1e-12)
         assert got == pytest.approx(0.4999958, abs=1e-6)
 
     def test_symmetric_stat_trivial(self):
         arr = torus_rademacher()
-        assert symmetric_stat(arr, 100, (character(T, 0),))[0] == 0.0
+        assert symmetric_stat(arr, (100,), (character(T, 0),))[0][0] == 0.0
 
     def test_symmetric_stat_bernoulli_sign_char(self):
         arr = padic_bernoulli(coef=1.0, exp=-1.0)
         # chi(x) = -1: K(1 - (1 - 2 p)) = 2 K p
         for n in GRID:
-            got = symmetric_stat(arr, n, (character(arr.group, 1, 0),))[0]
+            got = symmetric_stat(arr, (n,), (character(arr.group, 1, 0),))[0][0]
             assert got == pytest.approx(2.0, rel=1e-9)
 
     def test_symmetric_stat_rejects_general(self):
         arr = GeneralArray(T, lambda n: (row_distribution(T, [(identity(T), 1.0)]),))
         with pytest.raises(ValueError, match="i.i.d."):
-            symmetric_stat(arr, 1, (character(T, 1),))
+            symmetric_stat(arr, (1,), (character(T, 1),))
 
     def test_bernoulli_rate(self):
         assert bernoulli_rate(padic_bernoulli(), 1000) == pytest.approx(2.0)
@@ -542,7 +671,8 @@ class TestStats:
         arr = torus_rademacher()
         chi = character(T, 2)
         gaps = [
-            abs(symmetric_stat(arr, n, (chi,))[0] - 0.5 * sum_var_g(arr, n, (chi,))[0]) for n in GRID
+            abs(symmetric_stat(arr, (n,), (chi,))[0][0] - 0.5 * sum_var_g(arr, (n,), (chi,))[0][0])
+            for n in GRID
         ]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-4

@@ -149,7 +149,7 @@ class TestRunners:
             n = int(row["n"])
             ell = int(row["char_id"].split(":")[1])
             chi = character(cfg.group, ell)
-            exact = row_ft_exact(cfg.array, n, (chi,))[0]
+            exact = row_ft_exact(cfg.array, (n,), (chi,))[0][0]
             limit = limit_law_ft(cfg.law, chi)
             assert float(row["re_exact"]) == exact.real
             assert float(row["im_exact"]) == exact.imag
@@ -170,10 +170,10 @@ class TestRunners:
             name = row["condition"]
             if name.startswith("char_gap"):
                 ell = int(name.split("l:")[1].rstrip("]"))
-                assert value == symmetric_stat(cfg.array, n, (character(cfg.group, ell),))[0]
+                assert value == symmetric_stat(cfg.array, (n,), (character(cfg.group, ell),))[0][0]
             elif name.startswith("var_sum"):
                 ell = int(name.split("l:")[1].rstrip("]"))
-                assert value == sum_var_g(cfg.array, n, (character(cfg.group, ell),))[0]
+                assert value == sum_var_g(cfg.array, (n,), (character(cfg.group, ell),))[0][0]
             elif name == "ft_sup_distance":
                 assert value == ft_sup_distance(
                     cfg.array, cfg.law, n, cfg.settings.characters
@@ -208,7 +208,7 @@ class TestRunners:
         with open(out / "verify" / "ft_table.csv", newline="") as fh:
             for row in csv.DictReader(fh):
                 chi = chars[row["char_id"]]
-                exact = row_ft_exact(cfg.array, int(row["n"]), (chi,))[0]
+                exact = row_ft_exact(cfg.array, (int(row["n"]),), (chi,))[0][0]
                 limit = limit_law_ft(cfg.law, chi)
                 assert float(row["re_exact"]) == exact.real
                 assert float(row["im_exact"]) == exact.imag
@@ -234,7 +234,7 @@ class TestRunners:
         for row in rows:
             chi = chars[row["char_id"]]
             if row["kind"] == "array":
-                exact = row_ft_exact(cfg.array, int(row["n"]), (chi,))[0]
+                exact = row_ft_exact(cfg.array, (int(row["n"]),), (chi,))[0][0]
             else:
                 exact = limit_law_ft(cfg.law, chi)
             assert float(row["re_exact"]) == exact.real

@@ -14,6 +14,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcalim import config
 from lcalim.arrays import PackedRow, pack_rows, plain_entries
@@ -29,6 +31,7 @@ from lcalim.config import (
     parse_element,
 )
 from lcalim.groups import (
+    PADIC,
     TWO_PI,
     block_dtype,
     element_value,
@@ -37,6 +40,7 @@ from lcalim.groups import (
     solenoid_group,
     torus_group,
 )
+from lcalim.measures import ATOM_TOL_TURNS
 from lcalim.verify import ConfigError
 
 GROUPS = {
@@ -272,6 +276,95 @@ def test_plain_masses_hold_in_any_summation_order():
             sums += 1
     assert 0 < sums < len(counts)
 
+
+
+def _argsort_plain_entries(group, values, weights, counts):
+    """plain_entries with two stable argsorts for every table: the
+    formulation that the equal-width path replaced, kept as its oracle."""
+    counts = np.asarray(counts, dtype=np.intp)
+    entry = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    bad = ~(np.isfinite(weights) & (weights > 0.0))
+    plain = np.bincount(entry, weights=bad, minlength=len(counts)) == 0
+    mass = np.bincount(entry, weights=np.where(bad, 0.0, weights), minlength=len(counts))
+    plain &= np.abs(mass - 1.0) <= 1e-12 - 2 * counts * np.finfo(float).eps
+    order = np.argsort(values, kind="stable")
+    order = order[np.argsort(entry[order], kind="stable")]
+    v, e = values[order], entry[order]
+    same = e[1:] == e[:-1]
+    if group.kind == PADIC:
+        close = same & (v[1:] == v[:-1]).astype(bool)
+    else:
+        close = same & (v[1:] - v[:-1] <= 2 * ATOM_TOL_TURNS)
+        ends = np.flatnonzero(counts > 1)
+        wrap = v[starts[ends]] + 1.0 - v[starts[ends] + counts[ends] - 1] <= 2 * ATOM_TOL_TURNS
+        plain[ends[wrap]] = False
+    plain[e[1:][close]] = False
+    return plain
+
+
+# torus, solenoid, int64 residues and Python-int residues (101^9 > 2^31)
+PLAIN_GROUPS = (torus_group(), solenoid_group(3, 6), padic_group(2, 16), padic_group(101, 8))
+# nudges that put an atom within, at or just beyond 2 * ATOM_TOL_TURNS of another
+NUDGES = (0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12, 2.5e-12, -2.5e-12, 1e-9, 0.5)
+
+
+@st.composite
+def _atom_tables(draw):
+    """(group, values, weights, counts): entries of equal or mixed widths,
+    with atoms that repeat or nearly repeat earlier ones, also across the
+    +-1/2 wrap."""
+    group = draw(st.sampled_from(PLAIN_GROUPS))
+    k = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        counts = [draw(st.integers(1, 5))] * k
+    else:
+        counts = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    raw = []
+    for i in range(sum(counts)):
+        if raw and draw(st.booleans()):
+            j = draw(st.integers(0, len(raw) - 1))
+            if group.kind == PADIC:
+                raw.append(raw[j] + draw(st.sampled_from((0, 0, 1, group.modulus - 1))))
+            else:
+                raw.append(raw[j] + draw(st.sampled_from(NUDGES)))
+        elif group.kind == PADIC:
+            raw.append(draw(st.integers(0, group.modulus - 1)))
+        else:
+            edge = st.sampled_from((-0.5, 0.5 - 1e-12, 0.5 - 3e-12, -0.5 + 1e-12, 0.0))
+            raw.append(draw(st.one_of(edge, st.floats(-0.5, 0.5, exclude_max=True))))
+    if group.kind == PADIC:
+        values = np.array([v % group.modulus for v in raw], dtype=block_dtype(group))
+    else:
+        values = reduce_turns_block(np.array(raw))
+    weights = np.concatenate([np.full(m, 1.0 / m) for m in counts])
+    return group, values, weights, np.array(counts, dtype=np.intp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_atom_tables())
+def test_plain_entries_match_argsort_oracle(table):
+    group, values, weights, counts = table
+    got = plain_entries(group, values, weights, counts)
+    want = _argsort_plain_entries(group, values, weights, counts)
+    assert got.dtype == bool and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("group", PLAIN_GROUPS, ids=["torus", "solenoid", "padic", "padic-object"])
+def test_plain_entries_find_close_atoms_in_equal_widths(group):
+    # the cases the oracle test must be able to tell apart, spelled out
+    if group.kind == PADIC:
+        rows = [[5, 7], [7, 7], [group.modulus - 1, 0], [3, 3]]
+        want = [True, False, True, False]
+    else:
+        rows = [[0.1, 0.2], [0.1, 0.1 + 1e-12], [-0.5, 0.5 - 1e-12], [0.25, -0.5 + 3e-12],
+                [0.3, 0.3 + 3e-12]]
+        want = [True, False, False, True, True]
+    values = np.array([v for row in rows for v in row], dtype=block_dtype(group))
+    weights = np.full(len(values), 0.5)
+    counts = np.full(len(rows), 2)
+    assert plain_entries(group, values, weights, counts).tolist() == want
+    assert _argsort_plain_entries(group, values, weights, counts).tolist() == want
 
 GENERAL_DOC = {
     "group": {"kind": "padic", "p": 3, "depth": 6},

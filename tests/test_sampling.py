@@ -161,7 +161,7 @@ class TestEmpiricalFT:
         M = 40_000
         est = empirical_ft(arr, 1000, chars, M, SeededStream(42))
         for chi, emp in zip(est.chars, est.estimates):
-            assert abs(emp - row_ft_exact(arr, 1000, (chi,))[0]) <= 4.0 / math.sqrt(M)
+            assert abs(emp - row_ft_exact(arr, (1000,), (chi,))[0][0]) <= 4.0 / math.sqrt(M)
 
     def test_stderr_value(self):
         arr = _torus_rademacher()
@@ -222,7 +222,7 @@ class TestEmpiricalFT:
         M = 20_000
         est = empirical_ft(arr, 1, chars, M, SeededStream(12))
         for chi, emp in zip(est.chars, est.estimates):
-            assert abs(emp - row_ft_exact(arr, 1, (chi,))[0]) <= 4.0 / math.sqrt(M)
+            assert abs(emp - row_ft_exact(arr, (1,), (chi,))[0][0]) <= 4.0 / math.sqrt(M)
 
 
 class TestLargeModulus:

@@ -354,8 +354,8 @@ class TestCheckTheorem:
         assert report.theorem == "symmetric-clt"
         assert calls == Counter(grid)
 
-        # one character pass per grid point for the FT table and one for the
-        # moment gaps, whatever the number of characters
+        # one character pass over the whole grid for the FT table and one for
+        # the moment gaps, whatever the number of characters or grid points
         evals = []
 
         def counting(group, chars, values):
@@ -363,11 +363,13 @@ class TestCheckTheorem:
             return char_eval_block(group, chars, values)
 
         monkeypatch.setattr(arrays, "char_eval_block", counting)
-        for count in (1, 4, 16):
-            evals.clear()
-            chars = tuple(character(T, l) for l in range(1, count + 1))
-            check_theorem(arr, gauss_law(T, 1.0), VerifySettings(grid=grid, characters=chars))
-            assert evals == [count] * (2 * len(grid))
+        for points in (grid, tuple(range(10, 410, 10))):
+            for count in (1, 4, 16):
+                evals.clear()
+                chars = tuple(character(T, l) for l in range(1, count + 1))
+                settings = VerifySettings(grid=points, characters=chars)
+                check_theorem(arr, gauss_law(T, 1.0), settings)
+                assert evals == [count] * 2
 
     def test_dispatch_rejects_unsupported_pairs(self):
         # general array against a Haar law has no covering theorem here
