@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .arrays import (
-    IIDArray,
+    TriangularArray,
     bernoulli_array,
     iid_symmetric_array,
     linear,
@@ -67,11 +67,11 @@ from .verify import VerifySettings, check_theorem, compound_growth, crosscheck_g
 WIDE_GRID = (100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000)
 
 
-def _torus_clt_array() -> IIDArray:
+def _torus_clt_array() -> TriangularArray:
     return rademacher_array(torus_group(), K=linear(1.0), angle=power(1.0, -0.5))
 
 
-def _padic_poisson_array() -> IIDArray:
+def _padic_poisson_array() -> TriangularArray:
     g = padic_group(2)
     return bernoulli_array(g, from_int(g, 1), p=power(2.0, -1.0), K=linear(1.0))
 

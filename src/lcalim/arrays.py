@@ -1,15 +1,16 @@
-"""Triangular-array specifications and the exact per-row statistics that
-appear in the limit-theorem hypotheses: character-moment products,
-local-mean sums, variance sums and tail sums.
+"""Triangular arrays and the exact per-row statistics that appear in the
+limit-theorem hypotheses: character-moment products, local-mean sums,
+variance sums and tail sums.
 
 Row-count and parameter rules are closed-form schedules of the row index n
 (constant / linear / power / explicit table), so every reported number is
 reproducible from the experiment description alone.
 
-Every row is one PackedRow table of distinct entries, each taken `copies`
-times: an i.i.d. row is its one entry taken K_n times, so no loop of
-length K_n is run and K_n up to 1e15 is cheap, and a general row is its
-K_n entries taken once each.  Every statistic is one body over such a
+A TriangularArray is a rule from n to row n, and row n is one PackedRow
+table of distinct entries, each taken `copies` times; the table is the
+only view of a row.  An i.i.d. row is its one entry taken K_n times, so no
+loop of length K_n is run and K_n up to 1e15 is cheap, and a general row
+is its K_n entries taken once each.  Every statistic is one body over such a
 table and takes a sequence of grid points with all their characters (or
 neighborhoods, or cylinders) at once, returning one result per point.
 Consecutive grid rows are joined into one table, a grid block, while its
@@ -36,12 +37,10 @@ from .groups import (
     PADIC,
     TORUS,
     TWO_PI,
-    Character,
     GroupElement,
     GroupId,
     GroupMismatchError,
     block_dtype,
-    block_element,
     char_eval_block,
     cyclic_subgroup,
     element_value,
@@ -65,7 +64,6 @@ from .measures import (
     DiscreteMeasure,
     cylinder_modulus,
     discrete_measure,
-    measure_ft,
 )
 
 MAX_TEMP = 65_536  # values in any temporary array of a pass over a row or a block
@@ -178,17 +176,6 @@ class PackedRow:
     copies: int = 1
 
     @cached_property
-    def laws(self) -> tuple[RowDistribution, ...]:
-        """One row law per entry, built from the table on first use."""
-        xs = [block_element(self.group, v) for v in self.values.tolist()]
-        atoms = list(zip(xs, self.weights.tolist()))
-        bounds = self.starts.tolist() + [len(atoms)]
-        return tuple(
-            RowDistribution(DiscreteMeasure(self.group, tuple(atoms[a:b])))
-            for a, b in zip(bounds, bounds[1:])
-        )
-
-    @cached_property
     def _groups(self) -> list:
         """The entries grouped by atom count m: (entries, their atoms'
         positions as an entries x m array, m), or (all, None, m) when every
@@ -217,53 +204,63 @@ class PackedRow:
 
 def pack_rows(group: GroupId, laws, copies: int = 1) -> PackedRow:
     """One PackedRow of the row laws, each taken `copies` times, checked
-    to lie on the group; its laws are these very objects."""
+    to lie on the group."""
     laws = tuple(laws)
     if any(dist.group != group for dist in laws):
         raise GroupMismatchError("row rule produced a distribution on another group")
     atoms = [atom for dist in laws for atom in dist.atoms]
     counts = np.array([len(dist.atoms) for dist in laws], dtype=np.intp)
-    row = PackedRow(
+    return PackedRow(
         group,
         np.array([element_value(x) for x, _ in atoms], dtype=block_dtype(group)),
         np.array([w for _, w in atoms], dtype=float),
         np.cumsum(counts) - counts,
         copies,
     )
-    row.__dict__["laws"] = laws  # fills the cached property
-    return row
 
 
 @dataclass(frozen=True)
-class IIDArray:
-    """Rows of K_n i.i.d. entries with the row law dist(n).
+class TriangularArray:
+    """A triangular array: rule(n) is row n as one PackedRow table.
 
     kind is "rademacher" (mass 1/2 on x(n) and 1/2 on -x(n)), "bernoulli"
-    (mass p(n) on the fixed atom x(n), 1 - p(n) on the identity) or
-    "symmetric" (a symmetric law produced by a rule); build them with
-    rademacher_array, bernoulli_array and iid_symmetric_array.
+    (mass p(n) on the fixed atom x(n), 1 - p(n) on the identity),
+    "symmetric" (a symmetric law produced by a rule), all three with K_n
+    i.i.d. entries, or "general" (rowwise-independent entries with laws of
+    their own); build them with rademacher_array, bernoulli_array,
+    iid_symmetric_array and general_array.
     """
 
     group: GroupId
-    K: Schedule
     kind: str
-    dist: Callable[[int], RowDistribution]
+    rule: Callable[[int], PackedRow] = field(repr=False)
     x: Callable[[int], GroupElement] | None = None
     p: Callable[[int], float] | None = None
     _packed: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
     def row_count(self, n: int) -> int:
-        return _positive_k(self.K(n), n)
+        row = self.packed(n)
+        return row.copies * len(row.starts)
 
     def packed(self, n: int) -> PackedRow:
-        """Row n as one table, the entry dist(n) taken K_n times; built once."""
+        """Row n as one table, built, checked and kept the first time row n
+        is used."""
         row = self._packed.get(n)
         if row is None:
-            row = self._packed[n] = pack_rows(self.group, (self.dist(n),), self.row_count(n))
+            row = self.rule(n)
+            if row.group != self.group:
+                raise GroupMismatchError("row rule produced a row on another group")
+            if not len(row.starts):
+                raise ValueError(f"row count K_n must be a positive integer; got 0 at n={n}")
+            self._packed[n] = row
         return row
 
-    def iid_dist(self, n: int) -> RowDistribution:
-        return self.packed(n).laws[0]
+
+def _iid_array(group: GroupId, kind: str, dist, K: Schedule, **rules) -> TriangularArray:
+    """Row n is the entry dist(n) taken K_n times."""
+    return TriangularArray(
+        group, kind, lambda n: pack_rows(group, (dist(n),), _positive_k(K(n), n)), **rules
+    )
 
 
 def rademacher_array(
@@ -271,7 +268,7 @@ def rademacher_array(
     K: Schedule,
     angle: Schedule | None = None,
     elements: tuple[tuple[int, GroupElement], ...] = (),
-) -> IIDArray:
+) -> TriangularArray:
     """Rows put mass 1/2 on x_n and 1/2 on -x_n.
 
     On the torus and solenoid x_n is given by an angle schedule (for the
@@ -301,10 +298,10 @@ def rademacher_array(
         xn = x(n)
         return row_distribution(group, [(xn, 0.5), (neg(xn), 0.5)])
 
-    return IIDArray(group, K, "rademacher", dist, x=x)
+    return _iid_array(group, "rademacher", dist, K, x=x)
 
 
-def bernoulli_array(group: GroupId, x: GroupElement, p: Schedule, K: Schedule) -> IIDArray:
+def bernoulli_array(group: GroupId, x: GroupElement, p: Schedule, K: Schedule) -> TriangularArray:
     """Rows put mass p_n on a fixed x != e and 1 - p_n on the identity."""
     if x.group != group:
         raise GroupMismatchError("Bernoulli atom on a different group")
@@ -321,12 +318,12 @@ def bernoulli_array(group: GroupId, x: GroupElement, p: Schedule, K: Schedule) -
         pn = rate(n)
         return row_distribution(group, [(x, pn), (identity(group), 1.0 - pn)])
 
-    return IIDArray(group, K, "bernoulli", dist, x=lambda n: x, p=rate)
+    return _iid_array(group, "bernoulli", dist, K, x=lambda n: x, p=rate)
 
 
 def iid_symmetric_array(
     group: GroupId, dist_rule: Callable[[int], RowDistribution], K: Schedule
-) -> IIDArray:
+) -> TriangularArray:
     """Rows are i.i.d. with a symmetric distribution produced by a rule."""
 
     def dist(n: int) -> RowDistribution:
@@ -335,7 +332,7 @@ def iid_symmetric_array(
             raise ValueError(f"row distribution at n={n} is not symmetric")
         return d
 
-    return IIDArray(group, K, "symmetric", dist)
+    return _iid_array(group, "symmetric", dist, K)
 
 
 def plain_entries(group: GroupId, values: np.ndarray, weights: np.ndarray, counts) -> np.ndarray:
@@ -385,63 +382,15 @@ def plain_entries(group: GroupId, values: np.ndarray, weights: np.ndarray, count
     return plain
 
 
-@dataclass(frozen=True)
-class GeneralArray:
-    """Arbitrary rowwise-independent rows from a rule n -> list of row
-    distributions (one per k), or from a table_rule n -> PackedRow given
-    by keyword instead; the row laws of a table are built only when
-    rows(n) asks."""
-
-    group: GroupId
-    rows_rule: Callable[[int], tuple[RowDistribution, ...]] | None = None
-    table_rule: Callable[[int], PackedRow] | None = field(default=None, repr=False)
-    _packed: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
-    kind = "general"
-
-    def __post_init__(self) -> None:
-        if (self.rows_rule is None) == (self.table_rule is None):
-            raise TypeError("GeneralArray needs exactly one of rows_rule and table_rule")
-
-    def row_count(self, n: int) -> int:
-        return len(self.packed(n).starts)
-
-    def packed(self, n: int) -> PackedRow:
-        """Row n as one table, built or fetched the first time row n is
-        used."""
-        row = self._packed.get(n)
-        if row is None:
-            if self.rows_rule is not None:
-                row = pack_rows(self.group, self.rows_rule(n))
-            else:
-                row = self.table_rule(n)
-                if row.group != self.group:
-                    raise GroupMismatchError("table rule produced a row on another group")
-            self._packed[n] = row
-        return row
-
-    def rows(self, n: int) -> tuple[RowDistribution, ...]:
-        return self.packed(n).laws
+def general_array(
+    group: GroupId, laws: Callable[[int], tuple[RowDistribution, ...]]
+) -> TriangularArray:
+    """Rowwise-independent rows: row n has one entry per law of laws(n)."""
+    return TriangularArray(group, "general", lambda n: pack_rows(group, laws(n)))
 
 
-TriangularArraySpec = IIDArray | GeneralArray
-
-
-def is_symmetric_array(array: TriangularArraySpec) -> bool:
+def is_symmetric_array(array: TriangularArray) -> bool:
     return array.kind in ("rademacher", "symmetric")
-
-
-def row_dist(array: TriangularArraySpec, n: int, k: int) -> RowDistribution:
-    """Distribution of the k-th entry of row n, 1 <= k <= K_n."""
-    K = array.row_count(n)
-    if not 1 <= k <= K:
-        raise IndexError(f"row index k={k} outside 1..{K}")
-    row = array.packed(n)
-    return row.laws[(k - 1) // row.copies]
-
-
-def char_moment(dist: RowDistribution, chi: Character) -> complex:
-    """Expected character value under one row distribution."""
-    return measure_ft(dist.measure, chi)
 
 
 def _power(z: complex, K: int) -> complex:
@@ -496,7 +445,7 @@ def _fold(x: np.ndarray, counts: list, reduce) -> list:
     return [reduce(x[:, a:b]).tolist() for a, b in zip([0] + ends, ends)]
 
 
-def _grid_pass(array: TriangularArraySpec, ns, items, per_entry, reduce) -> list:
+def _grid_pass(array: TriangularArray, ns, items, per_entry, reduce) -> list:
     """(row, values) at every grid point of ns: per_entry(block, chunk) is
     the chunk x entries array of a chunk of the items on a block of joined
     rows (see _blocks), and reduce folds it over each row's entries."""
@@ -515,7 +464,7 @@ def _grid_pass(array: TriangularArraySpec, ns, items, per_entry, reduce) -> list
     return out
 
 
-def _row_sums(array: TriangularArraySpec, ns, items, per_entry) -> tuple[tuple[float, ...], ...]:
+def _row_sums(array: TriangularArray, ns, items, per_entry) -> tuple[tuple[float, ...], ...]:
     """copies times the sum of per_entry over each row's entries, for every
     item and every grid point of ns (see _grid_pass)."""
     sums = _grid_pass(array, ns, items, per_entry, lambda x: x.sum(axis=-1))
@@ -532,7 +481,7 @@ def _tail_masses(row: PackedRow, nbhds) -> np.ndarray:
     return row.entry_sums(~in_nbhd_block(row.group, nbhds, row.values))
 
 
-def row_ft_exact(array: TriangularArraySpec, ns, chars) -> tuple[tuple[complex, ...], ...]:
+def row_ft_exact(array: TriangularArray, ns, chars) -> tuple[tuple[complex, ...], ...]:
     """FT of the row sum at every character, for every grid point of ns:
     the product of the entries' character moments, raised to the power
     `copies` (see _power).
@@ -544,7 +493,7 @@ def row_ft_exact(array: TriangularArraySpec, ns, chars) -> tuple[tuple[complex, 
     return tuple(tuple(_power(v, row.copies) for v in values) for row, values in z)
 
 
-def sum_local_means(array: TriangularArraySpec, ns) -> tuple[GroupElement, ...]:
+def sum_local_means(array: TriangularArray, ns) -> tuple[GroupElement, ...]:
     """Group sum of the local means of row n, for every grid point n of ns."""
     g = array.group
     if g.kind == PADIC:
@@ -560,7 +509,7 @@ def sum_local_means(array: TriangularArraySpec, ns) -> tuple[GroupElement, ...]:
     return tuple(from_turns(g, v) for (v,) in _row_sums(array, ns, (None,), turns))
 
 
-def sum_var_g(array: TriangularArraySpec, ns, chars) -> tuple[tuple[float, ...], ...]:
+def sum_var_g(array: TriangularArray, ns, chars) -> tuple[tuple[float, ...], ...]:
     """Sum over row n of the variances of g(X, chi), for every character and
     every grid point n of ns."""
 
@@ -572,13 +521,13 @@ def sum_var_g(array: TriangularArraySpec, ns, chars) -> tuple[tuple[float, ...],
     return _row_sums(array, ns, chars, variances)
 
 
-def sum_tail(array: TriangularArraySpec, ns, nbhds) -> tuple[tuple[float, ...], ...]:
+def sum_tail(array: TriangularArray, ns, nbhds) -> tuple[tuple[float, ...], ...]:
     """Sum over row n of the probabilities of landing outside U, per U, for
     every grid point n of ns."""
     return _row_sums(array, ns, nbhds, _tail_masses)
 
 
-def sum_cylinder(array: TriangularArraySpec, ns, cylinders) -> tuple[tuple[float, ...], ...]:
+def sum_cylinder(array: TriangularArray, ns, cylinders) -> tuple[tuple[float, ...], ...]:
     """Sum over row n of the probabilities of the padic cylinder
     x0 + lambda(r), for every (x0, r) of cylinders and every grid point n
     of ns."""
@@ -590,7 +539,7 @@ def sum_cylinder(array: TriangularArraySpec, ns, cylinders) -> tuple[tuple[float
     return _row_sums(array, ns, moduli, masses)
 
 
-def infinitesimality_stat(array: TriangularArraySpec, ns, nbhds) -> tuple[tuple[float, ...], ...]:
+def infinitesimality_stat(array: TriangularArray, ns, nbhds) -> tuple[tuple[float, ...], ...]:
     """Largest tail probability in row n, for every neighborhood U and every
     grid point n of ns; the array is infinitesimal when this tends to 0 for
     every U."""
@@ -598,7 +547,7 @@ def infinitesimality_stat(array: TriangularArraySpec, ns, nbhds) -> tuple[tuple[
     return tuple(tuple(values) for _, values in tails)
 
 
-def symmetric_stat(array: TriangularArraySpec, ns, chars) -> tuple[tuple[float, ...], ...]:
+def symmetric_stat(array: TriangularArray, ns, chars) -> tuple[tuple[float, ...], ...]:
     """K_n * (1 - Re E chi(X_n1)) for i.i.d. rows, for every character and
     every grid point n of ns: the quantity whose limit decides between
     Gauss and Haar behaviour of symmetric arrays."""
@@ -607,7 +556,7 @@ def symmetric_stat(array: TriangularArraySpec, ns, chars) -> tuple[tuple[float, 
     return _row_sums(array, ns, chars, lambda row, c: 1.0 - _moments(row, c).real)
 
 
-def bernoulli_rate(array: TriangularArraySpec, n: int) -> float:
+def bernoulli_rate(array: TriangularArray, n: int) -> float:
     """K_n * p_n of a Bernoulli array."""
     if array.kind != "bernoulli":
         raise ValueError("bernoulli_rate needs a Bernoulli array")
@@ -637,7 +586,7 @@ def generating_subgroup(x: GroupElement):
     return None
 
 
-def check_null_rule(array: TriangularArraySpec, grid) -> None:
+def check_null_rule(array: TriangularArray, grid) -> None:
     """Reject Rademacher rules whose elements do not tend to the identity
     and Bernoulli rules whose rate does not tend to 0 along the grid.
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import (
-    GeneralArray,
     PackedRow,
     Schedule,
-    TriangularArraySpec,
+    TriangularArray,
     bernoulli_array,
     check_null_rule,
     iid_symmetric_array,
@@ -67,7 +66,7 @@ class MonteCarloSettings:
 @dataclass(frozen=True)
 class ExperimentConfig:
     group: GroupId
-    array: TriangularArraySpec
+    array: TriangularArray
     law: LimitLaw
     settings: VerifySettings
     mc: MonteCarloSettings
@@ -391,7 +390,7 @@ def _row_rule(table: dict):
     return rule
 
 
-def parse_array(doc, group: GroupId) -> TriangularArraySpec:
+def parse_array(doc, group: GroupId) -> TriangularArray:
     kind = _get(_dict(doc, "array"), "kind", "array")
     if kind == "rademacher":
         K = parse_schedule(_get(doc, "K", "array"), "array.K")
@@ -430,7 +429,7 @@ def parse_array(doc, group: GroupId) -> TriangularArraySpec:
             )
             for n, row_list in rows.items()
         }
-        return GeneralArray(group, table_rule=_row_rule(per_n))
+        return TriangularArray(group, "general", _row_rule(per_n))
     raise ConfigError(f"unknown array kind {kind!r}")
 
 
@@ -571,6 +570,7 @@ def _parse_config(text: str) -> ExperimentConfig:
     )
     _require(mc.replicates >= 1, "mc.replicates must be at least 1")
     _require(mc.seed >= 0, "mc.seed must be non-negative")
+    _require(min(mc.n_points) >= 1, "mc.n entries must be positive integers")
 
     # fail early on table schedules that do not cover the grid
     _probe_array(array, settings.grid, mc.n_points)
@@ -585,7 +585,7 @@ def _parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def _probe_array(array: TriangularArraySpec, grid, n_points) -> None:
+def _probe_array(array: TriangularArray, grid, n_points) -> None:
     try:
         for n in tuple(grid) + tuple(n_points):
             array.packed(n)

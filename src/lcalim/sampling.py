@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import MAX_TEMP, TriangularArraySpec
+from .arrays import MAX_TEMP, TriangularArray
 from .groups import (
     PADIC,
     SOLENOID,
@@ -25,7 +25,6 @@ from .groups import (
     TWO_PI,
     Character,
     CompactSubgroup,
-    GroupElement,
     add_block,
     block_dtype,
     block_element,
@@ -77,29 +76,25 @@ def _combine(group, counts: np.ndarray, xs) -> np.ndarray:
     return out
 
 
-def _row_sampler(
-    array: TriangularArraySpec,
-    n: int,
-    budget: int = DEFAULT_DIRECT_BUDGET,
-    force_direct: bool = False,
-):
+def _row_sampler(array: TriangularArray, n: int):
     """A function (gen, size) -> block of `size` independent row sums of
     row n.
 
     For a row of one entry taken K_n times (an i.i.d. row) the atom counts
     are drawn in one shot (binomial for two-point rows, multinomial
     otherwise) and combined as count * atom, so the cost is independent of
-    K_n.  Other rows are drawn entry by entry, subject to the budget, from
-    atom and cumulative-weight tables built once from the packed row.
+    K_n.  Other rows are drawn entry by entry, subject to
+    DEFAULT_DIRECT_BUDGET, from atom and cumulative-weight tables built
+    once from the packed row.
     """
     g = array.group
     K = array.row_count(n)
     row = array.packed(n)
-    if len(row.starts) == 1 and not force_direct:
-        dist = row.laws[0]
-        xs = [x for x, _ in dist.atoms]
-        total = dist.measure.total_mass()
-        pvals = [w / total for _, w in dist.atoms]
+    if len(row.starts) == 1:
+        xs = [block_element(g, v) for v in row.values.tolist()]
+        weights = row.weights.tolist()
+        total = sum(weights)  # in atom order, as measure.total_mass sums
+        pvals = [w / total for w in weights]
 
         def draw_counts(gen, size):
             if len(xs) == 1:
@@ -113,10 +108,12 @@ def _row_sampler(
 
         return draw_counts
 
-    if K > budget:
-        raise SamplingBudgetError(f"direct sampling of K_n={K} entries exceeds budget {budget}")
-    # one table row per packed entry: a single one shared by all K_n entries
-    # (i.i.d. rows), or one per entry (general rows)
+    if K > DEFAULT_DIRECT_BUDGET:
+        raise SamplingBudgetError(
+            f"direct sampling of K_n={K} entries exceeds budget {DEFAULT_DIRECT_BUDGET}"
+        )
+    # one table row per packed entry; entry k of the row is table row
+    # k // copies
     counts = np.diff(row.starts, append=len(row.values))
     width = int(counts.max(initial=1))
     entry = np.repeat(np.arange(len(counts)), counts)
@@ -142,7 +139,7 @@ def _row_sampler(
         step = max(1, MAX_TEMP // size)
         for k0 in range(0, K, step):
             k1 = min(k0 + step, K)
-            rows = np.zeros(k1 - k0, dtype=np.intp) if len(counts) == 1 else np.arange(k0, k1)
+            rows = np.arange(k0, k1) // row.copies
             u = gen.random((size, k1 - k0))
             idx = np.zeros(u.shape, dtype=np.intp)
             for a in range(width - 1):
@@ -201,25 +198,6 @@ def _law_sampler(law: LimitLaw):
     return draw
 
 
-def sample_row_sum(
-    array: TriangularArraySpec,
-    n: int,
-    stream: SeededStream,
-    budget: int = DEFAULT_DIRECT_BUDGET,
-    force_direct: bool = False,
-) -> GroupElement:
-    """One draw of the row sum of row n: a block of one from the stream's
-    generator (see _row_sampler)."""
-    draw = _row_sampler(array, n, budget, force_direct)
-    return block_element(array.group, draw(stream.generator(), 1)[0])
-
-
-def sample_limit_law(law: LimitLaw, stream: SeededStream) -> GroupElement:
-    """One draw from the quadruplet law: a block of one from the stream's
-    generator (see _law_sampler)."""
-    return block_element(law.group, _law_sampler(law)(stream.generator(), 1)[0])
-
-
 @dataclass(frozen=True)
 class EmpiricalFT:
     """Monte Carlo estimate of the row-sum FT on a character set."""
@@ -251,17 +229,11 @@ def _estimate(draw, group, chars, M: int, stream: SeededStream) -> EmpiricalFT:
 
 
 def empirical_ft(
-    array: TriangularArraySpec,
-    n: int,
-    chars,
-    M: int,
-    stream: SeededStream,
-    force_direct: bool = False,
+    array: TriangularArray, n: int, chars, M: int, stream: SeededStream
 ) -> EmpiricalFT:
     """Estimate the row-sum FT by averaging chi over M independent row-sum
     draws."""
-    draw = _row_sampler(array, n, force_direct=force_direct)
-    return _estimate(draw, array.group, chars, M, stream)
+    return _estimate(_row_sampler(array, n), array.group, chars, M, stream)
 
 
 def empirical_law_ft(law: LimitLaw, chars, M: int, stream: SeededStream) -> EmpiricalFT:

@@ -33,7 +33,7 @@ from .groups import (
     reduce_turns,
 )
 from .arrays import (
-    TriangularArraySpec,
+    TriangularArray,
     bernoulli_rate,
     generating_subgroup,
     infinitesimality_stat,
@@ -266,7 +266,7 @@ class ConvergenceReport:
         return self.overall == "pass"
 
 
-def ft_sup_distance(array: TriangularArraySpec, law: LimitLaw, n: int, chars) -> float:
+def ft_sup_distance(array: TriangularArray, law: LimitLaw, n: int, chars) -> float:
     """Largest absolute gap, over the character set, between the exact
     row-sum FT and the law's FT."""
     exact = row_ft_exact(array, (n,), chars)[0]
@@ -329,7 +329,7 @@ def _cylinder_set(law: LimitLaw, array, settings: VerifySettings):
 
 
 def check_theorem(
-    array: TriangularArraySpec, law: LimitLaw, settings: VerifySettings | None = None
+    array: TriangularArray, law: LimitLaw, settings: VerifySettings | None = None
 ) -> ConvergenceReport:
     """Evaluate every hypothesis sequence of the theorem matching the
     (array, law) pair on the n-grid, classify trends against the law's
@@ -503,7 +503,7 @@ def _clt_conditions(array, qform, settings: VerifySettings, classify):
 
 
 def crosscheck_gensym2(
-    array: TriangularArraySpec, b: float, settings: VerifySettings | None = None
+    array: TriangularArray, b: float, settings: VerifySettings | None = None
 ) -> EquivalenceReport:
     """Evaluate, on the same grid, the three equivalent statements for a
     symmetric i.i.d. array and the Gauss law with parameter b: FT distance
@@ -543,7 +543,7 @@ class Prediction:
 
 
 def predict_limit(
-    array: TriangularArraySpec,
+    array: TriangularArray,
     grid,
     tol: float = DEFAULT_TREND_TOL,
     window: int = DEFAULT_WINDOW,

@@ -5,13 +5,14 @@ import pytest
 
 from lcalim import arrays
 from lcalim.arrays import (
-    GeneralArray,
     PackedRow,
+    TriangularArray,
+    _moments,
     _power,
     bernoulli_array,
     bernoulli_rate,
-    char_moment,
     constant,
+    general_array,
     generating_subgroup,
     iid_symmetric_array,
     infinitesimality_stat,
@@ -19,7 +20,6 @@ from lcalim.arrays import (
     pack_rows,
     power,
     rademacher_array,
-    row_dist,
     row_distribution,
     row_ft_exact,
     sum_cylinder,
@@ -50,7 +50,7 @@ from lcalim.groups import (
     trivial_subgroup,
 )
 from lcalim.groups import char_eval_block
-from lcalim.measures import cylinder_mass, local_mean, tail_mass_measure
+from lcalim.measures import cylinder_mass, local_mean, measure_ft, tail_mass_measure
 from lcalim.verify import default_characters, default_neighborhoods, predict_limit
 
 T = torus_group()
@@ -78,19 +78,37 @@ class TestSchedules:
             table({10: 1.0})(11)
 
 
+def _same_table(row, want):
+    """Equal values, weights, starts and copies, bit for bit (object
+    residues by value)."""
+    if want.values.dtype == object:
+        values = row.values.tolist() == want.values.tolist()
+    else:
+        values = row.values.tobytes() == want.values.tobytes()
+    return (
+        row.values.dtype == want.values.dtype
+        and values
+        and row.weights.tobytes() == want.weights.tobytes()
+        and row.starts.tolist() == want.starts.tolist()
+        and row.copies == want.copies
+    )
+
+
 class TestRowDist:
+    # the table of row n: the entries' atoms and weights, taken copies times
     def test_rademacher_rows(self):
         arr = torus_rademacher()
-        dist = row_dist(arr, 100, 3)
-        assert len(dist.atoms) == 2
-        assert all(w == 0.5 for _, w in dist.atoms)
-        xs = [x for x, _ in dist.atoms]
+        row = arr.packed(100)
+        assert row.copies == 100 and row.starts.tolist() == [0]
+        assert row.weights.tolist() == [0.5, 0.5]
+        xs = [from_turns(T, t) for t in row.values.tolist()]
         assert elements_close(xs[0], neg(xs[1]))
 
     def test_bernoulli_rows(self):
         arr = padic_bernoulli()
-        dist = row_dist(arr, 100, 1)
-        weights = sorted(w for _, w in dist.atoms)
+        row = arr.packed(100)
+        assert row.copies == 100 and row.starts.tolist() == [0]
+        weights = sorted(row.weights.tolist())
         assert weights == [pytest.approx(0.02), pytest.approx(0.98)]
 
     def test_general_rows_are_positional(self):
@@ -99,16 +117,11 @@ class TestRowDist:
             row_distribution(T, [(identity(T), 1.0)]),
             row_distribution(T, [(x, 1.0)]),
         )
-        arr = GeneralArray(T, lambda n: rows)
-        assert row_dist(arr, 7, 1) is rows[0]
-        assert row_dist(arr, 7, 2) is rows[1]
-
-    def test_index_out_of_range(self):
-        arr = torus_rademacher()
-        with pytest.raises(IndexError):
-            row_dist(arr, 100, 0)
-        with pytest.raises(IndexError):
-            row_dist(arr, 100, 101)
+        arr = general_array(T, lambda n: rows)
+        row = arr.packed(7)
+        assert row.values.tolist() == [0.0, x.turns]
+        assert row.starts.tolist() == [0, 1] and row.copies == 1
+        assert arr.row_count(7) == 2
 
     def test_row_distribution_mass_check(self):
         with pytest.raises(ValueError, match="mass"):
@@ -118,7 +131,7 @@ class TestRowDist:
         dist = row_distribution(T, [(from_angle(T, 0.4), 0.6), (from_angle(T, -0.4), 0.4)])
         arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
         with pytest.raises(ValueError, match="symmetric"):
-            arr.iid_dist(10)
+            arr.packed(10)
 
     def test_bernoulli_validation(self):
         g = padic_group(2)
@@ -126,12 +139,21 @@ class TestRowDist:
             bernoulli_array(g, identity(g), p=constant(0.1), K=linear(1.0))
         arr = bernoulli_array(g, from_int(g, 1), p=constant(1.5), K=linear(1.0))
         with pytest.raises(ValueError, match="outside"):
-            arr.iid_dist(10)
+            arr.packed(10)
 
     def test_k_must_be_positive_integer(self):
         arr = rademacher_array(T, K=constant(0.0), angle=power(1.0, -0.5))
         with pytest.raises(ValueError, match="positive integer"):
             arr.row_count(10)
+
+    def test_general_row_needs_an_entry(self):
+        arr = general_array(T, lambda n: ())
+        message = r"^row count K_n must be a positive integer; got 0 at n=3$"
+        with pytest.raises(ValueError, match=message):
+            arr.row_count(3)
+        with pytest.raises(ValueError, match=message):
+            row_ft_exact(arr, (3,), (character(T, 1),))
+        assert arr._packed == {}  # a rejected row is not kept
 
 
 class TestCharMoment:
@@ -139,7 +161,7 @@ class TestCharMoment:
         dist = row_distribution(
             T, [(from_angle(T, math.pi / 4), 0.5), (from_angle(T, -math.pi / 4), 0.5)]
         )
-        z = char_moment(dist, character(T, 1))
+        z = measure_ft(dist.measure, character(T, 1))
         assert z == pytest.approx(math.cos(math.pi / 4), abs=1e-14)
         assert z.imag == 0.0
 
@@ -147,12 +169,12 @@ class TestCharMoment:
         g = padic_group(2)
         dist = row_distribution(g, [(from_int(g, 1), 0.1), (identity(g), 0.9)])
         # chi with chi(x) = -1
-        z = char_moment(dist, character(g, 1, 0))
+        z = measure_ft(dist.measure, character(g, 1, 0))
         assert z == pytest.approx(0.8, abs=1e-14)
 
     def test_trivial_character(self):
         arr = torus_rademacher()
-        assert char_moment(arr.iid_dist(50), character(T, 0)) == pytest.approx(1.0)
+        assert _moments(arr.packed(50), (character(T, 0),))[0, 0] == pytest.approx(1.0)
 
 
 class TestRowFtExact:
@@ -180,7 +202,7 @@ class TestRowFtExact:
         # atoms at +-i: the moment vanishes exactly, so must the power
         dist = row_distribution(T, [(from_turns(T, 0.25), 0.5), (from_turns(T, -0.25), 0.5)])
         arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
-        assert char_moment(dist, character(T, 1)) == 0.0
+        assert measure_ft(dist.measure, character(T, 1)) == 0.0
         assert row_ft_exact(arr, (10**9,), (character(T, 1),))[0][0] == 0.0
 
     def test_huge_rows_no_loop(self):
@@ -203,9 +225,9 @@ class TestRowFtExact:
             row_distribution(T, [(x, 1.0)]),
             row_distribution(T, [(x, 0.5), (neg(x), 0.5)]),
         )
-        arr = GeneralArray(T, lambda n: rows)
+        arr = general_array(T, lambda n: rows)
         chi = character(T, 2)
-        expected = char_moment(rows[0], chi) * char_moment(rows[1], chi)
+        expected = measure_ft(rows[0].measure, chi) * measure_ft(rows[1].measure, chi)
         assert row_ft_exact(arr, (1,), (chi,))[0][0] == pytest.approx(expected, abs=1e-14)
 
     def test_modulus_bounded(self):
@@ -270,7 +292,7 @@ class TestSums:
         x = from_int(g, 3) if stat is sum_cylinder else from_angle(T, 0.5)
         dist = row_distribution(g, [(x, 0.2), (identity(g), 0.8)])
         arr_iid = bernoulli_array(g, x, p=constant(0.2), K=constant(7.0))
-        arr_gen = GeneralArray(g, lambda n: (dist,) * 7)
+        arr_gen = general_array(g, lambda n: (dist,) * 7)
         got, want = stat(arr_iid, (5,), *args)[0], stat(arr_gen, (5,), *args)[0]
         if isinstance(got, tuple):
             got, want = got[0], want[0]
@@ -290,7 +312,7 @@ class TestSums:
 
     def test_sum_var_g_point_mass_rows(self):
         x = from_angle(T, 0.3)
-        arr = GeneralArray(T, lambda n: (row_distribution(T, [(x, 1.0)]),) * 5)
+        arr = general_array(T, lambda n: (row_distribution(T, [(x, 1.0)]),) * 5)
         assert sum_var_g(arr, (1,), (character(T, 2),))[0][0] == 0.0
 
     def test_sum_tail_bernoulli(self):
@@ -323,7 +345,7 @@ class TestSums:
             row_distribution(T, [(x, 0.3), (identity(T), 0.7)]),
             row_distribution(T, [(x, 0.1), (identity(T), 0.9)]),
         )
-        arr = GeneralArray(T, lambda n: rows)
+        arr = general_array(T, lambda n: rows)
         U = Neighborhood(T, eps=0.5)
         assert infinitesimality_stat(arr, (1,), (U,))[0][0] == pytest.approx(0.3)
 
@@ -350,6 +372,18 @@ def _var_local_inner(dist, chi):
 def _three_point(n):
     x = from_angle(T, 1.0 / math.sqrt(n))
     return row_distribution(T, [(identity(T), 0.5), (x, 0.25), (neg(x), 0.25)])
+
+
+def _iid_law(arr, n):
+    """The law of every entry of row n of an i.i.d. array, built as its
+    constructor builds it."""
+    g = arr.group
+    if arr.kind == "rademacher":
+        x = arr.x(n)
+        return row_distribution(g, [(x, 0.5), (neg(x), 0.5)])
+    if arr.kind == "bernoulli":
+        return row_distribution(g, [(arr.x(n), arr.p(n)), (identity(g), 1.0 - arr.p(n))])
+    return _three_point(n)
 
 
 # i.i.d. arrays of the scalar-reference test, with their PACKED_CASES entry
@@ -407,13 +441,13 @@ class TestPackedRows:
     def test_statistics_match_scalar_reference(self, name, g):
         rng = np.random.default_rng(2024)
         rows = _random_general_rows(g, rng)
-        arr = GeneralArray(g, lambda n: rows)
+        arr = general_array(g, lambda n: rows)
         chars, nbhds = PACKED_CASES[name]
         for l, d in chars:
             chi = character(g, l, d)
             want = 1.0
             for dist in rows:
-                want *= char_moment(dist, chi)
+                want *= measure_ft(dist.measure, chi)
             assert abs(row_ft_exact(arr, (1,), (chi,))[0][0] - want) <= 1e-12
             want = sum(_var_local_inner(dist, chi) for dist in rows)
             assert sum_var_g(arr, (1,), (chi,))[0][0] == pytest.approx(want, abs=1e-12)
@@ -445,9 +479,10 @@ class TestPackedRows:
         g = arr.group
         chars = tuple(character(g, l, d) for l, d in PACKED_CASES[name][0])
         nbhds = tuple(Neighborhood(g, **kw) for kw in PACKED_CASES[name][1])
-        dist, K = arr.iid_dist(n), arr.row_count(n)
+        dist, K = _iid_law(arr, n), arr.row_count(n)
         assert K == n
-        moments = [char_moment(dist, chi) for chi in chars]
+        assert _same_table(arr.packed(n), pack_rows(g, (dist,), K))
+        moments = [measure_ft(dist.measure, chi) for chi in chars]
         assert row_ft_exact(arr, (n,), chars)[0] == tuple(_power(z, K) for z in moments)
         assert symmetric_stat(arr, (n,), chars)[0] == tuple(K * (1.0 - z.real) for z in moments)
         want = tuple(K * _var_local_inner(dist, chi) for chi in chars)
@@ -469,7 +504,7 @@ class TestPackedRows:
         t = np.random.default_rng(entries).uniform(-0.4, 0.4, entries)
         row = PackedRow(g, np.stack([t, -t], axis=1).ravel(), np.full(2 * entries, 0.5),
                         np.arange(0, 2 * entries, 2))
-        arr = GeneralArray(g, table_rule=lambda n: row)
+        arr = TriangularArray(g, "general", lambda n: row)
         depth = 0 if g.kind == "torus" else 2  # solenoid items reach y_0, y_1 and y_2
         ells = ((1, 0), (-2, 0), (3, 1), (5, 2), (8, 0))
         chars = tuple(character(g, l, min(d, depth)) for l, d in ells)
@@ -488,23 +523,20 @@ class TestPackedRows:
         g = padic_group(101, 8)
         rows = _random_general_rows(g, np.random.default_rng(5), K=6)
         t = pack_rows(g, rows)
-        assert t.laws is rows  # the rule's own objects
-        arr = GeneralArray(g, table_rule=lambda n: PackedRow(g, t.values, t.weights, t.starts))
+        arr = TriangularArray(g, "general", lambda n: PackedRow(g, t.values, t.weights, t.starts))
         assert arr.row_count(3) == 6
-        assert arr.rows(3) == rows and arr.rows(3) is not rows  # built from the table
-        assert arr.rows(3) is arr.rows(3)
+        assert _same_table(arr.packed(3), t) and arr.packed(3) is arr.packed(3)
+        assert _same_table(general_array(g, lambda n: rows).packed(3), t)
         chi = character(g, 200, 1)
         assert row_ft_exact(arr, (3,), (chi,))[0] == row_ft_exact(
-            GeneralArray(g, lambda n: rows), (3,), (chi,)
+            general_array(g, lambda n: rows), (3,), (chi,)
         )[0]
         with pytest.raises(ValueError, match="another group"):
-            GeneralArray(T, table_rule=lambda n: t).row_count(1)
-        with pytest.raises(TypeError, match="exactly one"):
-            GeneralArray(T)
+            TriangularArray(T, "general", lambda n: t).row_count(1)
 
     def test_mismatched_row_group_rejected(self):
         g = padic_group(2)
-        arr = GeneralArray(T, lambda n: (row_distribution(g, [(identity(g), 1.0)]),))
+        arr = general_array(T, lambda n: (row_distribution(g, [(identity(g), 1.0)]),))
         with pytest.raises(ValueError, match="another group"):
             row_ft_exact(arr, (1,), (character(T, 1),))
 
@@ -587,7 +619,7 @@ class TestGridPass:
         rng = np.random.default_rng(11)
         grid = (2, 3, 5, 8, 13, 21, 34)
         rows = {n: _random_general_rows(g, rng, K=40 if equal else 3 * n) for n in grid}
-        arr = GeneralArray(g, lambda n: rows[n])
+        arr = general_array(g, lambda n: rows[n])
         _assert_grid_equals_points(arr, grid, *_grid_cases(g))
 
     @pytest.mark.parametrize("g", [torus_group(), solenoid_group(3, 6)], ids=["torus", "solenoid"])
@@ -604,7 +636,7 @@ class TestGridPass:
                              np.arange(0, 2 * n, 2))
 
         rows = {n: two_atom_row(n) for n in grid}
-        arr = GeneralArray(g, table_rule=lambda n: rows[n])
+        arr = TriangularArray(g, "general", lambda n: rows[n])
         depth = 0 if g.kind == "torus" else 2
         chars = tuple(character(g, l, min(d, depth)) for l, d in
                       ((1, 0), (-2, 0), (3, 1), (5, 2), (8, 0)))
@@ -624,7 +656,7 @@ class TestGridPass:
     @pytest.mark.parametrize("name", sorted(GRID_GROUPS))
     def test_empty_item_sets(self, name):
         g = GRID_GROUPS[name]
-        arr = GeneralArray(g, lambda n: _random_general_rows(g, np.random.default_rng(n), K=n))
+        arr = general_array(g, lambda n: _random_general_rows(g, np.random.default_rng(n), K=n))
         for stat in (row_ft_exact, sum_var_g, sum_tail, infinitesimality_stat, sum_cylinder):
             if stat is sum_cylinder and g.kind != "padic":
                 continue
@@ -651,7 +683,7 @@ class TestStats:
             assert got == pytest.approx(2.0, rel=1e-9)
 
     def test_symmetric_stat_rejects_general(self):
-        arr = GeneralArray(T, lambda n: (row_distribution(T, [(identity(T), 1.0)]),))
+        arr = general_array(T, lambda n: (row_distribution(T, [(identity(T), 1.0)]),))
         with pytest.raises(ValueError, match="i.i.d."):
             symmetric_stat(arr, (1,), (character(T, 1),))
 
@@ -709,7 +741,7 @@ class TestNullRule:
         from lcalim.arrays import check_null_rule
 
         dist = row_distribution(T, [(from_angle(T, 1.0), 1.0)])
-        check_null_rule(GeneralArray(T, lambda n: (dist,)), GRID)
+        check_null_rule(general_array(T, lambda n: (dist,)), GRID)
 
 
 class TestGeneratingSubgroup:

@@ -351,6 +351,25 @@ class TestCLI:
         cli.main(["verify", "--config", name, "--out", str(tmp_path / "o")])
         assert len(calls) == 1
 
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(FAST_CLT)
+        cli.main(["conditions", "--config", str(cfg), "--out", str(tmp_path / "warm")])
+
+        def rebuild():
+            raise AssertionError("argparse parser rebuilt")
+
+        monkeypatch.setattr(cli, "build_parser", rebuild)
+        # one call's options do not leak into the next
+        for seed, want in (("5", 5), (None, 9), ("7", 7), (None, 9)):
+            out = tmp_path / f"o{seed}"
+            argv = ["sample", "--config", str(cfg), "--out", str(out)]
+            assert cli.main(argv + (["--seed", seed] if seed else [])) == 0
+            with open(out / "summary.json") as fh:
+                assert json.load(fh)["seed"] == want
+        with pytest.raises(SystemExit):
+            cli.main(["sample"])  # --config stays required
+
     def test_missing_config_exit_3(self, tmp_path):
         rc = cli.main(["verify", "--config", str(tmp_path / "nope.json")])
         assert rc == 3
@@ -562,6 +581,24 @@ class TestExitCodeContract:
         bad.write_text("[" * 100_000 + "]" * 100_000)
         assert cli.main([command, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "error: invalid config: config is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_nonpositive_mc_n_exit_2(self, tmp_path, capsys, command, n):
+        doc = _mutated(_bundled_doc("torus_clt"), ("mc", "n"), [1000, n])
+        assert _run_cli(tmp_path, command, doc) == 2
+        err = capsys.readouterr().err
+        assert "error: invalid config: mc.n entries must be positive integers" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
+    def test_general_row_without_entries_exit_2(self, tmp_path, capsys, command):
+        doc = _mutated(_FUZZ_DOCS["general_torus"], ("array", "rows", "4"), [])
+        assert _run_cli(tmp_path, command, doc) == 2
+        err = capsys.readouterr().err
+        assert "error: invalid config: " in err
+        assert "row count K_n must be a positive integer; got 0 at n=4" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["general_torus", "general_padic"])
     def test_general_fuzz_docs_run(self, tmp_path, name):

@@ -3,18 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from lcalim import sampling
 from lcalim.arrays import (
-    GeneralArray,
+    TriangularArray,
     bernoulli_array,
     constant,
+    general_array,
     iid_symmetric_array,
     linear,
+    pack_rows,
     power,
     rademacher_array,
     row_distribution,
     row_ft_exact,
 )
 from lcalim.groups import (
+    block_element,
     char_eval,
     char_eval_block,
     character,
@@ -23,6 +27,7 @@ from lcalim.groups import (
     from_int,
     identity,
     lambda_subgroup,
+    neg,
     padic_group,
     solenoid_group,
     torus_group,
@@ -46,12 +51,21 @@ from lcalim.sampling import (
     derive_seed,
     empirical_ft,
     empirical_law_ft,
-    sample_limit_law,
-    sample_row_sum,
+    _law_sampler,
     _row_sampler,
 )
 
 T = torus_group()
+
+
+def sample_row_sum(array, n, stream):
+    """One draw of the row sum of row n: a block of one from the stream's generator."""
+    return block_element(array.group, _row_sampler(array, n)(stream.generator(), 1)[0])
+
+
+def sample_limit_law(law, stream):
+    """One draw from the quadruplet law: a block of one from the stream's generator."""
+    return block_element(law.group, _law_sampler(law)(stream.generator(), 1)[0])
 
 
 class TestSeeds:
@@ -110,12 +124,18 @@ class TestSampleRowSum:
 
     def test_shortcut_matches_direct_in_distribution(self):
         # binomial-count shortcut vs direct K-draw sampling: two-sample
-        # empirical FT agreement within 6/sqrt(M)
+        # empirical FT agreement within 6/sqrt(M); the general array of n
+        # copies of the Rademacher row law takes the direct path
         arr = _torus_rademacher()
         n, M = 500, 20_000
+        x = arr.x(n)
+        law = row_distribution(T, [(x, 0.5), (neg(x), 0.5)])
+        direct = general_array(T, lambda m: (law,) * m)
+        assert direct.row_count(n) == arr.row_count(n) == n
+        assert direct.packed(n).values.tolist() == arr.packed(n).values.tolist() * n
         chars = [character(T, l) for l in (1, 2)]
         fast = empirical_ft(arr, n, chars, M, SeededStream(11).child(0))
-        slow = empirical_ft(arr, n, chars, M, SeededStream(11).child(1), force_direct=True)
+        slow = empirical_ft(direct, n, chars, M, SeededStream(11).child(1))
         for a, b in zip(fast.estimates, slow.estimates):
             assert abs(a - b) <= 6.0 / math.sqrt(M)
 
@@ -126,17 +146,37 @@ class TestSampleRowSum:
         s = sample_row_sum(arr, 1, SeededStream(3))  # must not loop K times
         assert s.group == T
 
-    def test_budget_enforced_for_direct(self):
-        arr = _torus_rademacher()
-        with pytest.raises(SamplingBudgetError):
-            sample_row_sum(arr, 10**8, SeededStream(0), budget=10**6, force_direct=True)
+    def test_budget_enforced_for_direct(self, monkeypatch):
+        law = row_distribution(T, [(from_angle(T, 0.5), 0.5), (from_angle(T, -0.5), 0.5)])
+        arr = general_array(T, lambda n: (law,) * n)
+        monkeypatch.setattr(sampling, "DEFAULT_DIRECT_BUDGET", 10)
+        with pytest.raises(SamplingBudgetError, match="K_n=11 entries exceeds budget 10"):
+            sample_row_sum(arr, 11, SeededStream(0))
+        assert sample_row_sum(arr, 10, SeededStream(0)).group == T
+        # the count shortcut draws any K_n
+        big = iid_symmetric_array(T, lambda n: law, K=constant(10**8))
+        assert sample_row_sum(big, 1, SeededStream(0)).group == T
+
+    def test_direct_path_takes_each_entry_copies_times(self):
+        # a table of two entries taken 50 times each draws, bit for bit,
+        # what the table of its 100 entries one after the other draws
+        a = row_distribution(T, [(from_angle(T, 0.5), 0.3), (identity(T), 0.7)])
+        b = row_distribution(T, [(from_angle(T, -1.5), 0.6), (from_angle(T, 2.0), 0.4)])
+        two = pack_rows(T, (a, b), copies=50)
+        copied = TriangularArray(T, "general", lambda n: two)
+        spelled = general_array(T, lambda n: (a,) * 50 + (b,) * 50)
+        assert copied.row_count(1) == spelled.row_count(1) == 100
+        for size in (1, 700, 1024):
+            got = _row_sampler(copied, 1)(SeededStream(4).generator(), size)
+            want = _row_sampler(spelled, 1)(SeededStream(4).generator(), size)
+            assert got.tobytes() == want.tobytes()
 
     def test_general_rows_direct_path(self):
         x = from_angle(T, 0.5)
         rows = tuple(
             row_distribution(T, [(x, p), (identity(T), 1.0 - p)]) for p in (0.2, 0.8)
         )
-        arr = GeneralArray(T, lambda n: rows)
+        arr = general_array(T, lambda n: rows)
         s = sample_row_sum(arr, 1, SeededStream(9))
         ratio = s.turns / x.turns
         assert round(ratio) in (0, 1, 2)
@@ -217,7 +257,7 @@ class TestEmpiricalFT:
             row_distribution(T, [(x, p), (y, 0.3), (identity(T), 0.7 - p)])
             for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6) * 50
         )
-        arr = GeneralArray(T, lambda n: rows)
+        arr = general_array(T, lambda n: rows)
         chars = [character(T, l) for l in (1, 2, 5)]
         M = 20_000
         est = empirical_ft(arr, 1, chars, M, SeededStream(12))

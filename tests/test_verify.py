@@ -6,8 +6,8 @@ import pytest
 
 from lcalim import arrays
 from lcalim.arrays import (
-    GeneralArray,
     bernoulli_array,
+    general_array,
     iid_symmetric_array,
     linear,
     power,
@@ -314,7 +314,7 @@ class TestCheckTheorem:
             dist = row_distribution(g, [(x, lam / n), (identity(g), 1.0 - lam / n)])
             return (dist,) * n
 
-        arr = GeneralArray(g, rows)
+        arr = general_array(g, rows)
         law = LimitLaw(
             trivial_subgroup(g),
             identity(g),
@@ -337,7 +337,7 @@ class TestCheckTheorem:
             x = from_angle(T, 1.0 / math.sqrt(n))
             return (row_distribution(T, [(x, 0.5), (neg(x), 0.5)]),) * n
 
-        arr = GeneralArray(T, general_rows)
+        arr = general_array(T, general_rows)
         report = check_theorem(arr, gauss_law(T, 1.0), VerifySettings(grid=grid))
         assert report.theorem == "gaiser"
         assert calls == Counter(grid)
@@ -374,7 +374,7 @@ class TestCheckTheorem:
     def test_dispatch_rejects_unsupported_pairs(self):
         # general array against a Haar law has no covering theorem here
         dist = row_distribution(T, [(identity(T), 1.0)])
-        arr = GeneralArray(T, lambda n: (dist,) * 3)
+        arr = general_array(T, lambda n: (dist,) * 3)
         with pytest.raises(ConfigError, match="idempotent"):
             check_theorem(arr, haar_law(full_subgroup(T)))
 
