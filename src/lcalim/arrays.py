@@ -91,15 +91,6 @@ class Schedule:
             raise KeyError(f"schedule table has no entry for n={n}")
         return values[n]
 
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"{self.coef:g}"
-        if self.kind == "linear":
-            return f"{self.coef:g}*n"
-        if self.kind == "power":
-            return f"{self.coef:g}*n^{self.exp:g}"
-        return f"table({len(self.table)} entries)"
-
 
 def constant(value: float) -> Schedule:
     return Schedule("constant", coef=value)

@@ -14,14 +14,7 @@ from functools import cache
 from importlib import resources
 
 from .config import ExperimentConfig, parse_config
-from .runner import (
-    EXIT_BAD_CONFIG,
-    EXIT_IO_ERROR,
-    run_conditions,
-    run_sample,
-    run_selftest,
-    run_verify,
-)
+from .runner import EXIT_BAD_CONFIG, EXIT_IO_ERROR, run_check, run_sample, run_selftest
 from .verify import ConfigError
 
 
@@ -88,11 +81,9 @@ def main(argv=None) -> int:
             raise ConfigError("--seed must be non-negative")
         cfg: ExperimentConfig = parse_config(text)
         out_dir = args.out or cfg.out_dir
-        if args.command == "verify":
-            return run_verify(cfg, out_dir)
-        if args.command == "conditions":
-            return run_conditions(cfg, out_dir)
-        return run_sample(cfg, out_dir, seed_override=args.seed)
+        if args.command == "sample":
+            return run_sample(cfg, out_dir, seed_override=args.seed)
+        return run_check(cfg, out_dir, args.command)
     except ConfigError as exc:
         # parse errors, and pairs that parse but match no verifiable theorem
         print(f"error: invalid config: {exc}", file=sys.stderr)

@@ -249,15 +249,6 @@ class LimitLaw:
         return self.H.group
 
 
-def limit_law(
-    H: CompactSubgroup,
-    a: GroupElement,
-    b: QuadraticFormParam,
-    eta: LevyMeasure,
-) -> LimitLaw:
-    return LimitLaw(H, a, b, eta)
-
-
 def dirac_law(a: GroupElement) -> LimitLaw:
     g = a.group
     return LimitLaw(trivial_subgroup(g), a, QuadraticFormParam(g, 0.0), zero_levy(g))

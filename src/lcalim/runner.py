@@ -1,6 +1,8 @@
-"""Experiment execution: runs the exact verification engine and/or the
-Monte Carlo cross-check for a parsed config and writes machine-readable
-reports (CSV tables plus a one-object JSON verdict summary).
+"""Experiment execution: runs the exact verification engine (run_check,
+for the verify and conditions commands) or the Monte Carlo cross-check
+(run_sample) for a parsed config, and writes machine-readable reports
+through one writer, _write_reports: CSV tables plus a one-object JSON
+verdict summary.
 
 Exit status convention: 0 all checks passed, 1 a convergence or sampling
 check failed, 2 invalid configuration, 3 I/O failure.
@@ -39,34 +41,25 @@ def _write_csv(path: str, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_ft_table(report: ConvergenceReport, path: str) -> None:
-    rows = [
-        (
-            str(r.n),
-            r.char_id,
-            _fmt(r.exact.real),
-            _fmt(r.exact.imag),
-            _fmt(r.limit.real),
-            _fmt(r.limit.imag),
-            _fmt(r.abs_err),
-        )
-        for r in report.ft_rows
-    ]
-    _write_csv(
-        path,
-        ("n", "char_id", "re_exact", "im_exact", "re_limit", "im_limit", "abs_err"),
-        rows,
-    )
+_FT_HEADER = ("n", "char_id", "re_exact", "im_exact", "re_limit", "im_limit", "abs_err")
+_CONDITIONS_HEADER = ("condition", "n", "value")
 
 
-def write_conditions_table(report: ConvergenceReport, path: str) -> None:
-    rows = []
+def _ft_rows(report: ConvergenceReport):
+    """ft_table rows: one per grid point and character."""
+    for n, exact in zip(report.grid, report.ft_exact):
+        for chi, z, w in zip(report.characters, exact, report.ft_limits):
+            values = map(_fmt, (z.real, z.imag, w.real, w.imag, abs(z - w)))
+            yield (str(n), chi.char_id, *values)
+
+
+def _condition_rows(report: ConvergenceReport):
+    """conditions rows: every hypothesis sequence, then the FT sup gaps."""
     for cond in report.conditions:
         for n, value in cond.sequence:
-            rows.append((cond.name, str(n), _fmt(value)))
+            yield (cond.name, str(n), _fmt(value))
     for n, value in report.ft_sup:
-        rows.append(("ft_sup_distance", str(n), _fmt(value)))
-    _write_csv(path, ("condition", "n", "value"), rows)
+        yield ("ft_sup_distance", str(n), _fmt(value))
 
 
 def _condition_summary(cond) -> dict:
@@ -89,12 +82,39 @@ def write_summary(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _verify_summary(cfg: ExperimentConfig, report: ConvergenceReport, mode: str) -> dict:
-    return {
+def _write_reports(out_dir: str, tables, summary: dict) -> int:
+    """Write each (file name, header, rows) table and summary.json into
+    out_dir; returns summary["exit_code"], or EXIT_IO_ERROR when a write
+    fails."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, header, rows in tables:
+            _write_csv(os.path.join(out_dir, name), header, rows)
+        write_summary(os.path.join(out_dir, "summary.json"), summary)
+    except OSError:
+        return EXIT_IO_ERROR
+    return summary["exit_code"]
+
+
+def run_check(cfg: ExperimentConfig, out_dir: str, mode: str) -> int:
+    """The exact engine's reports.  mode "verify" judges the FT comparison
+    and the hypotheses and writes ft_table.csv; mode "conditions" judges
+    the hypotheses alone and writes no FT table."""
+    if mode not in ("verify", "conditions"):
+        raise ValueError(f"unknown check mode {mode!r}")
+    report = check_theorem(cfg.array, cfg.law, cfg.settings)
+    tables = [("conditions.csv", _CONDITIONS_HEADER, _condition_rows(report))]
+    if mode == "verify":
+        overall = report.overall
+        tables.insert(0, ("ft_table.csv", _FT_HEADER, _ft_rows(report)))
+    else:
+        overall = "pass" if all(c.passed for c in report.conditions) else "fail"
+    summary = {
         "mode": mode,
         "group": cfg.group.describe(),
         "theorem": report.theorem,
-        "overall": report.overall,
+        "overall": overall,
+        "exit_code": EXIT_PASS if overall == "pass" else EXIT_CHECK_FAILED,
         "ft_passed": report.ft_passed,
         "ft_sup": [[n, v] for n, v in report.ft_sup],
         "conditions": [_condition_summary(c) for c in report.conditions],
@@ -106,35 +126,7 @@ def _verify_summary(cfg: ExperimentConfig, report: ConvergenceReport, mode: str)
             "ft": cfg.settings.ft_tol,
         },
     }
-
-
-def run_verify(cfg: ExperimentConfig, out_dir: str) -> int:
-    report = check_theorem(cfg.array, cfg.law, cfg.settings)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        write_ft_table(report, os.path.join(out_dir, "ft_table.csv"))
-        write_conditions_table(report, os.path.join(out_dir, "conditions.csv"))
-        summary = _verify_summary(cfg, report, "verify")
-        summary["exit_code"] = EXIT_PASS if report.passed() else EXIT_CHECK_FAILED
-        write_summary(os.path.join(out_dir, "summary.json"), summary)
-    except OSError:
-        return EXIT_IO_ERROR
-    return EXIT_PASS if report.passed() else EXIT_CHECK_FAILED
-
-
-def run_conditions(cfg: ExperimentConfig, out_dir: str) -> int:
-    report = check_theorem(cfg.array, cfg.law, cfg.settings)
-    passed = all(c.passed for c in report.conditions)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        write_conditions_table(report, os.path.join(out_dir, "conditions.csv"))
-        summary = _verify_summary(cfg, report, "conditions")
-        summary["overall"] = "pass" if passed else "fail"
-        summary["exit_code"] = EXIT_PASS if passed else EXIT_CHECK_FAILED
-        write_summary(os.path.join(out_dir, "summary.json"), summary)
-    except OSError:
-        return EXIT_IO_ERROR
-    return EXIT_PASS if passed else EXIT_CHECK_FAILED
+    return _write_reports(out_dir, tables, summary)
 
 
 _MC_HEADER = ("kind", "n", "char_id", "re_emp", "im_emp", "re_exact", "im_exact", "abs_err",
@@ -169,26 +161,20 @@ def run_sample(cfg: ExperimentConfig, out_dir: str, seed_override: int | None = 
     for n, est, exact_fts in zip(cfg.mc.n_points, ests, exact):
         new, ok = _mc_rows("array", str(n), est, exact_fts, bound)
         rows, all_ok = rows + new, all_ok and ok
-    if cfg.mc.sample_law and cfg.group.kind != SOLENOID:
+    if cfg.group.kind != SOLENOID:
         est = empirical_law_ft(cfg.law, chars, M, SeededStream(seed).child(1))
         new, ok = _mc_rows("law", "", est, [limit_law_ft(cfg.law, chi) for chi in chars], bound)
         rows, all_ok = rows + new, all_ok and ok
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_csv(os.path.join(out_dir, "mc_table.csv"), _MC_HEADER, rows)
-        summary = {
-            "mode": "sample",
-            "group": cfg.group.describe(),
-            "replicates": M,
-            "seed": seed,
-            "error_bound": bound,
-            "overall": "pass" if all_ok else "fail",
-            "exit_code": EXIT_PASS if all_ok else EXIT_CHECK_FAILED,
-        }
-        write_summary(os.path.join(out_dir, "summary.json"), summary)
-    except OSError:
-        return EXIT_IO_ERROR
-    return EXIT_PASS if all_ok else EXIT_CHECK_FAILED
+    summary = {
+        "mode": "sample",
+        "group": cfg.group.describe(),
+        "replicates": M,
+        "seed": seed,
+        "error_bound": bound,
+        "overall": "pass" if all_ok else "fail",
+        "exit_code": EXIT_PASS if all_ok else EXIT_CHECK_FAILED,
+    }
+    return _write_reports(out_dir, [("mc_table.csv", _MC_HEADER, rows)], summary)
 
 
 def run_selftest() -> int:

@@ -211,9 +211,6 @@ class EmpiricalFT:
         """Per-character error scale for modulus-one summands."""
         return 1.0 / math.sqrt(self.replicates)
 
-    def estimate(self, chi: Character) -> complex:
-        return self.estimates[self.chars.index(chi)]
-
 
 def _estimate(draw, group, chars, M: int, stream: SeededStream) -> EmpiricalFT:
     """Average chi over M draws, block j of BLOCK_SIZE drawn from the

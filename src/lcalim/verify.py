@@ -85,13 +85,6 @@ class TrendVerdict:
     value: float | None
     evidence: tuple[float, ...]
 
-    def describe(self) -> str:
-        if self.kind == CONVERGES:
-            return f"converges to {self.value:.6g}"
-        if self.kind == DIVERGES:
-            return "diverges to infinity"
-        return "inconclusive"
-
 
 def trend_classify(
     seq,
@@ -224,6 +217,10 @@ class VerifySettings:
             self.ft_tol,
         )
 
+    def classify(self, seq) -> TrendVerdict:
+        """trend_classify of seq under these tolerances."""
+        return trend_classify(seq, self.trend_tol, self.window, self.divergence_threshold)
+
 
 @dataclass(frozen=True)
 class ConditionVerdict:
@@ -237,26 +234,18 @@ class ConditionVerdict:
 
 
 @dataclass(frozen=True)
-class FtRow:
-    n: int
-    char_id: str
-    exact: complex
-    limit: complex
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.exact - self.limit)
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
-    """Everything check_theorem computed: the per-character FT table, the
-    hypothesis sequences with verdicts, and the overall judgment."""
+    """Everything check_theorem computed: the exact row-sum FT at each grid
+    point and character (ft_exact, as row_ft_exact returns it), the law's
+    FT at each character (ft_limits), the hypothesis sequences with
+    verdicts, and the overall judgment."""
 
     theorem: str
     group: GroupId
     grid: tuple[int, ...]
-    ft_rows: tuple[FtRow, ...]
+    characters: tuple[Character, ...]
+    ft_exact: tuple[tuple[complex, ...], ...]
+    ft_limits: tuple[complex, ...]
     ft_sup: tuple[tuple[int, float], ...]
     ft_passed: bool
     conditions: tuple[ConditionVerdict, ...]
@@ -266,11 +255,19 @@ class ConvergenceReport:
         return self.overall == "pass"
 
 
+def _ft_gaps(array: TriangularArray, law: LimitLaw, grid, chars):
+    """The exact row-sum FTs on the grid, the law's FTs, and at each grid
+    point the largest absolute gap between them over the character set."""
+    limits = tuple(limit_law_ft(law, chi) for chi in chars)
+    exact = row_ft_exact(array, grid, chars)
+    sup = [max([0.0] + [abs(z - w) for z, w in zip(values, limits)]) for values in exact]
+    return exact, limits, sup
+
+
 def ft_sup_distance(array: TriangularArray, law: LimitLaw, n: int, chars) -> float:
     """Largest absolute gap, over the character set, between the exact
     row-sum FT and the law's FT."""
-    exact = row_ft_exact(array, (n,), chars)[0]
-    return max(abs(z - limit_law_ft(law, chi)) for chi, z in zip(chars, exact))
+    return _ft_gaps(array, law, (n,), chars)[2][0]
 
 
 def _sequences(stat, array, grid, items) -> list[list[tuple[int, float]]]:
@@ -349,10 +346,7 @@ def check_theorem(
     settings = (settings or VerifySettings()).resolved(law.group)
     grid = settings.grid
     tol = settings.trend_tol
-
-    def classify(seq):
-        return trend_classify(seq, tol, settings.window, settings.divergence_threshold)
-
+    classify = settings.classify
     conditions: list[ConditionVerdict] = []
     chars, nbhds = settings.characters, settings.neighborhoods
 
@@ -372,7 +366,7 @@ def check_theorem(
         lam = law.eta.total_mass()
         seq = [(n, bernoulli_rate(array, n)) for n in grid]
         conditions.append(_target_value("rate", seq, classify, lam, tol))
-        conditions.extend(_levy_tail_conditions(array, law, settings, classify))
+        conditions.extend(_levy_tail_conditions(array, law, settings))
     elif is_symmetric_array(array) and _is_pure_haar(law) and law.H.is_full():
         theorem = "rademacher-haar" if array.kind == "rademacher" else "symmetric-haar"
         nontrivial = tuple(chi for chi in chars if not chi.is_trivial())
@@ -380,7 +374,7 @@ def check_theorem(
             conditions.append(_target_infinity(f"char_gap[{chi.char_id}]", seq, classify))
     elif is_symmetric_array(array) and law.H.is_trivial() and not law.eta.atoms:
         theorem = "rademacher-clt" if array.kind == "rademacher" else "symmetric-clt"
-        moment, variance, tails = _clt_conditions(array, law.b, settings, classify)
+        moment, variance, tails = _clt_conditions(array, law.b, settings)
         for pair in zip(moment, variance):
             conditions.extend(pair)
         conditions.extend(tails)
@@ -396,7 +390,7 @@ def check_theorem(
             conditions.append(
                 _target_value(f"var_sum[{chi.char_id}]", seq, classify, target, tol)
             )
-        conditions.extend(_levy_tail_conditions(array, law, settings, classify))
+        conditions.extend(_levy_tail_conditions(array, law, settings))
     else:
         raise ConfigError(
             "no verifiable theorem matches this array/law pair: laws with a "
@@ -404,15 +398,8 @@ def check_theorem(
             "Haar limits of the Bernoulli and symmetric-array theorems"
         )
 
-    limits = [limit_law_ft(law, chi) for chi in chars]
-    ft_rows, ft_sup = [], []
-    for n, exact in zip(grid, row_ft_exact(array, grid, chars)):
-        rows = [FtRow(n, chi.char_id, z, w) for chi, z, w in zip(chars, exact, limits)]
-        ft_rows += rows
-        ft_sup.append((n, max([0.0] + [row.abs_err for row in rows])))
-    ft_passed = _ft_converges_to_zero(
-        [v for _, v in ft_sup], settings.window, settings.ft_tol
-    )
+    exact, limits, sup = _ft_gaps(array, law, grid, chars)
+    ft_passed = _ft_converges_to_zero(sup, settings.window, settings.ft_tol)
 
     hypotheses_passed = all(c.passed for c in conditions)
     if hypotheses_passed and ft_passed:
@@ -425,18 +412,20 @@ def check_theorem(
         theorem,
         law.group,
         grid,
-        tuple(ft_rows),
-        tuple(ft_sup),
+        chars,
+        exact,
+        limits,
+        tuple(zip(grid, sup)),
         ft_passed,
         tuple(conditions),
         overall,
     )
 
 
-def _levy_tail_conditions(array, law: LimitLaw, settings: VerifySettings, classify):
+def _levy_tail_conditions(array, law: LimitLaw, settings: VerifySettings):
     """Portmanteau conditions on the neighborhood basis: row tail sums
     against the Levy tail masses, plus cylinder masses on padic groups."""
-    out = []
+    out, classify = [], settings.classify
     nbhds = settings.neighborhoods
     for U, seq in zip(nbhds, _sequences(sum_tail, array, settings.grid, nbhds)):
         target = tail_mass_measure(law.eta.measure, U)
@@ -484,11 +473,11 @@ class EquivalenceReport:
         return self.ft_passed == self.moment_passed == self.levy_passed
 
 
-def _clt_conditions(array, qform, settings: VerifySettings, classify):
+def _clt_conditions(array, qform, settings: VerifySettings):
     """The symmetric-CLT hypotheses for the Gauss parameter qform: moment
     gaps -> Q(chi)/2 and variance sums -> Q(chi) per character, and
     vanishing tail sums; returned as (moment, variance, tails)."""
-    tol = settings.trend_tol
+    tol, classify = settings.trend_tol, settings.classify
     grid, chars, nbhds = settings.grid, settings.characters, settings.neighborhoods
     moment, variance, tails = [], [], []
     gaps = _sequences(symmetric_stat, array, grid, chars)
@@ -514,19 +503,9 @@ def crosscheck_gensym2(
         raise ConfigError("the equivalence crosscheck needs a symmetric i.i.d. array")
     settings = (settings or VerifySettings()).resolved(array.group)
     law = gauss_law(array.group, b)
-    tol = settings.trend_tol
-
-    def classify(seq):
-        return trend_classify(seq, tol, settings.window, settings.divergence_threshold)
-
-    chars = settings.characters
-    limits = [limit_law_ft(law, chi) for chi in chars]
-    ft_vals = [
-        max(abs(z - w) for z, w in zip(exact, limits))
-        for exact in row_ft_exact(array, settings.grid, chars)
-    ]
-    ft_passed = _ft_converges_to_zero(ft_vals, settings.window, settings.ft_tol)
-    moment, variance, tails = _clt_conditions(array, law.b, settings, classify)
+    sup = _ft_gaps(array, law, settings.grid, settings.characters)[2]
+    ft_passed = _ft_converges_to_zero(sup, settings.window, settings.ft_tol)
+    moment, variance, tails = _clt_conditions(array, law.b, settings)
     return EquivalenceReport(b, ft_passed, tuple(moment), tuple(variance), tuple(tails))
 
 

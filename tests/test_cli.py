@@ -14,7 +14,7 @@ from lcalim.arrays import row_ft_exact
 from lcalim.config import parse_config
 from lcalim.groups import character
 from lcalim.measures import limit_law_ft
-from lcalim.runner import run_conditions, run_sample, run_verify
+from lcalim.runner import run_check, run_sample
 from lcalim.verify import ConfigError, check_theorem
 
 FAST_CLT = """
@@ -131,7 +131,7 @@ class TestRunners:
     def test_verify_writes_reports_and_passes(self, tmp_path):
         cfg = parse_config(FAST_CLT)
         out = str(tmp_path / "r")
-        assert run_verify(cfg, out) == 0
+        assert run_check(cfg, out, "verify") == 0
         assert set(os.listdir(out)) == {"ft_table.csv", "conditions.csv", "summary.json"}
         with open(os.path.join(out, "summary.json")) as fh:
             summary = json.load(fh)
@@ -141,7 +141,7 @@ class TestRunners:
     def test_ft_table_round_trips_library_values(self, tmp_path):
         cfg = parse_config(FAST_CLT)
         out = str(tmp_path / "r")
-        run_verify(cfg, out)
+        run_check(cfg, out, "verify")
         with open(os.path.join(out, "ft_table.csv"), newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 * 2
@@ -162,7 +162,7 @@ class TestRunners:
 
         cfg = parse_config(FAST_CLT)
         out = str(tmp_path / "r")
-        run_verify(cfg, out)
+        run_check(cfg, out, "verify")
         with open(os.path.join(out, "conditions.csv"), newline="") as fh:
             rows = list(csv.DictReader(fh))
         for row in rows:
@@ -186,8 +186,8 @@ class TestRunners:
         cfg = parse_config(cli.load_config_text(name))
         chars = {chi.char_id: chi for chi in cfg.settings.characters}
         out = tmp_path / name
-        run_verify(cfg, str(out / "verify"))
-        run_conditions(cfg, str(out / "conditions"))
+        run_check(cfg, str(out / "verify"), "verify")
+        run_check(cfg, str(out / "conditions"), "conditions")
         run_sample(cfg, str(out / "sample"))
         paths = sorted(out.rglob("*.csv"))
         assert [p.relative_to(out).as_posix() for p in paths] == [
@@ -244,8 +244,8 @@ class TestRunners:
     def test_reports_regenerate_bit_identically(self, tmp_path):
         cfg = parse_config(FAST_CLT)
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-        run_verify(cfg, out1)
-        run_verify(cfg, out2)
+        run_check(cfg, out1, "verify")
+        run_check(cfg, out2, "verify")
         for name in ("ft_table.csv", "conditions.csv", "summary.json"):
             with open(os.path.join(out1, name), "rb") as fh:
                 c1 = fh.read()
@@ -256,7 +256,7 @@ class TestRunners:
     def test_csv_uses_lf_endings(self, tmp_path):
         cfg = parse_config(FAST_CLT)
         out = str(tmp_path / "r")
-        run_verify(cfg, out)
+        run_check(cfg, out, "verify")
         with open(os.path.join(out, "ft_table.csv"), "rb") as fh:
             data = fh.read()
         assert b"\r" not in data
@@ -264,7 +264,7 @@ class TestRunners:
     def test_conditions_mode(self, tmp_path):
         cfg = parse_config(FAST_CLT)
         out = str(tmp_path / "c")
-        assert run_conditions(cfg, out) == 0
+        assert run_check(cfg, out, "conditions") == 0
         assert set(os.listdir(out)) == {"conditions.csv", "summary.json"}
         with open(os.path.join(out, "conditions.csv"), newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -296,11 +296,20 @@ class TestRunners:
             c2 = fh.read()
         assert c1 != c2
 
-    def test_io_failure_exit_code(self, tmp_path):
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cfg, out: run_check(cfg, out, "verify"),
+            lambda cfg, out: run_check(cfg, out, "conditions"),
+            run_sample,
+        ],
+        ids=["verify", "conditions", "sample"],
+    )
+    def test_io_failure_exit_code(self, tmp_path, run):
         cfg = parse_config(FAST_CLT)
         blocked = tmp_path / "blocked"
         blocked.write_text("a file, not a directory")
-        assert run_verify(cfg, str(blocked)) == 3
+        assert run(cfg, str(blocked)) == 3
 
 
 class TestCLI:
@@ -508,7 +517,6 @@ _INVALID = {
     "fractional replicates": ("torus_clt", ("mc", "replicates"), 1.5),
     "string depth": ("padic_poisson", ("group", "depth"), "16"),
     "string nan trend tolerance": ("torus_clt", ("tolerances",), {"trend": "nan"}),
-    "string sample_law": ("torus_clt", ("mc", "sample_law"), "false"),
     "padic Rademacher elements as a list": (
         _PADIC_RADEMACHER,
         ("array", "elements"),
@@ -589,6 +597,29 @@ class TestExitCodeContract:
         assert _run_cli(tmp_path, command, doc) == 2
         err = capsys.readouterr().err
         assert "error: invalid config: mc.n entries must be positive integers" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
+    @pytest.mark.parametrize("base", ["torus_clt", "padic_poisson"])
+    @pytest.mark.parametrize("n", [2**63, 1e20], ids=["2to63", "1e20"])
+    def test_mc_n_beyond_sampler_counts_exit_2(self, tmp_path, capsys, command, base, n):
+        # numpy draws binomial and multinomial counts below 2^63 only
+        doc = _mutated(_bundled_doc(base), ("mc", "n"), [n])
+        assert _run_cli(tmp_path, command, doc) == 2
+        err = capsys.readouterr().err
+        assert f"error: invalid config: mc.n: K_n = {int(n)} at n = {int(n)}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
+    @pytest.mark.parametrize(
+        "replicates", [10**400, 1e300, 10**9 + 1], ids=["10to400", "1e300", "limit+1"]
+    )
+    def test_too_many_replicates_exit_2(self, tmp_path, capsys, command, replicates):
+        doc = _mutated(_bundled_doc("torus_clt"), ("mc", "replicates"), replicates)
+        t0 = time.perf_counter()
+        assert _run_cli(tmp_path, command, doc) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "mc.replicates must be at most 1000000000" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
