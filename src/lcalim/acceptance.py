@@ -27,10 +27,11 @@ from .arrays import (
 )
 from .groups import (
     PADIC,
+    TORUS,
     TWO_PI,
-    char_eval,
     char_eval_block,
     character,
+    element_block,
     from_angle,
     from_int,
     from_turns,
@@ -117,7 +118,8 @@ def criterion_3():
     x = array.x(n)
     chars = tuple(_padic_chars(g, 2))
     fts = dict(zip(chars, row_ft_exact(array, (n,), chars)[0]))
-    worst = max(abs(fts[chi] - np.exp(2.0 * (char_eval(chi, x) - 1.0))) for chi in chars)
+    at_x = char_eval_block(g, chars, element_block(x))[0].tolist()
+    worst = max(abs(fts[chi] - np.exp(2.0 * (z - 1.0))) for chi, z in zip(chars, at_x))
     # the character sending x to -1 pins the classical value exp(-4)
     spot = abs(fts[character(g, 1, 0)] - math.exp(-4.0))
     law = compound_poisson_law(scale_measure(point_mass(x), 2.0))
@@ -136,7 +138,8 @@ def criterion_4():
     chars = _padic_chars(g, 2)
     fts = row_ft_exact(array, (n,), chars)[0]
     worst = max(abs(z) for chi, z in zip(chars, fts) if chi.ell != 0)
-    indicator_ok = all(limit_law_ft(law, chi) == (1.0 if chi.ell == 0 else 0.0) for chi in chars)
+    haar = zip(chars, limit_law_ft(law, chars))
+    indicator_ok = all(z == (1.0 if chi.ell == 0 else 0.0) for chi, z in haar)
     ok = worst <= 1e-3 and indicator_ok
     return ok, f"max nontrivial |FT| = {worst:.3g} (<= 1e-3), Haar indicator exact: {indicator_ok}"
 
@@ -196,13 +199,12 @@ def criterion_7():
             mu1 = _random_measure(g, rng, allow_identity=True)
             mu2 = _random_measure(g, rng, allow_identity=True)
             conv = convolve(mu1, mu2)
-            m = local_mean(eta.measure)
-            for chi in chars:
-                lhs = cpoisson_ft(eta.measure, chi)
-                rhs = genpoisson_ft(eta, chi) * char_eval(chi, m)
-                worst_shift = max(worst_shift, abs(lhs - rhs))
-                gap = abs(measure_ft(conv, chi) - measure_ft(mu1, chi) * measure_ft(mu2, chi))
-                worst_conv = max(worst_conv, gap)
+            at_m = char_eval_block(g, chars, element_block(local_mean(eta)))[0].tolist()
+            for lhs, gp, z in zip(cpoisson_ft(eta, chars), genpoisson_ft(eta, chars), at_m):
+                worst_shift = max(worst_shift, abs(lhs - gp * z))
+            fts = zip(measure_ft(conv, chars), measure_ft(mu1, chars), measure_ft(mu2, chars))
+            for z, z1, z2 in fts:
+                worst_conv = max(worst_conv, abs(z - z1 * z2))
     parallelogram_ok = _parallelogram_exact()
     ok = worst_shift <= 1e-10 and worst_conv <= 1e-10 and parallelogram_ok
     return ok, (
@@ -236,36 +238,24 @@ def _random_measure(g, rng, allow_identity: bool):
 
 
 def _parallelogram_exact() -> bool:
-    gt = torus_group()
-    gs = solenoid_group(2, depth=6)
+    """Q(l1 + l2) + Q(l1 - l2) = 2 (Q(l1) + Q(l2)) exactly, for every torus
+    pair |l| <= 12 and for solenoid pairs of different depths, through
+    their common refinement."""
+    gt, gs = torus_group(), solenoid_group(2, depth=6)
+    pairs = [(gt, 0, l1, 0, l2) for l1 in range(-12, 13) for l2 in range(-12, 13)]
+    pairs += [
+        (gs, d1, l1, d2, l2)
+        for d1, l1 in ((0, 3), (1, 2), (2, 5))
+        for d2, l2 in ((0, 1), (1, 3), (2, 7))
+    ]
     for b in (0.25, 0.5, 1.0, 2.0):
-        qt = QuadraticFormParam(gt, b)
-        qs = QuadraticFormParam(gs, b)
-        for l1 in range(-12, 13):
-            for l2 in range(-12, 13):
-                lhs = qform_eval(qt, character(gt, l1 + l2)) + qform_eval(
-                    qt, character(gt, l1 - l2)
-                )
-                rhs = 2.0 * (
-                    qform_eval(qt, character(gt, l1)) + qform_eval(qt, character(gt, l2))
-                )
-                if lhs != rhs:
-                    return False
-        # cross-depth solenoid pairs through the common refinement
-        for d1, l1 in ((0, 3), (1, 2), (2, 5)):
-            for d2, l2 in ((0, 1), (1, 3), (2, 7)):
-                d = max(d1, d2)
-                r1 = l1 * 2 ** (d - d1)
-                r2 = l2 * 2 ** (d - d2)
-                lhs = qform_eval(qs, character(gs, r1 + r2, d)) + qform_eval(
-                    qs, character(gs, r1 - r2, d)
-                )
-                rhs = 2.0 * (
-                    qform_eval(qs, character(gs, l1, d1))
-                    + qform_eval(qs, character(gs, l2, d2))
-                )
-                if lhs != rhs:
-                    return False
+        for g, d1, l1, d2, l2 in pairs:
+            q, d = QuadraticFormParam(g, b), max(d1, d2)
+            r1, r2 = l1 * 2 ** (d - d1), l2 * 2 ** (d - d2)
+            lhs = qform_eval(q, character(g, r1 + r2, d)) + qform_eval(q, character(g, r1 - r2, d))
+            rhs = 2.0 * (qform_eval(q, character(g, l1, d1)) + qform_eval(q, character(g, l2, d2)))
+            if lhs != rhs:
+                return False
     return True
 
 
@@ -280,62 +270,21 @@ def _own_character(kernel, group, ells, ds, values) -> np.ndarray:
     return out
 
 
-def _columns(group, candidates):
-    """The (ell, d, element) candidates as arrays of ells, depths and block
-    values; torus and solenoid elements come as unreduced turns."""
-    ells, ds, values = (np.array(column) for column in zip(*candidates))
-    if group.kind != PADIC:
-        values = reduce_turns_block(values)
-    return ells, ds, values
-
-
-def _band_values(group, ells, ds, values):
-    """g(x, chi) and 1 - Re chi(x) of every sample."""
-    g = _own_character(local_inner_block, group, ells, ds, values).real
-    return g, 1.0 - _own_character(char_eval_block, group, ells, ds, values).real
-
-
-def _accepted(group, draw, need: int):
-    """The first `need` candidates of draw() whose |g(x, chi)| lies in
-    [1e-3, pi/2], as columns.  Candidates are drawn one at a time, in rounds
-    of as many as are still needed: no round can overshoot, so the
-    generator stops after the same draw as a loop that tests each one."""
-    kept = []
-    while need:
-        columns = _columns(group, [draw() for _ in range(need)])
-        g = np.abs(_own_character(local_inner_block, group, *columns).real)
-        ok = (1e-3 <= g) & (g <= math.pi / 2)
-        kept.append([column[ok] for column in columns])
-        need -= int(ok.sum())
-    return [np.concatenate(column) for column in zip(*kept)]
-
-
-def _band_samples(rng, torus: int, padic: int, solenoid: int):
-    """The samples of criterion 8, as (group, ells, ds, values) per group,
-    drawn in the generator's scalar order."""
-    uniform, integers = rng.uniform, rng.integers
-    gt, gp, gs = torus_group(), padic_group(2), solenoid_group(2, depth=8)
-
-    def on_torus():
-        theta = uniform(-math.pi / 2, math.pi / 2)
-        return integers(-8, 9), 0, theta / TWO_PI
-
-    def on_padic():
-        d = int(integers(0, 4))
-        ell = integers(0, 2 ** (d + 1))
-        return ell, d, int(integers(0, 2 ** (gp.depth - d))) * 2 ** (d + 1) % gp.modulus
-
-    def on_solenoid():
-        d = int(integers(0, 4))
-        ell = integers(-8, 9)
-        u = uniform(-math.pi / (2 * 2**d), math.pi / (2 * 2**d))
-        return ell, d, (u / (2 * math.pi)) / 2 ** (gs.depth - d)
-
-    return [
-        (gt, *_accepted(gt, on_torus, torus)),
-        (gp, *_columns(gp, [on_padic() for _ in range(padic)])),
-        (gs, *_accepted(gs, on_solenoid, solenoid)),
-    ]
+def _candidates(rng, group, size: int):
+    """`size` candidate samples of criterion 8 as columns (ells, depths,
+    block values), drawn where the character equals the exponential of the
+    local inner product: |arg| <= pi/2 on the torus, the base-coordinate
+    angle within pi/2 of chi's coordinate on the solenoid, and lambda(d+1),
+    where chi is 1, on padic groups."""
+    d = np.zeros(size, dtype=np.int64) if group.kind == TORUS else rng.integers(0, 4, size)
+    if group.kind == PADIC:
+        ells = rng.integers(0, 2 ** (d + 1))
+        free = rng.integers(0, 2 ** (group.depth - d))
+        return ells, d, free * 2 ** (d + 1) % group.modulus
+    ells = rng.integers(-8, 9, size)
+    half = math.pi / (2 * 2.0**d)
+    turns = rng.uniform(-half, half) / TWO_PI / 2.0 ** (group.depth - d)
+    return ells, d, reduce_turns_block(turns)
 
 
 def criterion_8():
@@ -344,12 +293,26 @@ def criterion_8():
 
     Angles are kept >= 1e-3 so the comparison is not dominated by the
     floating cancellation of 1 - cos at machine scale.  The samples are
-    drawn one at a time and evaluated with the block kernels.
+    drawn as vectors and evaluated with the block kernels.
     """
-    total = 0
-    violations = 0
-    for group, *columns in _band_samples(np.random.default_rng(8), 40_000, 20_000, 40_000):
-        g, one_minus = _band_values(group, *columns)
+    rng = np.random.default_rng(8)
+    total = violations = 0
+    for group, need in (
+        (torus_group(), 40_000),
+        (padic_group(2), 20_000),
+        (solenoid_group(2, depth=8), 40_000),
+    ):
+        kept, have = [], 0
+        while have < need:  # the first `need` candidates inside the band
+            columns = _candidates(rng, group, 2 * (need - have))
+            if group.kind != PADIC:  # padic g is 0: no band to keep to
+                g = np.abs(_own_character(local_inner_block, group, *columns).real)
+                columns = [column[(1e-3 <= g) & (g <= math.pi / 2)] for column in columns]
+            kept.append(columns)
+            have += len(columns[0])
+        columns = [np.concatenate(column)[:need] for column in zip(*kept)]
+        g = _own_character(local_inner_block, group, *columns).real
+        one_minus = 1.0 - _own_character(char_eval_block, group, *columns).real
         inside = (0.25 * g * g <= one_minus) & (one_minus <= 0.5 * g * g)
         total += len(g)
         violations += len(g) - int(np.count_nonzero(inside))
@@ -402,7 +365,7 @@ def criterion_11():
     g = array.group
     eta = scale_measure(point_mass(array.x(1)), 2.0)
     cylinders = [(from_int(g, res), r) for r in (1, 2, 3) for res in range(1, 2**r)]
-    targets = [cylinder_mass(eta, x0, r) for x0, r in cylinders]
+    targets = cylinder_mass(eta, cylinders)
     grid = (100, 1_000, 10_000, 100_000, 1_000_000)
     worst = max(
         abs(v - target)

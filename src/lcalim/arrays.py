@@ -10,9 +10,10 @@ A TriangularArray is a rule from n to row n, and row n is one PackedRow
 table of distinct entries, each taken `copies` times; the table is the
 only view of a row.  An i.i.d. row is its one entry taken K_n times, so no
 loop of length K_n is run and K_n up to 1e15 is cheap, and a general row
-is its K_n entries taken once each.  Every statistic is one body over such a
-table and takes a sequence of grid points with all their characters (or
-neighborhoods, or cylinders) at once, returning one result per point.
+is its K_n entries taken once each.  Every statistic is one PackedRow
+per-entry body over such a table (the body that the law statistics run on
+a measure) and takes a sequence of grid points with all their characters
+(or neighborhoods, or cylinders) at once, returning one result per point.
 Consecutive grid rows are joined into one table, a grid block, while its
 atoms times the items stay within MAX_TEMP // 4 values; a larger row is a
 block of its own and takes its items in chunks of at most that many atom
@@ -27,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable
 
@@ -36,24 +36,18 @@ import numpy as np
 from .groups import (
     PADIC,
     TORUS,
-    TWO_PI,
     GroupElement,
     GroupId,
     GroupMismatchError,
     block_dtype,
-    char_eval_block,
     cyclic_subgroup,
-    element_value,
     elements_close,
     from_angle,
     from_base_angle,
     from_turns,
     full_subgroup,
-    h_arg_block,
     identity,
-    in_nbhd_block,
     lambda_subgroup,
-    local_inner_block,
     neg,
     padic_metric,
     reduce_turns_block,
@@ -62,6 +56,7 @@ from .groups import (
 from .measures import (
     ATOM_TOL_TURNS,
     DiscreteMeasure,
+    PackedRow,
     cylinder_modulus,
     discrete_measure,
 )
@@ -108,42 +103,12 @@ def table(values: dict[int, float]) -> Schedule:
     return Schedule("table", table=tuple(sorted(values.items())))
 
 
-@dataclass(frozen=True)
-class RowDistribution:
-    """Distribution of one entry of the array: a discrete probability
-    measure."""
-
-    measure: DiscreteMeasure
-
-    def __post_init__(self) -> None:
-        if not self.measure.is_probability():
-            raise ValueError(
-                f"row distribution has total mass {self.measure.total_mass()!r}, expected 1"
-            )
-
-    @property
-    def group(self) -> GroupId:
-        return self.measure.group
-
-    @property
-    def atoms(self):
-        return self.measure.atoms
-
-    def is_symmetric(self, tol_turns: float = 1e-12) -> bool:
-        """Invariance under x -> -x, atom by atom."""
-        for x, w in self.atoms:
-            matched = False
-            for y, v in self.atoms:
-                if elements_close(neg(x), y, tol_turns) and abs(w - v) <= 1e-12:
-                    matched = True
-                    break
-            if not matched:
-                return False
-        return True
-
-
-def row_distribution(group: GroupId, atoms) -> RowDistribution:
-    return RowDistribution(discrete_measure(group, atoms))
+def row_distribution(group: GroupId, atoms) -> DiscreteMeasure:
+    """The law of one entry of an array: a discrete probability measure."""
+    mu = discrete_measure(group, atoms)
+    if not mu.is_probability():
+        raise ValueError(f"row distribution has total mass {mu.total_mass()!r}, expected 1")
+    return mu
 
 
 def _positive_k(value: float, n: int) -> int:
@@ -153,59 +118,22 @@ def _positive_k(value: float, n: int) -> int:
     return int(k)
 
 
-@dataclass(frozen=True)
-class PackedRow:
-    """The entries of one row in one table: entry k has the atoms
-    values[starts[k]:starts[k + 1]] (a block of the group's block_dtype)
-    with the weights at the same positions, and the row holds `copies`
-    independent copies of every entry."""
-
-    group: GroupId
-    values: np.ndarray
-    weights: np.ndarray
-    starts: np.ndarray
-    copies: int = 1
-
-    @cached_property
-    def _groups(self) -> list:
-        """The entries grouped by atom count m: (entries, their atoms'
-        positions as an entries x m array, m), or (all, None, m) when every
-        entry has m atoms and a reshape lines them up."""
-        counts = np.diff(self.starts, append=len(self.values))
-        widths = sorted(set(counts.tolist()))
-        if len(widths) == 1:
-            return [(slice(None), None, widths[0])]
-        groups = [(np.flatnonzero(counts == m), m) for m in widths]
-        return [(e, self.starts[e, None] + np.arange(m), m) for e, m in groups]
-
-    def entry_sums(self, x: np.ndarray) -> np.ndarray:
-        """The sum over each entry's atoms of weight * x, for x given at
-        every atom along its last axis: added atom by atom from 0, in the
-        order of measure_ft and tail_mass_measure."""
-        wx = np.multiply(self.weights, x, order="C")
-        out = np.empty(wx.shape[:-1] + (len(self.starts),), dtype=wx.dtype)
-        for entries, at, m in self._groups:
-            block = wx.reshape(wx.shape[:-1] + (-1, m)) if at is None else wx[..., at]
-            total = np.zeros(block.shape[:-1], dtype=wx.dtype)
-            for a in range(m):
-                total += block[..., a]
-            out[..., entries] = total
-        return out
-
-
-def pack_rows(group: GroupId, laws, copies: int = 1) -> PackedRow:
-    """One PackedRow of the row laws, each taken `copies` times, checked
-    to lie on the group."""
-    laws = tuple(laws)
-    if any(dist.group != group for dist in laws):
+def pack_rows(group: GroupId, tables, copies: int = 1) -> PackedRow:
+    """One PackedRow of the entries of the tables (row laws, or rows whose
+    own copies are left to the caller), one after the other, each taken
+    `copies` times, checked to lie on the group."""
+    tables = tuple(tables)
+    if any(t.group != group for t in tables):
         raise GroupMismatchError("row rule produced a distribution on another group")
-    atoms = [atom for dist in laws for atom in dist.atoms]
-    counts = np.array([len(dist.atoms) for dist in laws], dtype=np.intp)
+    if len(tables) == 1:  # an i.i.d. row: its one law's table, shared
+        return PackedRow(group, tables[0].values, tables[0].weights, tables[0].starts, copies)
+    offsets = np.cumsum([0] + [len(t.values) for t in tables[:-1]]).tolist()
+    starts = [np.empty(0, dtype=np.intp)] + [t.starts + o for t, o in zip(tables, offsets)]
     return PackedRow(
         group,
-        np.array([element_value(x) for x, _ in atoms], dtype=block_dtype(group)),
-        np.array([w for _, w in atoms], dtype=float),
-        np.cumsum(counts) - counts,
+        np.concatenate([np.empty(0, dtype=block_dtype(group))] + [t.values for t in tables]),
+        np.concatenate([np.empty(0)] + [t.weights for t in tables]),
+        np.concatenate(starts),
         copies,
     )
 
@@ -285,7 +213,7 @@ def rademacher_array(
         def x(n: int) -> GroupElement:
             return to_element(group, angle(n))
 
-    def dist(n: int) -> RowDistribution:
+    def dist(n: int) -> DiscreteMeasure:
         xn = x(n)
         return row_distribution(group, [(xn, 0.5), (neg(xn), 0.5)])
 
@@ -305,21 +233,37 @@ def bernoulli_array(group: GroupId, x: GroupElement, p: Schedule, K: Schedule) -
             raise ValueError(f"Bernoulli rate p_n={pn} outside [0, 1] at n={n}")
         return pn
 
-    def dist(n: int) -> RowDistribution:
+    def dist(n: int) -> DiscreteMeasure:
         pn = rate(n)
         return row_distribution(group, [(x, pn), (identity(group), 1.0 - pn)])
 
     return _iid_array(group, "bernoulli", dist, K, x=lambda n: x, p=rate)
 
 
+def _is_symmetric(mu: DiscreteMeasure, tol_turns: float = 1e-12) -> bool:
+    """Invariance under x -> -x: every atom's negation lies within
+    tol_turns (exactly, on padic groups) of an atom whose weight is within
+    1e-12 of its own.  Atom pairs are compared in chunks of at most
+    MAX_TEMP."""
+    g, v, w = mu.group, mu.values, mu.weights
+    mirrored = (-v) % g.modulus if g.kind == PADIC else reduce_turns_block(-v)
+    step = max(1, MAX_TEMP // max(1, len(v)))
+    for i in range(0, len(v), step):
+        y = mirrored[i : i + step, None]
+        close = (y == v) if g.kind == PADIC else np.abs(reduce_turns_block(y - v)) <= tol_turns
+        if not (close & (np.abs(w[i : i + step, None] - w) <= 1e-12)).any(axis=1).all():
+            return False
+    return True
+
+
 def iid_symmetric_array(
-    group: GroupId, dist_rule: Callable[[int], RowDistribution], K: Schedule
+    group: GroupId, dist_rule: Callable[[int], DiscreteMeasure], K: Schedule
 ) -> TriangularArray:
     """Rows are i.i.d. with a symmetric distribution produced by a rule."""
 
-    def dist(n: int) -> RowDistribution:
+    def dist(n: int) -> DiscreteMeasure:
         d = dist_rule(n)
-        if not d.is_symmetric():
+        if not _is_symmetric(d):
             raise ValueError(f"row distribution at n={n} is not symmetric")
         return d
 
@@ -338,10 +282,9 @@ def plain_entries(group: GroupId, values: np.ndarray, weights: np.ndarray, count
     starts = np.cumsum(counts) - counts
     bad = ~(np.isfinite(weights) & (weights > 0.0))
     plain = np.bincount(entry, weights=bad, minlength=len(counts)) == 0
-    # any two sums of count positive weights near 1, in any order (or
-    # compensated, as sum() is from Python 3.12), differ by less than
-    # count * eps; an entry inside that margin of the bound is left to
-    # row_distribution, whose total_mass decides it
+    # any two sums of count positive weights near 1, in any order, differ
+    # by less than count * eps; an entry inside that margin of the bound is
+    # left to row_distribution, whose total_mass decides it
     mass = np.bincount(entry, weights=np.where(bad, 0.0, weights), minlength=len(counts))
     plain &= np.abs(mass - 1.0) <= 1e-12 - 2 * counts * np.finfo(float).eps
     # close atoms are neighbours once each entry is sorted, circularly on
@@ -374,7 +317,7 @@ def plain_entries(group: GroupId, values: np.ndarray, weights: np.ndarray, count
 
 
 def general_array(
-    group: GroupId, laws: Callable[[int], tuple[RowDistribution, ...]]
+    group: GroupId, laws: Callable[[int], tuple[DiscreteMeasure, ...]]
 ) -> TriangularArray:
     """Rowwise-independent rows: row n has one entry per law of laws(n)."""
     return TriangularArray(group, "general", lambda n: pack_rows(group, laws(n)))
@@ -395,20 +338,6 @@ def _power(z: complex, K: int) -> complex:
         mag = math.exp(K * math.log(abs(z.real)))
         return complex(-mag if z.real < 0.0 and K % 2 == 1 else mag)
     return cmath.exp(K * cmath.log(z))
-
-
-def _join(rows) -> PackedRow:
-    """The rows as one table, their entries one after the other; the
-    copies of the rows are left to the caller."""
-    if len(rows) == 1:
-        return rows[0]
-    offsets = np.cumsum([0] + [len(row.values) for row in rows[:-1]]).tolist()
-    return PackedRow(
-        rows[0].group,
-        np.concatenate([row.values for row in rows]),
-        np.concatenate([row.weights for row in rows]),
-        np.concatenate([row.starts + offset for row, offset in zip(rows, offsets)]),
-    )
 
 
 def _blocks(rows, items: int):
@@ -445,7 +374,8 @@ def _grid_pass(array: TriangularArray, ns, items, per_entry, reduce) -> list:
         return [(row, []) for row in rows]
     out = []
     for a, b in _blocks(rows, len(items)):
-        block, counts = _join(rows[a:b]), [len(row.starts) for row in rows[a:b]]
+        block = rows[a] if b == a + 1 else pack_rows(array.group, rows[a:b])
+        counts = [len(row.starts) for row in rows[a:b]]
         step = max(1, MAX_TEMP // 4 // max(1, len(block.values)))
         values = [[] for _ in counts]
         for i in range(0, len(items), step):
@@ -462,16 +392,6 @@ def _row_sums(array: TriangularArray, ns, items, per_entry) -> tuple[tuple[float
     return tuple(tuple(row.copies * v for v in values) for row, values in sums)
 
 
-def _moments(row: PackedRow, chars) -> np.ndarray:
-    """The len(chars) x entries array of the entries' character moments."""
-    return row.entry_sums(char_eval_block(row.group, chars, row.values).T)
-
-
-def _tail_masses(row: PackedRow, nbhds) -> np.ndarray:
-    """The len(nbhds) x entries array of the entries' tail masses."""
-    return row.entry_sums(~in_nbhd_block(row.group, nbhds, row.values))
-
-
 def row_ft_exact(array: TriangularArray, ns, chars) -> tuple[tuple[complex, ...], ...]:
     """FT of the row sum at every character, for every grid point of ns:
     the product of the entries' character moments, raised to the power
@@ -480,7 +400,7 @@ def row_ft_exact(array: TriangularArray, ns, chars) -> tuple[tuple[complex, ...]
     The product starts from the first factor, not from 1, so the signed
     zeros of a single factor survive.
     """
-    z = _grid_pass(array, ns, chars, _moments, lambda m: np.multiply.reduce(m, axis=-1))
+    z = _grid_pass(array, ns, chars, PackedRow.moments, lambda m: np.multiply.reduce(m, axis=-1))
     return tuple(tuple(_power(v, row.copies) for v in values) for row, values in z)
 
 
@@ -491,10 +411,7 @@ def sum_local_means(array: TriangularArray, ns) -> tuple[GroupElement, ...]:
         return (identity(g),) * len(ns)
 
     def turns(row, _):  # local_mean of each entry, in turns, reduced
-        t = row.entry_sums(h_arg_block(g, row.values)[None]) / TWO_PI
-        if g.kind != TORUS:
-            t /= g.p**g.depth
-        return reduce_turns_block(t)
+        return reduce_turns_block(row.mean_turns())[None]
 
     # the one item is the row's mean
     return tuple(from_turns(g, v) for (v,) in _row_sums(array, ns, (None,), turns))
@@ -505,8 +422,7 @@ def sum_var_g(array: TriangularArray, ns, chars) -> tuple[tuple[float, ...], ...
     every grid point n of ns."""
 
     def variances(row, c):
-        inner = local_inner_block(row.group, c, row.values)
-        m1, m2 = row.entry_sums(inner), row.entry_sums(inner * inner)
+        m1, m2 = row.g_moments(c)
         return m2 - m1 * m1
 
     return _row_sums(array, ns, chars, variances)
@@ -515,7 +431,7 @@ def sum_var_g(array: TriangularArray, ns, chars) -> tuple[tuple[float, ...], ...
 def sum_tail(array: TriangularArray, ns, nbhds) -> tuple[tuple[float, ...], ...]:
     """Sum over row n of the probabilities of landing outside U, per U, for
     every grid point n of ns."""
-    return _row_sums(array, ns, nbhds, _tail_masses)
+    return _row_sums(array, ns, nbhds, PackedRow.tail_masses)
 
 
 def sum_cylinder(array: TriangularArray, ns, cylinders) -> tuple[tuple[float, ...], ...]:
@@ -523,18 +439,16 @@ def sum_cylinder(array: TriangularArray, ns, cylinders) -> tuple[tuple[float, ..
     x0 + lambda(r), for every (x0, r) of cylinders and every grid point n
     of ns."""
     moduli = [(x0.residue, cylinder_modulus(array.group, x0, r)) for x0, r in cylinders]
-
-    def masses(row, chunk):
-        return row.entry_sums(np.array([(row.values - x) % q == 0 for x, q in chunk], dtype=bool))
-
-    return _row_sums(array, ns, moduli, masses)
+    return _row_sums(array, ns, moduli, PackedRow.cylinder_masses)
 
 
 def infinitesimality_stat(array: TriangularArray, ns, nbhds) -> tuple[tuple[float, ...], ...]:
     """Largest tail probability in row n, for every neighborhood U and every
     grid point n of ns; the array is infinitesimal when this tends to 0 for
     every U."""
-    tails = _grid_pass(array, ns, nbhds, _tail_masses, lambda t: t.max(axis=-1, initial=0.0))
+    tails = _grid_pass(
+        array, ns, nbhds, PackedRow.tail_masses, lambda t: t.max(axis=-1, initial=0.0)
+    )
     return tuple(tuple(values) for _, values in tails)
 
 
@@ -544,7 +458,7 @@ def symmetric_stat(array: TriangularArray, ns, chars) -> tuple[tuple[float, ...]
     Gauss and Haar behaviour of symmetric arrays."""
     if array.kind == "general":
         raise ValueError("symmetric_stat needs i.i.d. rows")
-    return _row_sums(array, ns, chars, lambda row, c: 1.0 - _moments(row, c).real)
+    return _row_sums(array, ns, chars, lambda row, c: 1.0 - row.moments(c).real)
 
 
 def bernoulli_rate(array: TriangularArray, n: int) -> float:

@@ -20,6 +20,7 @@ from .arrays import (
     bernoulli_array,
     check_null_rule,
     iid_symmetric_array,
+    pack_rows,
     plain_entries,
     rademacher_array,
     row_distribution,
@@ -37,7 +38,6 @@ from .groups import (
     block_dtype,
     character,
     cyclic_subgroup,
-    element_value,
     from_turns,
     full_subgroup,
     identity,
@@ -359,29 +359,20 @@ def _general_row(entries: list, group: GroupId, context: str) -> PackedRow:
     else:
         values, weights, counts = read
         plain = plain_entries(group, values, weights, counts)
-    starts = np.cumsum(counts) - counts
+    row = PackedRow(group, values, weights, np.cumsum(counts) - counts)
     if plain.all():
-        return PackedRow(group, values, weights, starts)
-    first = np.append(starts, len(values))  # entry k's atoms start at first[k]
+        return row
+    first = np.append(row.starts, len(values))  # entry k's atoms start at first[k]
+
+    def as_read(a: int, b: int) -> PackedRow:  # entries a, ..., b - 1
+        at = slice(first[a], first[b])
+        return PackedRow(group, values[at], weights[at], row.starts[a:b] - first[a])
+
     parts, done = [], 0  # the table is rebuilt from entry done on
     for k in np.flatnonzero(~plain).tolist():
-        law = _row_law(entries[k], group, f"{context}[{k}]")
-        parts.append((values[first[done] : first[k]], weights[first[done] : first[k]]))
-        parts.append(
-            (
-                np.array([element_value(x) for x, _ in law.atoms], dtype=values.dtype),
-                np.array([w for _, w in law.atoms], dtype=float),
-            )
-        )
-        counts[k] = len(law.atoms)
+        parts += [as_read(done, k), _row_law(entries[k], group, f"{context}[{k}]")]
         done = k + 1
-    parts.append((values[first[done] :], weights[first[done] :]))
-    return PackedRow(
-        group,
-        np.concatenate([v for v, _ in parts]),
-        np.concatenate([w for _, w in parts]),
-        np.cumsum(counts) - counts,
-    )
+    return pack_rows(group, parts + [as_read(done, len(entries))])
 
 
 def _row_rule(table: dict):
@@ -474,7 +465,7 @@ def parse_law(doc, group: GroupId) -> LimitLaw:
     if a_doc is None:
         a = identity(group)
     elif a_doc == "mean":
-        a = local_mean(eta.measure)
+        a = local_mean(eta)
     else:
         a = parse_element(a_doc, group, "law.a")
     try:

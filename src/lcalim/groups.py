@@ -14,6 +14,8 @@ beyond the working depth raise instead of approximating.
 
 The ``*_block`` functions are the same operations on a block of elements
 of one group, held as one numpy array of their turns or residues.
+char_eval, coordinate_arg, h_trunc, local_inner and in_nbhd evaluate their
+block twin at one value; element arithmetic (add, neg, scale) is scalar.
 """
 
 from __future__ import annotations
@@ -228,22 +230,6 @@ def scale(k: int, x: GroupElement) -> GroupElement:
     return GroupElement(x.group, turns=reduce_turns(k * x.turns))
 
 
-def coordinate_turns(x: GroupElement, j: int) -> float:
-    """Turn count of the solenoid coordinate y_j, j <= working depth.
-
-    Computed by repeatedly multiplying the deepest coordinate by p and
-    reducing mod 1 at every step.
-    """
-    if x.group.kind != SOLENOID:
-        raise ValueError("coordinates only defined for solenoid elements")
-    if not 0 <= j <= x.group.depth:
-        raise DepthOverflowError(f"coordinate {j} beyond working depth {x.group.depth}")
-    t = x.turns
-    for _ in range(x.group.depth - j):
-        t = reduce_turns(t * x.group.p)
-    return t
-
-
 def arg_of(x: GroupElement) -> float:
     """The angle of a torus element, in [-pi, pi)."""
     if x.group.kind != TORUS:
@@ -252,20 +238,19 @@ def arg_of(x: GroupElement) -> float:
 
 
 def coordinate_arg(x: GroupElement, j: int) -> float:
-    """Angle of the solenoid coordinate y_j, in [-pi, pi)."""
-    return TWO_PI * coordinate_turns(x, j)
+    """Angle of the solenoid coordinate y_j, j <= working depth, in
+    [-pi, pi)."""
+    if x.group.kind != SOLENOID:
+        raise ValueError("coordinates only defined for solenoid elements")
+    if not 0 <= j <= x.group.depth:
+        raise DepthOverflowError(f"coordinate {j} beyond working depth {x.group.depth}")
+    return TWO_PI * _coordinates_block(x.group, element_block(x), j)[j].item()
 
 
 def h_trunc(t: float) -> float:
     """Piecewise-linear truncation of the angle: the identity on
     [-pi/2, pi/2), folded linearly to 0 at +-pi, and 0 outside [-pi, pi)."""
-    if t < -math.pi or t >= math.pi:
-        return 0.0
-    if t < -math.pi / 2:
-        return -t - math.pi
-    if t < math.pi / 2:
-        return t
-    return math.pi - t
+    return h_trunc_block(np.array([t], dtype=float)).item()
 
 
 @dataclass(frozen=True)
@@ -318,44 +303,9 @@ def canonical_character(chi: Character) -> Character:
     return Character(chi.group, ell, d)
 
 
-def _cis_turns(t: float) -> complex:
-    """exp(2 pi i t) for t in turns.
-
-    Folded to the nearest quarter turn before touching pi, so quarter-turn
-    multiples (t = 0, +-1/4, -1/2) come out bit-exact and everything else
-    is evaluated with a well-conditioned small angle.
-    """
-    t = reduce_turns(t)
-    q = round(4.0 * t)
-    a = TWO_PI * (t - 0.25 * q)
-    c, s = math.cos(a), math.sin(a)
-    q %= 4
-    if q == 0:
-        return complex(c, s)
-    if q == 1:
-        return complex(-s, c)
-    if q == 2:
-        return complex(-c, -s)
-    return complex(s, -c)
-
-
 def char_eval(chi: Character, x: GroupElement) -> complex:
     """Evaluate the character at x; a complex number of modulus one."""
-    if chi.group != x.group:
-        raise GroupMismatchError("character and element on different groups")
-    g = x.group
-    if g.kind == TORUS:
-        return _cis_turns(chi.ell * x.turns)
-    if g.kind == PADIC:
-        if chi.d > g.depth:
-            raise DepthOverflowError(
-                f"character depth {chi.d} beyond working depth {g.depth}"
-            )
-        q = g.p ** (chi.d + 1)
-        return _cis_turns(((chi.ell * (x.residue % q)) % q) / q)
-    if chi.d > g.depth:
-        raise DepthOverflowError(f"character depth {chi.d} beyond working depth {g.depth}")
-    return _cis_turns(chi.ell * coordinate_turns(x, chi.d))
+    return char_eval_block(x.group, (chi,), element_block(x)).item()
 
 
 # Blocks: many elements of one group in one numpy array, as float64 turns
@@ -377,17 +327,16 @@ def element_value(x: GroupElement):
     return x.residue if x.group.kind == PADIC else x.turns
 
 
-def block_element(group: GroupId, v) -> GroupElement:
-    """The element that the block entry v stands for."""
-    if group.kind == PADIC:
-        return GroupElement(group, residue=int(v))
-    return GroupElement(group, turns=float(v))
+def element_block(x: GroupElement) -> np.ndarray:
+    """The block of the one element x."""
+    return np.array([element_value(x)], dtype=block_dtype(x.group))
 
 
 def reduce_turns_block(t: np.ndarray) -> np.ndarray:
     """reduce_turns of every entry."""
     r = t - np.floor(t + 0.5)
-    return np.where(r >= 0.5, r - 1.0, r)
+    r -= r >= 0.5  # less 1.0 or 0.0: r - 0.0 is r, signed zeros included
+    return r
 
 
 def add_block(group: GroupId, u, v) -> np.ndarray:
@@ -397,39 +346,50 @@ def add_block(group: GroupId, u, v) -> np.ndarray:
     return reduce_turns_block(u + v)
 
 
-def scale_block(counts: np.ndarray, x: GroupElement) -> np.ndarray:
-    """The block of count * x, one entry per integer count.  On padic
-    groups the count is reduced mod the modulus first, so the int64
-    product cannot overflow."""
-    g = x.group
-    if g.kind == PADIC:
-        m = g.modulus
-        return (counts.astype(block_dtype(g), copy=False) % m) * x.residue % m
-    return reduce_turns_block(counts * x.turns)
+def scale_block(group: GroupId, counts: np.ndarray, v) -> np.ndarray:
+    """The block of count * v for the block entry v, one entry per integer
+    count.  On padic groups the count is reduced mod the modulus first, so
+    the int64 product cannot overflow."""
+    if group.kind == PADIC:
+        m = group.modulus
+        return (counts.astype(block_dtype(group), copy=False) % m) * v % m
+    return reduce_turns_block(counts * v)
+
+
+# by the nearest quarter turn q = -2, ..., 2 (at index q + 2): whether cos
+# and sin swap places (a quarter turn either way), and the signs of the
+# real part (negated at q = 1, +-2) and of the imaginary part (at q = -1,
+# +-2)
+_QUARTER_SWAP = np.array([False, True, False, True, False])
+_QUARTER_RE = np.array([-1.0, 1.0, 1.0, -1.0, -1.0])
+_QUARTER_IM = np.array([-1.0, -1.0, 1.0, 1.0, -1.0])
 
 
 def cis_turns_block(t: np.ndarray) -> np.ndarray:
-    """_cis_turns of every entry, with the same quarter-turn folding.
+    """exp(2 pi i t) of every entry t, in turns.
 
-    The quarter q picks cos or sin for each part, and a sign: a product
+    Each t is folded to the nearest quarter turn before touching pi, so
+    quarter-turn multiples (t = 0, +-1/4, -1/2) come out bit-exact and
+    everything else is evaluated with a well-conditioned small angle.  The
+    quarter q picks cos or sin for each part, and a sign: a product
     with 1.0 or -1.0 is an exact copy or negation, signed zeros included,
     and costs less than a branch on q per entry."""
     t = reduce_turns_block(t)
-    q = np.rint(4.0 * t)  # the nearest quarter turn, one of -2, ..., 2
+    q = np.rint(4.0 * t)  # the nearest quarter turn
     a = TWO_PI * (t - 0.25 * q)
     c, s = np.cos(a), np.sin(a)
-    odd = np.abs(q) == 1.0  # a quarter turn either way swaps cos and sin
+    k = (q + 2.0).astype(np.intp)  # "clip" below keeps a NaN turn NaN
+    swap = _QUARTER_SWAP.take(k, mode="clip")
     out = np.empty(t.shape, dtype=complex)
-    # the real part is negated at q = 1, +-2, where q (q + 1) > 1, and the
-    # imaginary part at q = -1, +-2, where q (q - 1) > 1
-    out.real = np.where(odd, s, c) * (1.0 - 2.0 * (q * (q + 1.0) > 1.0))
-    out.imag = np.where(odd, c, s) * (1.0 - 2.0 * (q * (q - 1.0) > 1.0))
+    out.real = np.where(swap, s, c) * _QUARTER_RE.take(k, mode="clip")
+    out.imag = np.where(swap, c, s) * _QUARTER_IM.take(k, mode="clip")
     return out
 
 
 def _coordinates_block(group: GroupId, values: np.ndarray, lowest: int) -> dict:
-    """coordinate_turns(., j) of every element of a solenoid block for every
-    j from the working depth down to lowest, by one chain of its steps."""
+    """The turns of the coordinate y_j of every element of a solenoid block,
+    for every j from the working depth down to lowest: the deepest
+    coordinate multiplied by p and reduced mod 1 once per step."""
     ys = {group.depth: values}
     for j in range(group.depth - 1, lowest - 1, -1):
         ys[j] = reduce_turns_block(ys[j + 1] * group.p)
@@ -437,8 +397,8 @@ def _coordinates_block(group: GroupId, values: np.ndarray, lowest: int) -> dict:
 
 
 def char_eval_block(group: GroupId, chars, values: np.ndarray) -> np.ndarray:
-    """char_eval of every character at every element of a block: the
-    len(values) x len(chars) matrix of character values."""
+    """Every character at every element of a block: the len(values) x
+    len(chars) matrix of character values."""
     if any(chi.group != group for chi in chars):
         raise GroupMismatchError("character and element on different groups")
     deepest = max((chi.d for chi in chars), default=0)
@@ -446,15 +406,14 @@ def char_eval_block(group: GroupId, chars, values: np.ndarray) -> np.ndarray:
         raise DepthOverflowError(f"character depth {deepest} beyond working depth {group.depth}")
     if group.kind == TORUS:
         return cis_turns_block(values[:, None] * np.array([chi.ell for chi in chars], dtype=float))
-    if group.kind == SOLENOID:
-        ys = _coordinates_block(group, values, min((chi.d for chi in chars), default=0))
+    if group.kind == PADIC:  # ell * (x mod q) mod q / q turns, q = p^(d+1)
+        qs = np.array([group.p ** (chi.d + 1) for chi in chars], dtype=values.dtype)
+        ells = np.array([chi.ell for chi in chars], dtype=values.dtype)
+        return cis_turns_block(np.asarray(ells * (values[:, None] % qs) % qs / qs, dtype=float))
+    ys = _coordinates_block(group, values, min((chi.d for chi in chars), default=0))
     phases = np.empty((len(values), len(chars)))
     for k, chi in enumerate(chars):
-        if group.kind == PADIC:
-            q = group.p ** (chi.d + 1)
-            phases[:, k] = chi.ell * (values % q) % q / q
-        else:
-            phases[:, k] = chi.ell * ys[chi.d]
+        phases[:, k] = chi.ell * ys[chi.d]
     return cis_turns_block(phases)
 
 
@@ -463,14 +422,13 @@ def local_inner(x: GroupElement, chi: Character) -> float:
 
     torus: ell * h(arg x); padic: 0; solenoid: ell * h(arg y_0) / p^d.
     """
-    if chi.group != x.group:
-        raise GroupMismatchError("character and element on different groups")
-    g = x.group
-    if g.kind == TORUS:
-        return chi.ell * h_trunc(arg_of(x))
-    if g.kind == PADIC:
-        return 0.0
-    return chi.ell * h_trunc(coordinate_arg(x, 0)) / g.p**chi.d
+    return local_inner_block(x.group, (chi,), element_block(x)).item()
+
+
+def h_trunc_block(t: np.ndarray) -> np.ndarray:
+    """h_trunc of every angle of t."""
+    folded = np.where(t < -math.pi / 2, -t - math.pi, np.where(t < math.pi / 2, t, math.pi - t))
+    return np.where((t < -math.pi) | (t >= math.pi), 0.0, folded)
 
 
 def h_arg_block(group: GroupId, values: np.ndarray) -> np.ndarray:
@@ -478,14 +436,12 @@ def h_arg_block(group: GroupId, values: np.ndarray) -> np.ndarray:
     angle of its base coordinate y_0 on the solenoid."""
     if group.kind == SOLENOID:
         values = _coordinates_block(group, values, 0)[0]
-    t = TWO_PI * values
-    folded = np.where(t < -math.pi / 2, -t - math.pi, np.where(t < math.pi / 2, t, math.pi - t))
-    return np.where((t < -math.pi) | (t >= math.pi), 0.0, folded)
+    return h_trunc_block(TWO_PI * values)
 
 
 def local_inner_block(group: GroupId, chars, values: np.ndarray) -> np.ndarray:
-    """local_inner(., chi) of every element of a block for every
-    character: a len(chars) x len(values) array."""
+    """The local inner product g(., chi) of every element of a block for
+    every character: a len(chars) x len(values) array."""
     if any(chi.group != group for chi in chars):
         raise GroupMismatchError("character and element on different groups")
     out = np.zeros((len(chars), len(values)))
@@ -621,18 +577,13 @@ class Neighborhood:
 
 
 def in_nbhd(x: GroupElement, U: Neighborhood) -> bool:
-    if x.group != U.group:
-        raise GroupMismatchError("element and neighborhood on different groups")
-    if x.group.kind == TORUS:
-        return abs(arg_of(x)) < U.eps
-    if x.group.kind == PADIC:
-        return x.residue % x.group.p**U.rank == 0
-    return all(abs(coordinate_arg(x, j)) < U.eps for j in range(U.d + 1))
+    """Whether x lies in the neighborhood U."""
+    return in_nbhd_block(x.group, (U,), element_block(x)).item()
 
 
 def in_nbhd_block(group: GroupId, nbhds, values: np.ndarray) -> np.ndarray:
-    """in_nbhd(., U) of every element of a block for every neighborhood U:
-    a len(nbhds) x len(values) boolean array."""
+    """Whether every element of a block lies in every neighborhood U: a
+    len(nbhds) x len(values) boolean array."""
     if any(U.group != group for U in nbhds):
         raise GroupMismatchError("element and neighborhood on different groups")
     if group.kind == SOLENOID:

@@ -163,7 +163,7 @@ def run_sample(cfg: ExperimentConfig, out_dir: str, seed_override: int | None = 
         rows, all_ok = rows + new, all_ok and ok
     if cfg.group.kind != SOLENOID:
         est = empirical_law_ft(cfg.law, chars, M, SeededStream(seed).child(1))
-        new, ok = _mc_rows("law", "", est, [limit_law_ft(cfg.law, chi) for chi in chars], bound)
+        new, ok = _mc_rows("law", "", est, limit_law_ft(cfg.law, chars), bound)
         rows, all_ok = rows + new, all_ok and ok
     summary = {
         "mode": "sample",

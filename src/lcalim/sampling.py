@@ -27,7 +27,6 @@ from .groups import (
     CompactSubgroup,
     add_block,
     block_dtype,
-    block_element,
     char_eval_block,
     element_value,
     neg,
@@ -67,12 +66,12 @@ def derive_seed(master: int, path=()) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _combine(group, counts: np.ndarray, xs) -> np.ndarray:
+def _combine(group, counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Block of sums over atoms of count * atom; column a of counts holds
-    the counts of xs[a]."""
+    the counts of the atom values[a]."""
     out = np.zeros(len(counts), dtype=block_dtype(group))
-    for a, x in enumerate(xs):
-        out = add_block(group, out, scale_block(counts[:, a], x))
+    for a, v in enumerate(values.tolist()):
+        out = add_block(group, out, scale_block(group, counts[:, a], v))
     return out
 
 
@@ -91,20 +90,17 @@ def _row_sampler(array: TriangularArray, n: int):
     K = array.row_count(n)
     row = array.packed(n)
     if len(row.starts) == 1:
-        xs = [block_element(g, v) for v in row.values.tolist()]
-        weights = row.weights.tolist()
-        total = sum(weights)  # in atom order, as measure.total_mass sums
-        pvals = [w / total for w in weights]
+        pvals = (row.weights / row.masses()).tolist()
 
         def draw_counts(gen, size):
-            if len(xs) == 1:
+            if len(pvals) == 1:
                 counts = np.full((size, 1), K, dtype=np.int64)
-            elif len(xs) == 2:
+            elif len(pvals) == 2:
                 c = gen.binomial(K, pvals[0], size=size)
                 counts = np.stack([c, K - c], axis=1)
             else:
                 counts = gen.multinomial(K, pvals, size=size)
-            return _combine(g, counts, xs)
+            return _combine(g, counts, row.values)
 
         return draw_counts
 
@@ -121,13 +117,8 @@ def _row_sampler(array: TriangularArray, n: int):
     vals = np.zeros((len(counts), width), dtype=block_dtype(g))
     vals[entry, slot] = row.values
     probs = np.zeros((len(counts), width))
-    probs[entry, slot] = row.weights
-    # summed atom by atom, as measure.total_mass does, so the boundaries
-    # below equal those of a loop over the row laws bit for bit
-    total = 0.0
-    for a in range(width):
-        total = total + probs[:, a]
-    probs /= total[:, None]
+    # over each entry's mass, the sum total_mass takes of its row law
+    probs[entry, slot] = row.weights / np.repeat(row.masses(), counts)
     # entry k with uniform u takes the atom whose index is the number of
     # boundaries cum[k, :] <= u; boundaries past an entry's second-to-last
     # atom stay +inf, so its last atom also takes any rounding remainder
@@ -181,18 +172,17 @@ def _law_sampler(law: LimitLaw):
         raise ValueError("solenoid limit laws are verified exactly, not sampled")
     a = element_value(law.a)
     sigma = math.sqrt(law.b.b)
-    xs = [x for x, _ in law.eta.atoms]
-    rates = [w for _, w in law.eta.atoms]
-    eta_shift = element_value(neg(local_mean(law.eta.measure)))
+    rates = law.eta.weights.tolist()
+    eta_shift = element_value(neg(local_mean(law.eta)))
 
     def draw(gen, size):
         out = add_block(g, _haar_block(law.H, gen, size), a)
         if sigma > 0.0:
             theta = gen.normal(0.0, sigma, size=size)
             out = add_block(g, out, reduce_turns_block(theta / TWO_PI))
-        if xs:
+        if rates:
             counts = np.stack([gen.poisson(w, size=size) for w in rates], axis=1)
-            out = add_block(g, out, add_block(g, _combine(g, counts, xs), eta_shift))
+            out = add_block(g, out, add_block(g, _combine(g, counts, law.eta.values), eta_shift))
         return out
 
     return draw

@@ -28,7 +28,6 @@ from .groups import (
     elements_close,
     full_subgroup,
     identity,
-    local_inner,
     padic_metric,
     reduce_turns,
 )
@@ -258,7 +257,7 @@ class ConvergenceReport:
 def _ft_gaps(array: TriangularArray, law: LimitLaw, grid, chars):
     """The exact row-sum FTs on the grid, the law's FTs, and at each grid
     point the largest absolute gap between them over the character set."""
-    limits = tuple(limit_law_ft(law, chi) for chi in chars)
+    limits = tuple(limit_law_ft(law, chars))
     exact = row_ft_exact(array, grid, chars)
     sup = [max([0.0] + [abs(z - w) for z, w in zip(values, limits)]) for values in exact]
     return exact, limits, sup
@@ -300,7 +299,7 @@ def _is_pure_haar(law: LimitLaw) -> bool:
     return (
         not law.H.is_trivial()
         and law.b.b == 0.0
-        and not law.eta.atoms
+        and not len(law.eta.values)
         and elements_close(law.a, identity(law.group))
     )
 
@@ -312,7 +311,7 @@ def _cylinder_set(law: LimitLaw, array, settings: VerifySettings):
     group = law.group
     ranks = sorted({U.rank for U in settings.neighborhoods if U.rank > 0})
     n = settings.grid[-1]
-    residues = [x.residue for x, _ in law.eta.atoms]
+    residues = law.eta.values.tolist()
     if array.kind == "bernoulli":  # kept even when p_n = 0 drops it from the row law
         residues.append(array.x(n).residue)
     residues.extend(set(array.packed(n).values.tolist()))
@@ -372,7 +371,7 @@ def check_theorem(
         nontrivial = tuple(chi for chi in chars if not chi.is_trivial())
         for chi, seq in zip(nontrivial, _sequences(symmetric_stat, array, grid, nontrivial)):
             conditions.append(_target_infinity(f"char_gap[{chi.char_id}]", seq, classify))
-    elif is_symmetric_array(array) and law.H.is_trivial() and not law.eta.atoms:
+    elif is_symmetric_array(array) and law.H.is_trivial() and not len(law.eta.values):
         theorem = "rademacher-clt" if array.kind == "rademacher" else "symmetric-clt"
         moment, variance, tails = _clt_conditions(array, law.b, settings)
         for pair in zip(moment, variance):
@@ -383,10 +382,11 @@ def check_theorem(
         a = law.a
         seq = [(n, element_distance(m, a)) for n, m in zip(grid, sum_local_means(array, grid))]
         conditions.append(_target_value("mean_sum_gap", seq, classify, 0.0, tol))
-        for chi, seq in zip(chars, _sequences(sum_var_g, array, grid, chars)):
-            target = qform_eval(law.b, chi) + sum(
-                w * local_inner(x, chi) ** 2 for x, w in law.eta.atoms
-            )
+        seqs = _sequences(sum_var_g, array, grid, chars)
+        # the integral of g^2 under eta: its second g-moment
+        second = law.eta.g_moments(chars)[1][:, 0].tolist()
+        for chi, seq, m2 in zip(chars, seqs, second):
+            target = qform_eval(law.b, chi) + m2
             conditions.append(
                 _target_value(f"var_sum[{chi.char_id}]", seq, classify, target, tol)
             )
@@ -427,14 +427,13 @@ def _levy_tail_conditions(array, law: LimitLaw, settings: VerifySettings):
     against the Levy tail masses, plus cylinder masses on padic groups."""
     out, classify = [], settings.classify
     nbhds = settings.neighborhoods
-    for U, seq in zip(nbhds, _sequences(sum_tail, array, settings.grid, nbhds)):
-        target = tail_mass_measure(law.eta.measure, U)
+    seqs = _sequences(sum_tail, array, settings.grid, nbhds)
+    for U, seq, target in zip(nbhds, seqs, tail_mass_measure(law.eta, nbhds)):
         out.append(_target_value(f"tail_sum[{U.label}]", seq, classify, target, settings.trend_tol))
     if law.group.kind == PADIC:
         cylinders = _cylinder_set(law, array, settings)
         seqs = _sequences(sum_cylinder, array, settings.grid, cylinders)
-        for (x0, r), seq in zip(cylinders, seqs):
-            target = cylinder_mass(law.eta.measure, x0, r)
+        for (x0, r), seq, target in zip(cylinders, seqs, cylinder_mass(law.eta, cylinders)):
             out.append(
                 _target_value(
                     f"cylinder[res:{x0.residue},r:{r}]",

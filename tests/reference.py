@@ -1,0 +1,207 @@
+"""Scalar references: the element-at-a-time kernels and the atom-loop law
+statistics that lcalim computed before every kernel became a one-value
+call of its block twin and every law statistic a per-entry body over a
+measure's table.  The tests hold the package to these bit for bit.
+
+A measure is read here through atoms(mu), its (element, weight) pairs in
+table order.
+"""
+
+import cmath
+import math
+
+from lcalim.groups import (
+    PADIC,
+    SOLENOID,
+    TORUS,
+    TWO_PI,
+    DepthOverflowError,
+    GroupElement,
+    GroupMismatchError,
+    annihilator_contains,
+    elements_close,
+    from_angle,
+    from_turns,
+    identity,
+    neg,
+    reduce_turns,
+)
+from lcalim.measures import ATOM_TOL_TURNS, cylinder_modulus, gauss_ft
+
+
+def _sum(terms, start=0.0):
+    """The terms added one by one from start: the order of sum() up to
+    Python 3.11 (from 3.12 on, sum() compensates float rounding)."""
+    for term in terms:
+        start = start + term
+    return start
+
+
+def element(group, v) -> GroupElement:
+    """The element that the block entry v stands for."""
+    if group.kind == PADIC:
+        return GroupElement(group, residue=int(v))
+    return GroupElement(group, turns=float(v))
+
+
+def atoms(mu):
+    """The (element, weight) pairs of a measure's table, in table order."""
+    return [(element(mu.group, v), w) for v, w in zip(mu.values.tolist(), mu.weights.tolist())]
+
+
+def merged_atoms(group, pairs):
+    """The atoms that discrete_measure keeps: zero weights dropped, and each
+    atom merged into the first kept atom close to it, in input order."""
+    merged = []
+    for x, w in pairs:
+        if x.group != group:
+            raise GroupMismatchError("atom on a different group than the measure")
+        w = float(w)
+        if w < 0.0:
+            raise ValueError(f"negative atom weight {w}")
+        if w == 0.0:
+            continue
+        for i, (y, v) in enumerate(merged):
+            if elements_close(x, y, ATOM_TOL_TURNS):
+                merged[i] = (y, v + w)
+                break
+        else:
+            merged.append((x, w))
+    return merged
+
+
+def is_symmetric(mu, tol_turns: float = 1e-12) -> bool:
+    """Invariance under x -> -x, atom by atom."""
+    pairs = atoms(mu)
+    return all(
+        any(elements_close(neg(x), y, tol_turns) and abs(w - v) <= 1e-12 for y, v in pairs)
+        for x, w in pairs
+    )
+
+
+def cis_turns(t: float) -> complex:
+    """exp(2 pi i t) for t in turns, folded to the nearest quarter turn."""
+    t = reduce_turns(t)
+    q = round(4.0 * t)
+    a = TWO_PI * (t - 0.25 * q)
+    c, s = math.cos(a), math.sin(a)
+    q %= 4
+    if q == 0:
+        return complex(c, s)
+    if q == 1:
+        return complex(-s, c)
+    if q == 2:
+        return complex(-c, -s)
+    return complex(s, -c)
+
+
+def coordinate_turns(x: GroupElement, j: int) -> float:
+    """Turn count of the solenoid coordinate y_j, by repeated
+    multiply-by-p-and-reduce steps from the deepest coordinate."""
+    if x.group.kind != SOLENOID:
+        raise ValueError("coordinates only defined for solenoid elements")
+    if not 0 <= j <= x.group.depth:
+        raise DepthOverflowError(f"coordinate {j} beyond working depth {x.group.depth}")
+    t = x.turns
+    for _ in range(x.group.depth - j):
+        t = reduce_turns(t * x.group.p)
+    return t
+
+
+def coordinate_arg(x: GroupElement, j: int) -> float:
+    return TWO_PI * coordinate_turns(x, j)
+
+
+def h_trunc(t: float) -> float:
+    if t < -math.pi or t >= math.pi:
+        return 0.0
+    if t < -math.pi / 2:
+        return -t - math.pi
+    if t < math.pi / 2:
+        return t
+    return math.pi - t
+
+
+def char_eval(chi, x: GroupElement) -> complex:
+    if chi.group != x.group:
+        raise GroupMismatchError("character and element on different groups")
+    g = x.group
+    if g.kind == TORUS:
+        return cis_turns(chi.ell * x.turns)
+    if chi.d > g.depth:
+        raise DepthOverflowError(f"character depth {chi.d} beyond working depth {g.depth}")
+    if g.kind == PADIC:
+        q = g.p ** (chi.d + 1)
+        return cis_turns(((chi.ell * (x.residue % q)) % q) / q)
+    return cis_turns(chi.ell * coordinate_turns(x, chi.d))
+
+
+def local_inner(x: GroupElement, chi) -> float:
+    if chi.group != x.group:
+        raise GroupMismatchError("character and element on different groups")
+    g = x.group
+    if g.kind == TORUS:
+        return chi.ell * h_trunc(TWO_PI * x.turns)
+    if g.kind == PADIC:
+        return 0.0
+    return chi.ell * h_trunc(coordinate_arg(x, 0)) / g.p**chi.d
+
+
+def in_nbhd(x: GroupElement, U) -> bool:
+    if x.group != U.group:
+        raise GroupMismatchError("element and neighborhood on different groups")
+    if x.group.kind == TORUS:
+        return abs(TWO_PI * x.turns) < U.eps
+    if x.group.kind == PADIC:
+        return x.residue % x.group.p**U.rank == 0
+    return all(abs(coordinate_arg(x, j)) < U.eps for j in range(U.d + 1))
+
+
+def measure_ft(mu, chi) -> complex:
+    return _sum((w * char_eval(chi, x) for x, w in atoms(mu)), complex(0.0))
+
+
+def cpoisson_ft(eta, chi) -> complex:
+    expo = _sum((w * (char_eval(chi, x) - 1.0) for x, w in atoms(eta)), complex(0.0))
+    return cmath.exp(expo)
+
+
+def genpoisson_ft(eta, chi) -> complex:
+    expo = _sum(
+        (w * (char_eval(chi, x) - 1.0 - 1j * local_inner(x, chi)) for x, w in atoms(eta)),
+        complex(0.0),
+    )
+    return cmath.exp(expo)
+
+
+def local_mean(mu) -> GroupElement:
+    g = mu.group
+    if g.kind == PADIC:
+        return identity(g)
+    if g.kind == TORUS:
+        return from_angle(g, _sum(w * h_trunc(TWO_PI * x.turns) for x, w in atoms(mu)))
+    s = _sum(w * h_trunc(coordinate_arg(x, 0)) for x, w in atoms(mu))
+    return from_turns(g, s / (2.0 * math.pi) / g.p**g.depth)
+
+
+def tail_mass_measure(eta, U) -> float:
+    return _sum(w for x, w in atoms(eta) if not in_nbhd(x, U))
+
+
+def cylinder_mass(eta, x: GroupElement, r: int) -> float:
+    q = cylinder_modulus(eta.group, x, r)
+    return _sum(w for y, w in atoms(eta) if (y.residue - x.residue) % q == 0)
+
+
+def second_moment(eta, chi) -> float:
+    """The integral of g(., chi)^2 under eta; squares are products, as in
+    the vector pass (libm's pow(x, 2) can be one ulp off x * x)."""
+    return _sum(w * (local_inner(x, chi) * local_inner(x, chi)) for x, w in atoms(eta))
+
+
+def limit_law_ft(law, chi) -> complex:
+    if law.group != chi.group:
+        raise GroupMismatchError("law and character on different groups")
+    if not annihilator_contains(law.H, chi):
+        return complex(0.0)
+    return char_eval(chi, law.a) * gauss_ft(law.b, chi) * genpoisson_ft(law.eta, chi)

@@ -150,7 +150,7 @@ class TestRunners:
             ell = int(row["char_id"].split(":")[1])
             chi = character(cfg.group, ell)
             exact = row_ft_exact(cfg.array, (n,), (chi,))[0][0]
-            limit = limit_law_ft(cfg.law, chi)
+            (limit,) = limit_law_ft(cfg.law, (chi,))
             assert float(row["re_exact"]) == exact.real
             assert float(row["im_exact"]) == exact.imag
             assert float(row["re_limit"]) == limit.real
@@ -209,7 +209,7 @@ class TestRunners:
             for row in csv.DictReader(fh):
                 chi = chars[row["char_id"]]
                 exact = row_ft_exact(cfg.array, (int(row["n"]),), (chi,))[0][0]
-                limit = limit_law_ft(cfg.law, chi)
+                (limit,) = limit_law_ft(cfg.law, (chi,))
                 assert float(row["re_exact"]) == exact.real
                 assert float(row["im_exact"]) == exact.imag
                 assert float(row["re_limit"]) == limit.real
@@ -236,7 +236,7 @@ class TestRunners:
             if row["kind"] == "array":
                 exact = row_ft_exact(cfg.array, (int(row["n"]),), (chi,))[0][0]
             else:
-                exact = limit_law_ft(cfg.law, chi)
+                (exact,) = limit_law_ft(cfg.law, (chi,))
             assert float(row["re_exact"]) == exact.real
             assert float(row["im_exact"]) == exact.imag
             assert int(row["replicates"]) == cfg.mc.replicates

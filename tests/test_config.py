@@ -34,7 +34,6 @@ from lcalim.groups import (
     PADIC,
     TWO_PI,
     block_dtype,
-    element_value,
     padic_group,
     reduce_turns_block,
     solenoid_group,
@@ -250,9 +249,9 @@ class TestGeneralRow:
 
 
 def test_plain_masses_hold_in_any_summation_order():
-    # total_mass is sum(), which adds in atom order up to Python 3.11 and
-    # compensates from 3.12 on: an entry taken as given must have its mass
-    # within 1e-12 of 1 either way
+    # total_mass adds in atom order, but an entry taken as given must have
+    # its mass within 1e-12 of 1 in any summation order, compensated
+    # (math.fsum, and sum() from Python 3.12 on) or not
     rng = np.random.default_rng(13)
     counts = rng.integers(1, 40, 4000)
     weights = rng.random(counts.sum())
@@ -469,13 +468,8 @@ def _per_atom_general_row(entries, group, context):
     for k in np.flatnonzero(~plain).tolist():
         law = config._row_law(entries[k], group, f"{context}[{k}]")
         parts.append((values[first[done] : first[k]], weights[first[done] : first[k]]))
-        parts.append(
-            (
-                np.array([element_value(x) for x, _ in law.atoms], dtype=values.dtype),
-                np.array([w for _, w in law.atoms], dtype=float),
-            )
-        )
-        counts[k] = len(law.atoms)
+        parts.append((law.values, law.weights))
+        counts[k] = len(law.values)
         done = k + 1
     parts.append((values[first[done] :], weights[first[done] :]))
     return PackedRow(

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from lcalim import arrays
+from lcalim import measures
 from lcalim.arrays import (
     bernoulli_array,
     general_array,
@@ -362,14 +362,16 @@ class TestCheckTheorem:
             evals.append(len(chars))
             return char_eval_block(group, chars, values)
 
-        monkeypatch.setattr(arrays, "char_eval_block", counting)
+        monkeypatch.setattr(measures, "char_eval_block", counting)
         for points in (grid, tuple(range(10, 410, 10))):
             for count in (1, 4, 16):
                 evals.clear()
                 chars = tuple(character(T, l) for l in range(1, count + 1))
                 settings = VerifySettings(grid=points, characters=chars)
                 check_theorem(arr, gauss_law(T, 1.0), settings)
-                assert evals == [count] * 2
+                # two array passes (the moment gaps, the FT table) and two
+                # law passes (chi(a), the generalized Poisson factor)
+                assert evals == [count] * 4
 
     def test_dispatch_rejects_unsupported_pairs(self):
         # general array against a Haar law has no covering theorem here
