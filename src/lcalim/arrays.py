@@ -39,11 +39,10 @@ from .groups import (
     GroupElement,
     GroupId,
     GroupMismatchError,
+    base_turns,
     block_dtype,
     cyclic_subgroup,
     elements_close,
-    from_angle,
-    from_base_angle,
     from_turns,
     full_subgroup,
     identity,
@@ -208,10 +207,8 @@ def rademacher_array(
     elif angle is None:
         raise ValueError("angle schedule required on torus/solenoid")
     else:
-        to_element = from_angle if group.kind == TORUS else from_base_angle
-
         def x(n: int) -> GroupElement:
-            return to_element(group, angle(n))
+            return from_turns(group, base_turns(group, angle(n)))
 
     def dist(n: int) -> DiscreteMeasure:
         xn = x(n)
@@ -270,16 +267,16 @@ def iid_symmetric_array(
     return _iid_array(group, "symmetric", dist, K)
 
 
-def plain_entries(group: GroupId, values: np.ndarray, weights: np.ndarray, counts) -> np.ndarray:
-    """For each entry of a table of atoms (entry k holds the next counts[k]
-    atoms), whether row_distribution surely keeps its atoms exactly as
-    given and accepts them: every weight finite and positive, the total
-    mass within 1e-12 of 1 with room for rounding, and no two atoms equal
-    (padic) or within twice ATOM_TOL_TURNS of each other.  An entry marked
-    False may still be valid; only row_distribution can tell."""
-    counts = np.asarray(counts, dtype=np.intp)
+def plain_entries(row: PackedRow) -> np.ndarray:
+    """For each entry of a table of atoms, whether row_distribution surely
+    keeps its atoms exactly as given and accepts them: every weight finite
+    and positive, the total mass within 1e-12 of 1 with room for rounding,
+    and no two atoms equal (padic) or within twice ATOM_TOL_TURNS of each
+    other.  An entry marked False may still be valid; only
+    row_distribution can tell."""
+    values, weights = row.values, row.weights
+    counts = np.diff(row.starts, append=len(values))
     entry = np.repeat(np.arange(len(counts)), counts)
-    starts = np.cumsum(counts) - counts
     bad = ~(np.isfinite(weights) & (weights > 0.0))
     plain = np.bincount(entry, weights=bad, minlength=len(counts)) == 0
     # any two sums of count positive weights near 1, in any order, differ
@@ -288,31 +285,16 @@ def plain_entries(group: GroupId, values: np.ndarray, weights: np.ndarray, count
     mass = np.bincount(entry, weights=np.where(bad, 0.0, weights), minlength=len(counts))
     plain &= np.abs(mass - 1.0) <= 1e-12 - 2 * counts * np.finfo(float).eps
     # close atoms are neighbours once each entry is sorted, circularly on
-    # angle groups
-    m = int(counts[0]) if len(counts) else 0
-    if m and (counts == m).all():  # every entry's atoms sorted in one call
-        v = np.sort(values.reshape(-1, m), axis=-1)
-        if group.kind == PADIC:
+    # angle groups; the entries of each atom count m are sorted in one call
+    for entries, at, m in row._groups:
+        v = np.sort(values.reshape(len(counts), m) if at is None else values[at], axis=-1)
+        if row.group.kind == PADIC:
             close = (v[:, 1:] == v[:, :-1]).any(axis=-1)
         else:
             close = (v[:, 1:] - v[:, :-1] <= 2 * ATOM_TOL_TURNS).any(axis=-1)
             if m > 1:
                 close |= v[:, 0] + 1.0 - v[:, -1] <= 2 * ATOM_TOL_TURNS
-        return plain & ~close
-    # entries of different sizes: stable argsorts, since lexsort rejects
-    # object residues
-    order = np.argsort(values, kind="stable")
-    order = order[np.argsort(entry[order], kind="stable")]
-    v, e = values[order], entry[order]
-    same = e[1:] == e[:-1]
-    if group.kind == PADIC:
-        close = same & (v[1:] == v[:-1]).astype(bool)
-    else:
-        close = same & (v[1:] - v[:-1] <= 2 * ATOM_TOL_TURNS)
-        ends = np.flatnonzero(counts > 1)
-        wrap = v[starts[ends]] + 1.0 - v[starts[ends] + counts[ends] - 1] <= 2 * ATOM_TOL_TURNS
-        plain[ends[wrap]] = False
-    plain[e[1:][close]] = False
+        plain[entries] &= ~close
     return plain
 
 

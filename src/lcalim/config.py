@@ -35,6 +35,7 @@ from .groups import (
     GroupElement,
     GroupId,
     Neighborhood,
+    base_turns,
     block_dtype,
     character,
     cyclic_subgroup,
@@ -170,8 +171,7 @@ def _turns(group: GroupId, key: str, value):
     if key == "turns":
         return value
     if key == "base_angle":
-        # the branch-0 tower over arg y_0, as in from_base_angle
-        return value / TWO_PI / group.p**group.depth
+        return base_turns(group, value)
     return value / TWO_PI
 
 
@@ -352,14 +352,13 @@ def _general_row(entries: list, group: GroupId, context: str) -> PackedRow:
     the error that per-entry parsing would; when the row does not read
     cleanly, every entry does."""
     read = _read_row(entries, group)
-    if read is None:
+    if read is None:  # entries with no atoms, none of them plain
         values, weights = np.empty(0, dtype=block_dtype(group)), np.empty(0)
         counts = np.zeros(len(entries), dtype=np.intp)
-        plain = np.zeros(len(entries), dtype=bool)
     else:
         values, weights, counts = read
-        plain = plain_entries(group, values, weights, counts)
     row = PackedRow(group, values, weights, np.cumsum(counts) - counts)
+    plain = plain_entries(row)
     if plain.all():
         return row
     first = np.append(row.starts, len(values))  # entry k's atoms start at first[k]

@@ -160,12 +160,21 @@ def from_angle(group: GroupId, theta: float) -> GroupElement:
     return from_turns(group, theta / TWO_PI)
 
 
+def base_turns(group: GroupId, theta):
+    """The turns of the deepest coordinate on the branch-0 tower over
+    arg y_0 = theta (radians, a float or an array), not reduced mod 1:
+    theta / 2pi on the torus, where y_0 is the element itself, and
+    theta / 2pi / p^depth on the solenoid, whose coordinate at depth j then
+    has angle theta / p^j (no wrap-around)."""
+    t = theta / TWO_PI
+    return t / group.p**group.depth if group.kind == SOLENOID else t
+
+
 def from_base_angle(group: GroupId, theta: float) -> GroupElement:
-    """Solenoid element on the branch-0 tower over arg y_0 = theta: the
-    coordinate at depth j has angle theta / p^j (no wrap-around)."""
+    """Solenoid element on the branch-0 tower over arg y_0 = theta."""
     if group.kind != SOLENOID:
         raise ValueError("base-angle construction is solenoid-only")
-    return from_turns(group, theta / TWO_PI / group.p**group.depth)
+    return from_turns(group, base_turns(group, theta))
 
 
 def from_digits(group: GroupId, digits) -> GroupElement:

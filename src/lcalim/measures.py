@@ -26,9 +26,7 @@ import numpy as np
 
 from .groups import (
     PADIC,
-    SOLENOID,
     TORUS,
-    TWO_PI,
     Character,
     CompactSubgroup,
     DepthOverflowError,
@@ -37,6 +35,7 @@ from .groups import (
     GroupMismatchError,
     add_block,
     annihilator_contains,
+    base_turns,
     block_dtype,
     char_eval_block,
     element_block,
@@ -113,10 +112,8 @@ class PackedRow:
     def mean_turns(self) -> np.ndarray:
         """The local mean of each entry as the deepest coordinate's turns,
         not reduced mod 1 (torus and solenoid tables)."""
-        t = self.entry_sums(h_arg_block(self.group, self.values)[None])[0] / TWO_PI
-        if self.group.kind == SOLENOID:
-            t /= self.group.p**self.group.depth
-        return t
+        theta = self.entry_sums(h_arg_block(self.group, self.values)[None])[0]
+        return base_turns(self.group, theta)
 
     def g_moments(self, chars) -> tuple[np.ndarray, np.ndarray]:
         """The entries' first and second moments of g(., chi) per character;

@@ -17,7 +17,6 @@ import os
 from . import acceptance
 from .arrays import row_ft_exact
 from .config import ExperimentConfig
-from .groups import SOLENOID
 from .measures import limit_law_ft
 from .sampling import SeededStream, empirical_ft, empirical_law_ft
 from .verify import ConvergenceReport, check_theorem
@@ -161,10 +160,9 @@ def run_sample(cfg: ExperimentConfig, out_dir: str, seed_override: int | None = 
     for n, est, exact_fts in zip(cfg.mc.n_points, ests, exact):
         new, ok = _mc_rows("array", str(n), est, exact_fts, bound)
         rows, all_ok = rows + new, all_ok and ok
-    if cfg.group.kind != SOLENOID:
-        est = empirical_law_ft(cfg.law, chars, M, SeededStream(seed).child(1))
-        new, ok = _mc_rows("law", "", est, limit_law_ft(cfg.law, chars), bound)
-        rows, all_ok = rows + new, all_ok and ok
+    est = empirical_law_ft(cfg.law, chars, M, SeededStream(seed).child(1))
+    new, ok = _mc_rows("law", "", est, limit_law_ft(cfg.law, chars), bound)
+    rows, all_ok = rows + new, all_ok and ok
     summary = {
         "mode": "sample",
         "group": cfg.group.describe(),

@@ -1,5 +1,7 @@
 """Seeded Monte Carlo simulation of row sums and limit laws, with
 empirical characteristic functions to cross-validate the exact engine.
+Row sums and limit laws are drawn the same way on all three groups, as
+blocks of the group's block_dtype.
 
 An estimate over M replicates runs in fixed blocks of BLOCK_SIZE
 replicates.  Block j draws all of its replicates as numpy vectors from
@@ -18,14 +20,11 @@ import numpy as np
 from .arrays import MAX_TEMP, TriangularArray
 from .groups import (
     PADIC,
-    SOLENOID,
     SUBGROUP_CYCLIC,
-    SUBGROUP_LAMBDA,
-    TORUS,
-    TWO_PI,
     Character,
     CompactSubgroup,
     add_block,
+    base_turns,
     block_dtype,
     char_eval_block,
     element_value,
@@ -143,33 +142,41 @@ def _row_sampler(array: TriangularArray, n: int):
 
 def _haar_block(H: CompactSubgroup, gen: np.random.Generator, size: int) -> np.ndarray:
     """A block of draws from the normalized Haar measure of a compact
-    subgroup (torus and padic subgroups only)."""
+    subgroup: on padic groups the residues that are multiples of p^r
+    (lambda(r); the full group is lambda(0)), on a cyclic subgroup the r-th
+    roots, and on the full torus or solenoid uniform turns of the deepest
+    coordinate, whose image in every coordinate is uniform too."""
     g = H.group
     if H.is_trivial():
         return np.zeros(size, dtype=block_dtype(g))
-    if g.kind == TORUS:
-        if H.kind == SUBGROUP_CYCLIC:
-            return reduce_turns_block(gen.integers(H.r, size=size) / H.r)
-        return reduce_turns_block(gen.random(size) - 0.5)
-    if g.kind == PADIC and H.kind == SUBGROUP_LAMBDA:
-        u = gen.integers(g.p ** (g.depth + 1 - H.r), size=size)
-        return u.astype(block_dtype(g)) * g.p**H.r
-    raise ValueError(f"Haar sampling not supported for {H.describe()} on {g.describe()}")
+    if g.kind == PADIC:  # a "full" padic subgroup has r = 0
+        # digits r..depth, `width` digits per draw: numpy draws integers
+        # below at most 2^63, so p^(depth + 1 - r) up to that is one draw
+        out, unit, left = np.zeros(size, dtype=block_dtype(g)), g.p**H.r, g.depth + 1 - H.r
+        width = max(m for m in range(1, 64) if g.p**m <= 2**63)
+        while left > 0:
+            m = min(width, left)
+            out = out + gen.integers(g.p**m, size=size).astype(block_dtype(g)) * unit
+            unit, left = unit * g.p**m, left - m
+        return out
+    if H.kind == SUBGROUP_CYCLIC:
+        return reduce_turns_block(gen.integers(H.r, size=size) / H.r)
+    return reduce_turns_block(gen.random(size) - 0.5)
 
 
 def _law_sampler(law: LimitLaw):
     """A function (gen, size) -> block of `size` independent draws from
     the quadruplet law, by independent factor draws.
 
-    The Gauss factor on the torus is the wrapped normal with variance b
-    (its FT at integer frequencies equals the Gauss factor exactly); the
-    generalized Poisson factor is a compound Poisson draw shifted by the
-    negated local mean.  Solenoid laws are not samplable here: the Gauss
-    factor would need coordinates beyond any finite depth.
+    The Gauss factor is the image of a real normal angle theta with
+    variance b on the branch-0 tower over arg y_0 = theta: the wrapped
+    normal on the torus, and on the solenoid the deepest coordinate
+    theta / (2 pi p^depth), which every character chi_{d,l} with d <= depth
+    sees as exp(i l theta / p^d), so the draws' FT is the Gauss factor at
+    every character.  The generalized Poisson factor is a compound Poisson
+    draw shifted by the negated local mean.
     """
     g = law.group
-    if g.kind == SOLENOID:
-        raise ValueError("solenoid limit laws are verified exactly, not sampled")
     a = element_value(law.a)
     sigma = math.sqrt(law.b.b)
     rates = law.eta.weights.tolist()
@@ -179,7 +186,7 @@ def _law_sampler(law: LimitLaw):
         out = add_block(g, _haar_block(law.H, gen, size), a)
         if sigma > 0.0:
             theta = gen.normal(0.0, sigma, size=size)
-            out = add_block(g, out, reduce_turns_block(theta / TWO_PI))
+            out = add_block(g, out, reduce_turns_block(base_turns(g, theta)))
         if rates:
             counts = np.stack([gen.poisson(w, size=size) for w in rates], axis=1)
             out = add_block(g, out, add_block(g, _combine(g, counts, law.eta.values), eta_shift))

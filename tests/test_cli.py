@@ -645,3 +645,38 @@ class TestExitCodeContract:
         doc = _mutated(_FUZZ_DOCS[name], path, value)
         for command in ("verify", "conditions"):
             assert _run_cli(tmp_path_factory.mktemp("fuzz"), command, doc) in (0, 1, 2, 3)
+
+
+# every subgroup kind the config grammar accepts on each group, and an atom
+# of each group for the Levy measure
+_LAW_H = {
+    "torus_clt": [{"kind": "trivial"}, {"kind": "full"}, {"kind": "cyclic", "r": 3}],
+    "padic_poisson": [{"kind": "trivial"}, {"kind": "full"}, {"kind": "lambda", "r": 2}],
+    "solenoid_clt": [{"kind": "trivial"}, {"kind": "full"}],
+}
+_ETA_ATOM = {
+    "torus_clt": {"angle": 0.9},
+    "padic_poisson": {"digits": [1]},
+    "solenoid_clt": {"base_angle": 0.9},
+}
+
+
+@pytest.mark.parametrize("rich", [False, True], ids=["bare", "b-eta-mean"])
+@pytest.mark.parametrize(
+    "base, H", [(base, H) for base, Hs in _LAW_H.items() for H in Hs],
+    ids=lambda v: v if isinstance(v, str) else v["kind"],
+)
+def test_every_law_shape_samples(tmp_path, base, H, rich):
+    # sample checks any law that parses, theorem or not, on every group;
+    # at this seed every estimate is within its 4/sqrt(M) bound
+    doc = _bundled_doc(base)
+    law = {"H": H, "b": 0.0, "eta": []}
+    if rich:
+        law["b"] = 0.0 if base == "padic_poisson" else 0.6
+        law["eta"] = [{"x": _ETA_ATOM[base], "weight": 1.3}]
+        law["a"] = "mean"
+    doc = dict(doc, law=law, mc={"replicates": 200, "seed": 1, "n": [100]})
+    assert _run_cli(tmp_path, "sample", doc) == 0
+    with open(tmp_path / "o" / "mc_table.csv", newline="") as fh:
+        kinds = [row["kind"] for row in csv.DictReader(fh)]
+    assert kinds == ["array"] * len(doc["characters"]) + ["law"] * len(doc["characters"])

@@ -248,6 +248,12 @@ class TestGeneralRow:
         _assert_same_table(_general_row(entries, g, "row"), pack_rows(g, laws))
 
 
+def _plain(group, values, weights, counts):
+    """plain_entries of the table whose entry k holds the next counts[k] atoms."""
+    counts = np.asarray(counts, dtype=np.intp)
+    return plain_entries(PackedRow(group, values, weights, np.cumsum(counts) - counts))
+
+
 def test_plain_masses_hold_in_any_summation_order():
     # total_mass adds in atom order, but an entry taken as given must have
     # its mass within 1e-12 of 1 in any summation order, compensated
@@ -263,7 +269,7 @@ def test_plain_masses_hold_in_any_summation_order():
     off = rng.choice([-1e-12, 1e-12], len(counts))
     weights[last] += off + rng.integers(-40, 41, len(counts)) * 1e-16
     values = reduce_turns_block(np.arange(len(weights)) * 0.618)  # no two close
-    plain = plain_entries(torus_group(), values, weights, counts)
+    plain = _plain(torus_group(), values, weights, counts)
     bounds = np.append(np.cumsum(counts) - counts, len(weights)).tolist()
     sums = 0
     for k, ok in enumerate(plain.tolist()):
@@ -278,7 +284,8 @@ def test_plain_masses_hold_in_any_summation_order():
 
 def _argsort_plain_entries(group, values, weights, counts):
     """plain_entries with two stable argsorts for every table: the
-    formulation that the equal-width path replaced, kept as its oracle."""
+    formulation that the sorts by atom count replaced, kept as their
+    oracle."""
     counts = np.asarray(counts, dtype=np.intp)
     entry = np.repeat(np.arange(len(counts)), counts)
     starts = np.cumsum(counts) - counts
@@ -310,14 +317,14 @@ NUDGES = (0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12, 2.5e-12, -2.5e-12, 1
 @st.composite
 def _atom_tables(draw):
     """(group, values, weights, counts): entries of equal or mixed widths,
-    with atoms that repeat or nearly repeat earlier ones, also across the
-    +-1/2 wrap."""
+    zero-atom entries included, with atoms that repeat or nearly repeat
+    earlier ones, also across the +-1/2 wrap."""
     group = draw(st.sampled_from(PLAIN_GROUPS))
     k = draw(st.integers(1, 10))
     if draw(st.booleans()):
-        counts = [draw(st.integers(1, 5))] * k
+        counts = [draw(st.integers(0, 5))] * k
     else:
-        counts = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+        counts = draw(st.lists(st.integers(0, 5), min_size=k, max_size=k))
     raw = []
     for i in range(sum(counts)):
         if raw and draw(st.booleans()):
@@ -335,7 +342,7 @@ def _atom_tables(draw):
         values = np.array([v % group.modulus for v in raw], dtype=block_dtype(group))
     else:
         values = reduce_turns_block(np.array(raw))
-    weights = np.concatenate([np.full(m, 1.0 / m) for m in counts])
+    weights = np.concatenate([np.full(m, 1.0 / max(m, 1)) for m in counts])
     return group, values, weights, np.array(counts, dtype=np.intp)
 
 
@@ -343,7 +350,7 @@ def _atom_tables(draw):
 @given(_atom_tables())
 def test_plain_entries_match_argsort_oracle(table):
     group, values, weights, counts = table
-    got = plain_entries(group, values, weights, counts)
+    got = _plain(group, values, weights, counts)
     want = _argsort_plain_entries(group, values, weights, counts)
     assert got.dtype == bool and got.tolist() == want.tolist()
 
@@ -361,8 +368,18 @@ def test_plain_entries_find_close_atoms_in_equal_widths(group):
     values = np.array([v for row in rows for v in row], dtype=block_dtype(group))
     weights = np.full(len(values), 0.5)
     counts = np.full(len(rows), 2)
-    assert plain_entries(group, values, weights, counts).tolist() == want
+    assert _plain(group, values, weights, counts).tolist() == want
     assert _argsort_plain_entries(group, values, weights, counts).tolist() == want
+
+
+@pytest.mark.parametrize("group", PLAIN_GROUPS, ids=["torus", "solenoid", "padic", "padic-object"])
+def test_zero_atom_entries_are_not_plain(group):
+    # a table of entries with no atoms is sorted as an entries x 0 array
+    empty = np.empty(0, dtype=block_dtype(group))
+    assert _plain(group, empty, np.empty(0), [0, 0]).tolist() == [False, False]
+    with pytest.raises(ConfigError, match=r"^row\[0\]: row distribution has total mass 0.0"):
+        _general_row([[], []], group, "row")
+
 
 GENERAL_DOC = {
     "group": {"kind": "padic", "p": 3, "depth": 6},
@@ -462,7 +479,7 @@ def _per_atom_general_row(entries, group, context):
         values = reduce_turns_block(np.array(raw, dtype=float))
     weights = np.array(weights, dtype=float)
     counts = np.array(counts, dtype=np.intp)
-    plain = plain_entries(group, values, weights, counts)
+    plain = _plain(group, values, weights, counts)
     first = np.append(np.cumsum(counts) - counts, len(values))
     parts, done = [], 0
     for k in np.flatnonzero(~plain).tolist():

@@ -18,17 +18,21 @@ from lcalim.arrays import (
     row_ft_exact,
 )
 from lcalim.groups import (
+    CompactSubgroup,
     char_eval_block,
     character,
     cyclic_subgroup,
     from_angle,
+    from_base_angle,
     from_int,
+    full_subgroup,
     identity,
     lambda_subgroup,
     neg,
     padic_group,
     solenoid_group,
     torus_group,
+    trivial_subgroup,
 )
 from lcalim.measures import (
     LimitLaw,
@@ -284,6 +288,26 @@ class TestLargeModulus:
                 want = ref.char_eval(chi, from_int(g, v))
                 assert abs(values[i, k] - want) <= 1e-15
 
+    @pytest.mark.parametrize("r", [0, 5])
+    def test_haar_lambda_beyond_int64_draws(self, r):
+        # 71 - r free digits: more than one int64 draw holds
+        g = padic_group(2, 70)
+        law = haar_law(lambda_subgroup(g, r))
+        block = _law_sampler(law)(SeededStream(16).generator(), 1000)
+        assert all(isinstance(v, int) and 0 <= v < g.modulus and v % 2**r == 0 for v in block)
+        assert max(block) >= 2**63
+        chars = [character(g, 1, d) for d in (0, 2, 4, 5, 40, 62, 63, 70)]
+        M = 20_000
+        est = empirical_law_ft(law, chars, M, SeededStream(17))
+        for emp, exact in zip(est.estimates, limit_law_ft(law, est.chars)):
+            assert abs(emp - exact) <= 4.0 / math.sqrt(M)
+
+    def test_haar_lambda_beyond_depth_is_trivial(self):
+        # lambda(r) with r > depth + 1 holds only 0 at the working depth
+        g = padic_group(3, 6)
+        block = _law_sampler(haar_law(lambda_subgroup(g, 9)))(SeededStream(18).generator(), 50)
+        assert block.tolist() == [0] * 50
+
     def test_wrapper_returns_exact_residue(self):
         g = padic_group(101, 8)
         K = 10**15
@@ -298,11 +322,6 @@ class TestSampleLimitLaw:
         a = from_angle(T, 0.7)
         for m in range(20):
             assert sample_limit_law(dirac_law(a), SeededStream(1).child(m)) == a
-
-    def test_solenoid_rejected(self):
-        g = solenoid_group(2, 4)
-        with pytest.raises(ValueError, match="solenoid"):
-            sample_limit_law(gauss_law(g, 0.0), SeededStream(0))
 
     def test_haar_cyclic_support(self):
         law = haar_law(cyclic_subgroup(T, 4))
@@ -320,6 +339,20 @@ class TestSampleLimitLaw:
         for m in range(100):
             s = sample_limit_law(law, SeededStream(3).child(m))
             assert s.residue % 4 == 0
+
+    def test_haar_full_padic_subgroup(self):
+        # "full" on a padic group is lambda(0): every residue, uniformly
+        g = padic_group(2, 6)
+        law = haar_law(CompactSubgroup(g, "full"))
+        block = _law_sampler(law)(SeededStream(13).generator(), 1000)
+        assert block.dtype == np.int64
+        assert 0 <= block.min() and block.max() < g.modulus
+        assert len(set(block.tolist())) > g.modulus // 2
+        chars = [character(g, l, d) for d in range(3) for l in range(1, g.p ** (d + 1))]
+        M = 40_000
+        est = empirical_law_ft(law, chars, M, SeededStream(14))
+        for emp, exact in zip(est.estimates, limit_law_ft(law, est.chars)):
+            assert abs(emp - exact) <= 4.0 / math.sqrt(M)
 
     def test_wrapped_normal_ft_matches_gauss_factor(self):
         law = gauss_law(T, 0.8)
@@ -367,3 +400,32 @@ class TestSampleLimitLaw:
         a = [sample_limit_law(law, SeededStream(7).child(m)) for m in range(50)]
         b = [sample_limit_law(law, SeededStream(7).child(m)) for m in range(50)]
         assert a == b
+
+
+def _solenoid_laws(g):
+    """Each factor of a solenoid limit law alone, and a quadruplet with a
+    shift; angles are base angles, arg y_0 on the branch-0 tower."""
+    return {
+        "gauss": gauss_law(g, 0.7),
+        "haar": haar_law(full_subgroup(g)),
+        "poisson": compound_poisson_law(scale_measure(point_mass(from_base_angle(g, 0.9)), 1.5)),
+        "quadruplet": LimitLaw(
+            trivial_subgroup(g),
+            from_base_angle(g, 0.4),
+            QuadraticFormParam(g, 0.5),
+            validate_levy(point_mass(from_base_angle(g, 2.0), 1.2)),
+        ),
+    }
+
+
+@pytest.mark.parametrize("factor", ["gauss", "haar", "poisson", "quadruplet"])
+@pytest.mark.parametrize("g", [solenoid_group(2, 8), solenoid_group(3, 6)], ids=["p2", "p3"])
+def test_solenoid_law_matches_exact_ft(g, factor):
+    # the draws are deepest-coordinate turns, and chi_{d,l} with d <= depth
+    # sees them through y_depth alone
+    law = _solenoid_laws(g)[factor]
+    chars = [character(g, l, d) for d in range(4) for l in (1, 2, 5)]
+    M = 40_000
+    est = empirical_law_ft(law, chars, M, SeededStream(15))
+    for emp, exact in zip(est.estimates, limit_law_ft(law, est.chars)):
+        assert abs(emp - exact) <= 4.0 / math.sqrt(M)
