@@ -11,7 +11,8 @@ bit-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import repeat
 
 from .groups import (
     PADIC,
@@ -194,6 +195,9 @@ class VerifySettings:
         nbhds = self.neighborhoods or default_neighborhoods(group)
         if self.window < 2:
             raise ConfigError("verdict window must be at least 2")
+        for name, tol in (("trend", self.trend_tol), ("ft", self.ft_tol)):
+            if tol < 0:
+                raise ConfigError(f"tolerances.{name} must be non-negative")
         if len(self.grid) < self.window:
             raise ConfigError("n-grid shorter than the verdict window")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -206,19 +210,35 @@ class VerifySettings:
         for U in nbhds:
             if U.group != group:
                 raise ConfigError("neighborhood set on a different group")
-        return VerifySettings(
-            tuple(self.grid),
-            tuple(chars),
-            tuple(nbhds),
-            self.trend_tol,
-            self.window,
-            self.divergence_threshold,
-            self.ft_tol,
+        return replace(
+            self, grid=tuple(self.grid), characters=tuple(chars), neighborhoods=tuple(nbhds)
         )
 
     def classify(self, seq) -> TrendVerdict:
         """trend_classify of seq under these tolerances."""
         return trend_classify(seq, self.trend_tol, self.window, self.divergence_threshold)
+
+    def judge(self, name: str, seq, target: float | None) -> ConditionVerdict:
+        """The one rule every hypothesis is judged by: the (n, value)
+        sequence seq passes when it converges to target within trend_tol
+        (relative to max(1, |target|)), or, for a target of None, when it
+        diverges to infinity."""
+        seq, verdict = tuple(seq), self.classify(seq)
+        if target is None:
+            return ConditionVerdict(name, "-> infinity", seq, verdict, verdict.kind == DIVERGES)
+        bound = self.trend_tol * max(1.0, abs(target))
+        passed = verdict.kind == CONVERGES and abs(verdict.value - target) <= bound
+        return ConditionVerdict(name, f"-> {target:.6g}", seq, verdict, passed)
+
+    def family(self, name: str, stat, array, items, labels, targets) -> list[ConditionVerdict]:
+        """One judged condition name[label] per item, in item order: the
+        item's column of one stat(array, grid, items) call as an (n, value)
+        sequence, against its target (None: -> infinity)."""
+        columns = zip(*stat(array, self.grid, items))
+        return [
+            self.judge(f"{name}[{label}]", list(zip(self.grid, column)), target)
+            for column, label, target in zip(columns, labels, targets)
+        ]
 
 
 @dataclass(frozen=True)
@@ -269,30 +289,12 @@ def ft_sup_distance(array: TriangularArray, law: LimitLaw, n: int, chars) -> flo
     return _ft_gaps(array, law, (n,), chars)[2][0]
 
 
-def _sequences(stat, array, grid, items) -> list[list[tuple[int, float]]]:
-    """One (n, value) sequence per item, from one stat call on the grid."""
-    return [list(zip(grid, column)) for column in zip(*stat(array, grid, items))]
-
-
-def _ft_converges_to_zero(values, window: int, ft_tol: float) -> bool:
-    tail = values[-window:]
-    if tail[-1] > ft_tol:
+def _ft_converges_to_zero(values, settings: VerifySettings) -> bool:
+    tail = values[-settings.window :]
+    if tail[-1] > settings.ft_tol:
         return False
     non_increasing = all(b <= a for a, b in zip(tail, tail[1:]))
-    return non_increasing or max(tail) <= ft_tol
-
-
-def _target_value(name, seq, verdict_of, target, tol) -> ConditionVerdict:
-    verdict = verdict_of(seq)
-    ok = verdict.kind == CONVERGES and abs(verdict.value - target) <= tol * max(
-        1.0, abs(target)
-    )
-    return ConditionVerdict(name, f"-> {target:.6g}", tuple(seq), verdict, ok)
-
-
-def _target_infinity(name, seq, verdict_of) -> ConditionVerdict:
-    verdict = verdict_of(seq)
-    return ConditionVerdict(name, "-> infinity", tuple(seq), verdict, verdict.kind == DIVERGES)
+    return non_increasing or max(tail) <= settings.ft_tol
 
 
 def _is_pure_haar(law: LimitLaw) -> bool:
@@ -343,54 +345,48 @@ def check_theorem(
     if array.group != law.group:
         raise ConfigError("array and law on different groups")
     settings = (settings or VerifySettings()).resolved(law.group)
-    grid = settings.grid
-    tol = settings.trend_tol
-    classify = settings.classify
-    conditions: list[ConditionVerdict] = []
-    chars, nbhds = settings.characters, settings.neighborhoods
+    grid, chars, nbhds = settings.grid, settings.characters, settings.neighborhoods
+    ids, labels = [chi.char_id for chi in chars], [U.label for U in nbhds]
+    rate = [(n, bernoulli_rate(array, n)) for n in grid] if array.kind == "bernoulli" else None
 
     # infinitesimality is a standing hypothesis of every theorem here
-    for U, seq in zip(nbhds, _sequences(infinitesimality_stat, array, grid, nbhds)):
-        conditions.append(_target_value(f"infinitesimal[{U.label}]", seq, classify, 0.0, tol))
-
+    conditions = settings.family(
+        "infinitesimal", infinitesimality_stat, array, nbhds, labels, repeat(0.0)
+    )
     if array.kind == "bernoulli" and _is_pure_haar(law):
         theorem = "bernoulli-haar"
-        seq = [(n, bernoulli_rate(array, n)) for n in grid]
-        conditions.append(_target_infinity("rate", seq, classify))
+        conditions.append(settings.judge("rate", rate, None))
         H = generating_subgroup(array.x(grid[-1]))
         target = f"closure of <x> = {law.H.describe()}"
         conditions.append(ConditionVerdict("subgroup", target, (), None, H == law.H))
     elif array.kind == "bernoulli" and law.H.is_trivial() and law.b.b == 0.0:
         theorem = "bernoulli-poisson"
-        lam = law.eta.total_mass()
-        seq = [(n, bernoulli_rate(array, n)) for n in grid]
-        conditions.append(_target_value("rate", seq, classify, lam, tol))
-        conditions.extend(_levy_tail_conditions(array, law, settings))
+        conditions.append(settings.judge("rate", rate, law.eta.total_mass()))
+        conditions += _levy_tail_conditions(array, law, settings)
     elif is_symmetric_array(array) and _is_pure_haar(law) and law.H.is_full():
         theorem = "rademacher-haar" if array.kind == "rademacher" else "symmetric-haar"
-        nontrivial = tuple(chi for chi in chars if not chi.is_trivial())
-        for chi, seq in zip(nontrivial, _sequences(symmetric_stat, array, grid, nontrivial)):
-            conditions.append(_target_infinity(f"char_gap[{chi.char_id}]", seq, classify))
+        chis = [chi for chi in chars if not chi.is_trivial()]
+        ids = [chi.char_id for chi in chis]
+        conditions += settings.family("char_gap", symmetric_stat, array, chis, ids, repeat(None))
     elif is_symmetric_array(array) and law.H.is_trivial() and not len(law.eta.values):
         theorem = "rademacher-clt" if array.kind == "rademacher" else "symmetric-clt"
-        moment, variance, tails = _clt_conditions(array, law.b, settings)
-        for pair in zip(moment, variance):
+        # per character: moment gap -> Q(chi)/2, variance sum -> Q(chi); tails -> 0
+        q = [qform_eval(law.b, chi) for chi in chars]
+        gaps = settings.family("char_gap", symmetric_stat, array, chars, ids, [t / 2.0 for t in q])
+        variances = settings.family("var_sum", sum_var_g, array, chars, ids, q)
+        for pair in zip(gaps, variances):
             conditions.extend(pair)
-        conditions.extend(tails)
+        conditions += settings.family("tail_sum", sum_tail, array, nbhds, labels, repeat(0.0))
     elif law.H.is_trivial():
         theorem = "gaiser"
-        a = law.a
-        seq = [(n, element_distance(m, a)) for n, m in zip(grid, sum_local_means(array, grid))]
-        conditions.append(_target_value("mean_sum_gap", seq, classify, 0.0, tol))
-        seqs = _sequences(sum_var_g, array, grid, chars)
+        means = sum_local_means(array, grid)
+        seq = [(n, element_distance(m, law.a)) for n, m in zip(grid, means)]
+        conditions.append(settings.judge("mean_sum_gap", seq, 0.0))
         # the integral of g^2 under eta: its second g-moment
         second = law.eta.g_moments(chars)[1][:, 0].tolist()
-        for chi, seq, m2 in zip(chars, seqs, second):
-            target = qform_eval(law.b, chi) + m2
-            conditions.append(
-                _target_value(f"var_sum[{chi.char_id}]", seq, classify, target, tol)
-            )
-        conditions.extend(_levy_tail_conditions(array, law, settings))
+        targets = [qform_eval(law.b, chi) + m2 for chi, m2 in zip(chars, second)]
+        conditions += settings.family("var_sum", sum_var_g, array, chars, ids, targets)
+        conditions += _levy_tail_conditions(array, law, settings)
     else:
         raise ConfigError(
             "no verifiable theorem matches this array/law pair: laws with a "
@@ -399,15 +395,14 @@ def check_theorem(
         )
 
     exact, limits, sup = _ft_gaps(array, law, grid, chars)
-    ft_passed = _ft_converges_to_zero(sup, settings.window, settings.ft_tol)
+    ft_passed = _ft_converges_to_zero(sup, settings)
 
-    hypotheses_passed = all(c.passed for c in conditions)
-    if hypotheses_passed and ft_passed:
-        overall = "pass"
-    elif ft_passed:
-        overall = "ft_pass_hypotheses_fail"
-    else:
+    if not ft_passed:
         overall = "fail"
+    elif all(c.passed for c in conditions):
+        overall = "pass"
+    else:
+        overall = "ft_pass_hypotheses_fail"
     return ConvergenceReport(
         theorem,
         law.group,
@@ -425,24 +420,14 @@ def check_theorem(
 def _levy_tail_conditions(array, law: LimitLaw, settings: VerifySettings):
     """Portmanteau conditions on the neighborhood basis: row tail sums
     against the Levy tail masses, plus cylinder masses on padic groups."""
-    out, classify = [], settings.classify
     nbhds = settings.neighborhoods
-    seqs = _sequences(sum_tail, array, settings.grid, nbhds)
-    for U, seq, target in zip(nbhds, seqs, tail_mass_measure(law.eta, nbhds)):
-        out.append(_target_value(f"tail_sum[{U.label}]", seq, classify, target, settings.trend_tol))
+    targets = tail_mass_measure(law.eta, nbhds)
+    out = settings.family("tail_sum", sum_tail, array, nbhds, [U.label for U in nbhds], targets)
     if law.group.kind == PADIC:
         cylinders = _cylinder_set(law, array, settings)
-        seqs = _sequences(sum_cylinder, array, settings.grid, cylinders)
-        for (x0, r), seq, target in zip(cylinders, seqs, cylinder_mass(law.eta, cylinders)):
-            out.append(
-                _target_value(
-                    f"cylinder[res:{x0.residue},r:{r}]",
-                    seq,
-                    classify,
-                    target,
-                    settings.trend_tol,
-                )
-            )
+        labels = [f"res:{x0.residue},r:{r}" for x0, r in cylinders]
+        targets = cylinder_mass(law.eta, cylinders)
+        out += settings.family("cylinder", sum_cylinder, array, cylinders, labels, targets)
     return out
 
 
@@ -472,40 +457,25 @@ class EquivalenceReport:
         return self.ft_passed == self.moment_passed == self.levy_passed
 
 
-def _clt_conditions(array, qform, settings: VerifySettings):
-    """The symmetric-CLT hypotheses for the Gauss parameter qform: moment
-    gaps -> Q(chi)/2 and variance sums -> Q(chi) per character, and
-    vanishing tail sums; returned as (moment, variance, tails)."""
-    tol, classify = settings.trend_tol, settings.classify
-    grid, chars, nbhds = settings.grid, settings.characters, settings.neighborhoods
-    moment, variance, tails = [], [], []
-    gaps = _sequences(symmetric_stat, array, grid, chars)
-    variances = _sequences(sum_var_g, array, grid, chars)
-    for chi, gap, var in zip(chars, gaps, variances):
-        target = qform_eval(qform, chi)
-        moment.append(_target_value(f"char_gap[{chi.char_id}]", gap, classify, target / 2.0, tol))
-        variance.append(_target_value(f"var_sum[{chi.char_id}]", var, classify, target, tol))
-    for U, seq in zip(nbhds, _sequences(sum_tail, array, grid, nbhds)):
-        tails.append(_target_value(f"tail_sum[{U.label}]", seq, classify, 0.0, tol))
-    return moment, variance, tails
-
-
 def crosscheck_gensym2(
     array: TriangularArray, b: float, settings: VerifySettings | None = None
 ) -> EquivalenceReport:
-    """Evaluate, on the same grid, the three equivalent statements for a
-    symmetric i.i.d. array and the Gauss law with parameter b: FT distance
-    to the law vanishes; the per-character moment gaps converge to half the
-    quadratic form; the variance sums converge to the quadratic form while
-    the tail sums vanish.  Reports whether the three verdicts agree."""
+    """The three equivalent statements for a symmetric i.i.d. array and the
+    Gauss law with parameter b, judged on one grid by check_theorem's
+    symmetric-CLT branch: the FT distance to the law vanishes; the moment
+    gaps (char_gap) converge to half the quadratic form; the variance sums
+    (var_sum) converge to it while the tail sums (tail_sum) vanish.
+    Reports whether the three verdicts agree."""
     if not is_symmetric_array(array):
         raise ConfigError("the equivalence crosscheck needs a symmetric i.i.d. array")
-    settings = (settings or VerifySettings()).resolved(array.group)
-    law = gauss_law(array.group, b)
-    sup = _ft_gaps(array, law, settings.grid, settings.characters)[2]
-    ft_passed = _ft_converges_to_zero(sup, settings.window, settings.ft_tol)
-    moment, variance, tails = _clt_conditions(array, law.b, settings)
-    return EquivalenceReport(b, ft_passed, tuple(moment), tuple(variance), tuple(tails))
+    report = check_theorem(array, gauss_law(array.group, b), settings)
+
+    def family(name: str) -> tuple[ConditionVerdict, ...]:
+        return tuple(c for c in report.conditions if c.name.startswith(name + "["))
+
+    return EquivalenceReport(
+        b, report.ft_passed, family("char_gap"), family("var_sum"), family("tail_sum")
+    )
 
 
 @dataclass(frozen=True)
@@ -520,27 +490,24 @@ class Prediction:
         return self.law is not None
 
 
-def predict_limit(
-    array: TriangularArray,
-    grid,
-    tol: float = DEFAULT_TREND_TOL,
-    window: int = DEFAULT_WINDOW,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-) -> Prediction:
+def predict_limit(array: TriangularArray, settings: VerifySettings | None = None) -> Prediction:
     """Classify the driving sequence of a Rademacher or Bernoulli array on
-    an n-grid and return the theorem-predicted limit law.
+    the settings' n-grid, under their trend tolerances (settings.classify),
+    and return the theorem-predicted limit law.  The character and
+    neighborhood sets are not read, so they are not resolved either.
 
     Unclassifiable trends are reported as such, never guessed.
     """
-    grid = tuple(grid)
+    settings = settings or VerifySettings()
+    grid = settings.grid
     g = array.group
     if array.kind == "rademacher":
         if g.kind == PADIC:
             # the local inner product vanishes, so x_n -> e forces the
             # limit to be the point mass at e
             seq = [(n, padic_metric(array.x(n), identity(g))) for n in grid]
-            verdict = trend_classify(seq, tol, window, divergence_threshold)
-            if verdict.kind == CONVERGES and abs(verdict.value) <= tol:
+            verdict = settings.classify(seq)
+            if verdict.kind == CONVERGES and abs(verdict.value) <= settings.trend_tol:
                 return Prediction(dirac_law(identity(g)), "rademacher-dirac")
             reason = "padic Rademacher elements do not tend to the identity"
             return Prediction(None, "unclassified", reason)
@@ -549,7 +516,7 @@ def predict_limit(
             x = array.x(n)
             a0 = arg_of(x) if g.kind == TORUS else coordinate_arg(x, 0)
             seq.append((n, array.row_count(n) * a0 * a0))
-        verdict = trend_classify(seq, tol, window, divergence_threshold)
+        verdict = settings.classify(seq)
         if verdict.kind == CONVERGES:
             return Prediction(gauss_law(g, max(verdict.value, 0.0)), "rademacher-clt")
         if verdict.kind == DIVERGES:
@@ -558,7 +525,7 @@ def predict_limit(
     if array.kind == "bernoulli":
         x = array.x(grid[-1])
         seq = [(n, bernoulli_rate(array, n)) for n in grid]
-        verdict = trend_classify(seq, tol, window, divergence_threshold)
+        verdict = settings.classify(seq)
         if verdict.kind == CONVERGES:
             lam = max(verdict.value, 0.0)
             eta = scale_measure(point_mass(x), lam)

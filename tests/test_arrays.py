@@ -48,7 +48,7 @@ from lcalim.groups import (
     trivial_subgroup,
 )
 from lcalim.groups import char_eval_block
-from lcalim.verify import default_characters, default_neighborhoods, predict_limit
+from lcalim.verify import VerifySettings, default_characters, default_neighborhoods, predict_limit
 
 import reference as ref
 from reference import cylinder_mass, local_mean, measure_ft, tail_mass_measure
@@ -765,28 +765,31 @@ class TestGeneratingSubgroup:
         assert generating_subgroup(from_angle(g, 0.3)) is None
 
 
+WIDE = VerifySettings(grid=(100, 1000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000))
+
+
 class TestPredictLimit:
     def test_rademacher_clt(self):
-        pred = predict_limit(torus_rademacher(), GRID)
+        pred = predict_limit(torus_rademacher(), VerifySettings(grid=GRID))
         assert pred.theorem == "rademacher-clt"
         assert pred.law.b.b == pytest.approx(1.0, abs=1e-6)
         assert pred.law.H.is_trivial()
 
     def test_bernoulli_poisson_on_padic(self):
-        pred = predict_limit(padic_bernoulli(), GRID)
+        pred = predict_limit(padic_bernoulli(), VerifySettings(grid=GRID))
         assert pred.theorem == "bernoulli-poisson"
         assert pred.law.eta.total_mass() == pytest.approx(2.0)
         assert pred.law.a == identity(pred.law.group)
 
     def test_bernoulli_haar_on_padic(self):
         arr = padic_bernoulli(coef=1.0, exp=-0.5)
-        pred = predict_limit(arr, (100, 1000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000))
+        pred = predict_limit(arr, WIDE)
         assert pred.theorem == "bernoulli-haar"
         assert pred.law.H == full_subgroup(arr.group)
 
     def test_rademacher_haar(self):
         arr = torus_rademacher(exp=-0.25)
-        pred = predict_limit(arr, (100, 1000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000))
+        pred = predict_limit(arr, WIDE)
         assert pred.theorem == "rademacher-haar"
         assert pred.law.H == full_subgroup(T)
 
@@ -797,7 +800,7 @@ class TestPredictLimit:
             for n in GRID
         )
         arr = rademacher_array(g, K=linear(1.0), elements=elements)
-        pred = predict_limit(arr, GRID)
+        pred = predict_limit(arr, VerifySettings(grid=GRID))
         assert pred.theorem == "rademacher-dirac"
         assert pred.law.H.is_trivial()
         assert not len(pred.law.eta.values)
@@ -809,7 +812,7 @@ class TestPredictLimit:
             K=linear(1.0),
             angle=table({n: (1.0 if i % 2 else 2.0) / math.sqrt(n) for i, n in enumerate(GRID)}),
         )
-        pred = predict_limit(arr, GRID)
+        pred = predict_limit(arr, VerifySettings(grid=GRID))
         assert not pred.classified()
         assert pred.theorem == "unclassified"
         assert pred.reason
@@ -817,6 +820,30 @@ class TestPredictLimit:
     def test_solenoid_bernoulli_haar_unclassified(self):
         g = solenoid_group(2, 4)
         arr = bernoulli_array(g, from_angle(g, 0.7), p=power(1.0, -0.5), K=linear(1.0))
-        pred = predict_limit(arr, (100, 1000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000))
+        pred = predict_limit(arr, WIDE)
         assert not pred.classified()
         assert "closure" in pred.reason
+
+    def test_default_settings(self):
+        pred = predict_limit(torus_rademacher())
+        assert pred.theorem == "rademacher-clt"
+        assert pred.law.b.b == pytest.approx(1.0, abs=1e-6)
+
+    def test_trend_tolerance_is_read_from_settings(self):
+        # K_n * arg(x_n)^2 = n^0.02 creeps up: about 1.20, 1.26, 1.32 at the
+        # last three grid points, a 9 % spread
+        arr = torus_rademacher(exp=-0.49)
+        assert predict_limit(arr).theorem == "unclassified"
+        pred = predict_limit(arr, VerifySettings(trend_tol=0.1))
+        assert pred.theorem == "rademacher-clt"
+        assert pred.law.b.b == pytest.approx(1.26, abs=0.01)
+
+    def test_window_is_read_from_settings(self):
+        # the driving sequence settles at 1 over the last two grid points only
+        drive = dict(zip(GRID, (5.0, 4.0, 3.0, 1.0, 1.0)))
+        angle = table({n: math.sqrt(v / n) for n, v in drive.items()})
+        arr = rademacher_array(T, K=linear(1.0), angle=angle)
+        assert predict_limit(arr).theorem == "unclassified"
+        pred = predict_limit(arr, VerifySettings(window=2))
+        assert pred.theorem == "rademacher-clt"
+        assert pred.law.b.b == pytest.approx(1.0)

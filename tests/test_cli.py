@@ -517,6 +517,8 @@ _INVALID = {
     "fractional replicates": ("torus_clt", ("mc", "replicates"), 1.5),
     "string depth": ("padic_poisson", ("group", "depth"), "16"),
     "string nan trend tolerance": ("torus_clt", ("tolerances",), {"trend": "nan"}),
+    "negative trend tolerance": ("torus_clt", ("tolerances",), {"trend": -1e-3}),
+    "negative ft tolerance": ("torus_clt", ("tolerances",), {"ft": -1}),
     "padic Rademacher elements as a list": (
         _PADIC_RADEMACHER,
         ("array", "elements"),
@@ -543,6 +545,13 @@ class TestExitCodeContract:
         doc = _mutated(_bundled_doc(base) if isinstance(base, str) else base, path, value)
         assert _run_cli(tmp_path, command, doc) == 2
         assert "error: invalid config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
+    @pytest.mark.parametrize("name, value", [("trend", -1e-3), ("ft", -1)])
+    def test_negative_tolerance_exit_2(self, tmp_path, capsys, command, name, value):
+        doc = _mutated(_bundled_doc("torus_clt"), ("tolerances",), {name: value})
+        assert _run_cli(tmp_path, command, doc) == 2
+        assert f"tolerances.{name} must be non-negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("out", [None, 5, {"a": 1}, ""])
     def test_invalid_out_creates_nothing(self, tmp_path, monkeypatch, capsys, out):

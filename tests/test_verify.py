@@ -225,6 +225,14 @@ class TestDefaults:
         with pytest.raises(ConfigError, match="different group"):
             VerifySettings(characters=(character(padic_group(2, 2), 1, 0),)).resolved(T)
 
+    def test_negative_tolerances_rejected(self):
+        with pytest.raises(ConfigError, match="tolerances.trend must be non-negative"):
+            VerifySettings(trend_tol=-1e-3).resolved(T)
+        with pytest.raises(ConfigError, match="tolerances.ft must be non-negative"):
+            check_theorem(clt_array(), gauss_law(T, 1.0), VerifySettings(ft_tol=-1.0))
+        zero = VerifySettings(trend_tol=0.0, ft_tol=0.0).resolved(T)
+        assert (zero.trend_tol, zero.ft_tol) == (0.0, 0.0)
+
 
 class TestElementDistance:
     def test_torus_angle_gap(self):
