@@ -42,6 +42,7 @@ from .groups import (
     base_turns,
     block_dtype,
     cyclic_subgroup,
+    digits_of,
     elements_close,
     from_turns,
     full_subgroup,
@@ -462,7 +463,7 @@ def generating_subgroup(x: GroupElement):
     if g.kind == PADIC:
         if x.residue == 0:
             return trivial_subgroup(g)
-        return lambda_subgroup(g, _first_nonzero_digit(x))
+        return lambda_subgroup(g, next(j for j, d in enumerate(digits_of(x)) if d))
     if g.kind == TORUS:
         if x.turns == 0.0:
             return trivial_subgroup(g)
@@ -504,11 +505,3 @@ def check_null_rule(array: TriangularArray, grid) -> None:
         f"array rule is not null along the grid: {kind} ends at {values[-1]:.6g} "
         f"(started at {values[0]:.6g})"
     )
-
-
-def _first_nonzero_digit(x: GroupElement) -> int:
-    r, v = 0, x.residue
-    while v % x.group.p == 0:
-        v //= x.group.p
-        r += 1
-    return r

@@ -84,6 +84,17 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _checked(context: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError raised as a ConfigError that
+    names context, the field of the object it builds.  Read every field
+    before the call: a getter's ConfigError is a ValueError, and its
+    message already names its field."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
 def _get(doc: dict, key: str, context: str):
     if key not in doc:
         raise ConfigError(f"missing field {key!r} in {context}")
@@ -150,11 +161,7 @@ def parse_group(doc) -> GroupId:
     depth = _int(doc.get("depth", 16 if kind == PADIC else 8), "group.depth")
     # keeps trial-division primality and exact residue arithmetic cheap
     _require(p < 2**32 and depth <= 1024, "group: need p < 2^32 and depth <= 1024")
-    try:
-        group = GroupId(kind, p, depth)
-    except ValueError as exc:
-        raise ConfigError(f"group: {exc}") from exc
-    return group
+    return _checked("group", GroupId, kind, p, depth)
 
 
 # the keys of an element object, in the order _element_value looks for them
@@ -240,11 +247,7 @@ def _parse_atoms(doc, group: GroupId, context: str):
 
 
 def _row_law(doc, group: GroupId, context: str):
-    atoms = _parse_atoms(doc, group, context)
-    try:
-        return row_distribution(group, atoms)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+    return _checked(context, row_distribution, group, _parse_atoms(doc, group, context))
 
 
 def _bulk_ints(values: list):
@@ -404,10 +407,7 @@ def parse_array(doc, group: GroupId) -> TriangularArray:
         x = parse_element(_get(doc, "x", "array"), group, "array.x")
         p = parse_schedule(_get(doc, "p", "array"), "array.p")
         K = parse_schedule(_get(doc, "K", "array"), "array.K")
-        try:
-            return bernoulli_array(group, x, p, K)
-        except ValueError as exc:
-            raise ConfigError(f"array: {exc}") from exc
+        return _checked("array", bernoulli_array, group, x, p, K)
     if kind == "iid_symmetric":
         K = parse_schedule(_get(doc, "K", "array"), "array.K")
         rows = _dict(_get(doc, "rows", "array"), "array.rows")
@@ -433,33 +433,18 @@ def parse_subgroup(doc, group: GroupId) -> CompactSubgroup:
         return trivial_subgroup(group)
     _require(isinstance(doc, dict), "law.H must be an object")
     kind = _get(doc, "kind", "law.H")
-    try:
-        if kind == "trivial":
-            return trivial_subgroup(group)
-        if kind == "full":
-            return full_subgroup(group)
-        if kind == "cyclic":
-            return cyclic_subgroup(group, _int(_get(doc, "r", "law.H"), "r"))
-        if kind == "lambda":
-            return lambda_subgroup(group, _int(_get(doc, "r", "law.H"), "r"))
-    except ValueError as exc:
-        raise ConfigError(f"law.H: {exc}") from exc
-    raise ConfigError(f"law.H: unknown subgroup kind {kind!r}")
+    if kind in ("trivial", "full"):
+        return _checked("law.H", trivial_subgroup if kind == "trivial" else full_subgroup, group)
+    _require(kind in ("cyclic", "lambda"), f"law.H: unknown subgroup kind {kind!r}")
+    r = _int(_get(doc, "r", "law.H"), "law.H.r")
+    return _checked("law.H", cyclic_subgroup if kind == "cyclic" else lambda_subgroup, group, r)
 
 
 def parse_law(doc, group: GroupId) -> LimitLaw:
     H = parse_subgroup(_dict(doc, "law").get("H"), group)
-    try:
-        b = QuadraticFormParam(group, _float(doc.get("b", 0.0), "law.b"))
-    except ValueError as exc:
-        raise ConfigError(f"law.b: {exc}") from exc
-    eta_doc = doc.get("eta", [])
-    try:
-        eta = validate_levy(
-            discrete_measure(group, _parse_atoms(eta_doc, group, "law.eta"))
-        )
-    except ValueError as exc:
-        raise ConfigError(f"law.eta: {exc}") from exc
+    b = _checked("law.b", QuadraticFormParam, group, _float(doc.get("b", 0.0), "law.b"))
+    atoms = _parse_atoms(doc.get("eta", []), group, "law.eta")
+    eta = _checked("law.eta", lambda: validate_levy(discrete_measure(group, atoms)))
     a_doc = doc.get("a")
     if a_doc is None:
         a = identity(group)
@@ -467,10 +452,7 @@ def parse_law(doc, group: GroupId) -> LimitLaw:
         a = local_mean(eta)
     else:
         a = parse_element(a_doc, group, "law.a")
-    try:
-        return LimitLaw(H, a, b, eta)
-    except ValueError as exc:
-        raise ConfigError(f"law: {exc}") from exc
+    return _checked("law", LimitLaw, H, a, b, eta)
 
 
 def parse_characters(doc, group: GroupId) -> tuple[Character, ...]:
@@ -482,10 +464,7 @@ def parse_characters(doc, group: GroupId) -> tuple[Character, ...]:
         _require(0 <= d <= group.depth, f"{name}.d must lie in [0, {group.depth}]")
         # torus and solenoid phases ell * turns are floats
         _require(group.kind == PADIC or abs(ell) <= 2**53, f"{name}.l exceeds 2^53")
-        try:
-            out.append(character(group, ell, d))
-        except ValueError as exc:
-            raise ConfigError(f"characters[{i}]: {exc}") from exc
+        out.append(_checked(name, character, group, ell, d))
     return tuple(out)
 
 
@@ -494,15 +473,13 @@ def parse_neighborhoods(doc, group: GroupId) -> tuple[Neighborhood, ...]:
     for i, entry in enumerate(_list(doc, "neighborhoods")):
         name = f"neighborhoods[{i}]"
         _dict(entry, name)
-        try:  # the getters' ConfigErrors are ValueErrors and get the prefix too
-            if group.kind == PADIC:
-                out.append(Neighborhood(group, rank=_int(_get(entry, "rank", name), "rank")))
-            else:
-                eps = _float(_get(entry, "eps", name), "eps")
-                d = _int(entry.get("d", 0), "d") if group.kind == SOLENOID else 0
-                out.append(Neighborhood(group, eps=eps, d=d))
-        except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from exc
+        if group.kind == PADIC:
+            rank = _int(_get(entry, "rank", name), f"{name}.rank")
+            out.append(_checked(name, Neighborhood, group, rank=rank))
+        else:
+            eps = _float(_get(entry, "eps", name), f"{name}.eps")
+            d = _int(entry.get("d", 0), f"{name}.d") if group.kind == SOLENOID else 0
+            out.append(_checked(name, Neighborhood, group, eps=eps, d=d))
     return tuple(out)
 
 

@@ -59,6 +59,9 @@ def reduce_turns(t: float) -> float:
     # floor() at the upper boundary can round back to exactly +1/2
     if r >= 0.5:
         r -= 1.0
+    # from 2^52 on, t + 0.5 rounds half to even: an odd integral t gives -1
+    if r < -0.5:
+        r += 1.0
     return r
 
 
@@ -345,6 +348,7 @@ def reduce_turns_block(t: np.ndarray) -> np.ndarray:
     """reduce_turns of every entry."""
     r = t - np.floor(t + 0.5)
     r -= r >= 0.5  # less 1.0 or 0.0: r - 0.0 is r, signed zeros included
+    r[r < -0.5] += 1.0  # the -1s (see reduce_turns); r += r < -0.5 would make -0.0 +0.0
     return r
 
 

@@ -474,7 +474,12 @@ _FUZZ_DOCS["general_torus"] = {
             ]
         ),
     },
-    "law": {"H": {"kind": "trivial"}, "b": 0.5, "eta": []},
+    "law": {
+        "H": {"kind": "trivial"},
+        "a": {"turns": 0.0},
+        "b": 0.5,
+        "eta": [{"x": {"angle": 0.9}, "weight": 0.25}],
+    },
     "grid": [3, 4, 5],
     "characters": [{"l": 1}, {"l": 2}],
     "mc": {"replicates": 50, "seed": 3, "n": [4]},
@@ -535,6 +540,36 @@ _INVALID = {
     "object out": ("torus_clt", ("out",), {"a": 1}),
     "empty out": ("torus_clt", ("out",), ""),
 }
+# one field of torus_clt replaced, and the one stderr line it gives: a
+# getter names the field's full path once, a constructor's error is
+# prefixed by the path of the object it builds
+_MESSAGES = {
+    "b not a number": (("law", "b"), "x", "law.b must be a finite number"),
+    "eta angle not a number": (
+        ("law", "eta"),
+        [{"x": {"angle": "a"}, "weight": 1}],
+        "law.eta[0].x.angle must be a finite number",
+    ),
+    "eta not a list": (("law", "eta"), 5, "law.eta must be a list of atoms"),
+    "H.r not an integer": (
+        ("law", "H"),
+        {"kind": "cyclic", "r": "q"},
+        "law.H.r must be an integer",
+    ),
+    "H.r missing": (("law", "H"), {"kind": "cyclic"}, "missing field 'r' in law.H"),
+    "eps not a number": (
+        ("neighborhoods",),
+        [{"eps": "x"}],
+        "neighborhoods[0].eps must be a finite number",
+    ),
+    "eps missing": (("neighborhoods",), [{}], "missing field 'eps' in neighborhoods[0]"),
+    # 2 pi times an odd integer in (2^52, 2^53): the identity, once reduced
+    "eta atom at the identity": (
+        ("law", "eta"),
+        [{"x": {"angle": 5.38778918386015e16}, "weight": 1}],
+        "law.eta: Levy measure must put no mass at the identity",
+    ),
+}
 
 
 class TestExitCodeContract:
@@ -545,6 +580,17 @@ class TestExitCodeContract:
         doc = _mutated(_bundled_doc(base) if isinstance(base, str) else base, path, value)
         assert _run_cli(tmp_path, command, doc) == 2
         assert "error: invalid config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(_MESSAGES))
+    def test_message_names_its_field_once(self, tmp_path, capsys, case):
+        path, value, message = _MESSAGES[case]
+        doc = _mutated(_bundled_doc("torus_clt"), path, value)
+        assert _run_cli(tmp_path, "verify", doc) == 2
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+
+    def test_shift_by_odd_turns_past_2_to_52_is_the_identity(self, tmp_path):
+        doc = _mutated(_bundled_doc("torus_clt"), ("law", "a"), {"turns": 2**52 + 1})
+        assert _run_cli(tmp_path, "verify", doc) == 0
 
     @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
     @pytest.mark.parametrize("name, value", [("trend", -1e-3), ("ft", -1)])

@@ -40,7 +40,7 @@ from lcalim.groups import (
     torus_group,
 )
 from lcalim.measures import ATOM_TOL_TURNS
-from lcalim.verify import ConfigError
+from lcalim.verify import ConfigError, default_neighborhoods
 
 GROUPS = {
     "torus": torus_group(),
@@ -379,6 +379,15 @@ def test_zero_atom_entries_are_not_plain(group):
     assert _plain(group, empty, np.empty(0), [0, 0]).tolist() == [False, False]
     with pytest.raises(ConfigError, match=r"^row\[0\]: row distribution has total mass 0.0"):
         _general_row([[], []], group, "row")
+
+
+def test_odd_turns_past_2_to_52_pack_as_the_identity():
+    # read in bulk, the atom is reduced mod one turn like any other
+    g = torus_group()
+    row = _general_row([[{"x": {"turns": 2**52 + 1}, "weight": 1.0}]], g, "row")
+    assert row.values.tolist() == [0.0]
+    nbhds = default_neighborhoods(g)
+    assert row.tail_masses(nbhds).tolist() == [[0.0]] * len(nbhds)
 
 
 GENERAL_DOC = {

@@ -41,6 +41,7 @@ from lcalim.groups import (
     neg,
     padic_group,
     padic_metric,
+    reduce_turns,
     reduce_turns_block,
     scale,
     scale_block,
@@ -98,6 +99,16 @@ class TestConstruction:
         # arg of -1 is -pi, never +pi
         x = from_angle(T, math.pi)
         assert arg_of(x) == -math.pi
+
+    @pytest.mark.parametrize("t", [2.0**52 + 1, 2.0**53 - 1, -(2.0**52 + 1)])
+    def test_odd_turns_past_2_to_52_reduce_to_zero(self, t):
+        # t + 0.5 rounds half to even there, so floor(t + 0.5) is t + 1
+        assert reduce_turns(t) == 0.0
+        assert reduce_turns_block(np.array([t])).tolist() == [0.0]
+
+    def test_negative_zero_turns_kept(self):
+        assert math.copysign(1.0, reduce_turns(-0.0)) == -1.0
+        assert math.copysign(1.0, reduce_turns_block(np.array([-0.0]))[0]) == -1.0
 
 
 class TestAdd:
