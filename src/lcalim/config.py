@@ -382,7 +382,7 @@ def _row_rule(table: dict):
 
     def rule(n: int):
         if n not in table:
-            raise ConfigError(f"array.rows has no entry for n={n}")
+            raise KeyError(f"array.rows has no entry for n={n}")
         return table[n]
 
     return rule
@@ -559,11 +559,14 @@ def _parse_config(text: str) -> ExperimentConfig:
 
 
 def _probe_array(array: TriangularArray, grid, n_points) -> None:
-    try:
-        for n in tuple(grid) + tuple(n_points):
+    # a rule without row n (a KeyError) does not cover the grid
+    for n in tuple(grid) + tuple(n_points):
+        try:
             array.packed(n)
-    except (KeyError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"array rules do not cover the grid: {exc}") from exc
+        except KeyError as exc:
+            raise ConfigError(f"array rules do not cover the grid: {exc.args[0]}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{array.kind} array at n={n}: {exc}") from exc
     try:
         check_null_rule(array, grid)
     except ValueError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from types import SimpleNamespace
 
 from . import acceptance
 from .arrays import row_ft_exact
@@ -29,36 +30,44 @@ EXIT_IO_ERROR = 3
 MC_ERROR_FACTOR = 4.0  # allowed deviation, in units of 1/sqrt(M)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _quoted(labels) -> list[str]:
+    """Each label as one CSV field, quoted as csv.writer quotes it among
+    other fields (alone, an empty field is written as "").  writerow
+    returns what its file's write returns, here the line itself.  The
+    writer holds a 128 kB buffer, so each table makes its own."""
+    writerow = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    return [writerow((label, ""))[:-2] for label in labels]
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, lines) -> None:
+    """The header line and then lines, in one write."""
+    text = "".join((",".join(_quoted(header)), "\n", *lines))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text)
 
 
 _FT_HEADER = ("n", "char_id", "re_exact", "im_exact", "re_limit", "im_limit", "abs_err")
 _CONDITIONS_HEADER = ("condition", "n", "value")
 
 
-def _ft_rows(report: ConvergenceReport):
-    """ft_table rows: one per grid point and character."""
+def _ft_lines(report: ConvergenceReport):
+    """ft_table lines: one per grid point and character.  Floats are
+    written with %.17g, which is f"{x:.17g}"."""
+    labels = _quoted(chi.char_id for chi in report.characters)
+    chars = [(label, w, "%.17g,%.17g" % (w.real, w.imag))
+             for label, w in zip(labels, report.ft_limits)]
     for n, exact in zip(report.grid, report.ft_exact):
-        for chi, z, w in zip(report.characters, exact, report.ft_limits):
-            values = map(_fmt, (z.real, z.imag, w.real, w.imag, abs(z - w)))
-            yield (str(n), chi.char_id, *values)
+        for (label, w, limit), z in zip(chars, exact):
+            yield "%s,%s,%.17g,%.17g,%s,%.17g\n" % (n, label, z.real, z.imag, limit, abs(z - w))
 
 
-def _condition_rows(report: ConvergenceReport):
-    """conditions rows: every hypothesis sequence, then the FT sup gaps."""
-    for cond in report.conditions:
+def _condition_lines(report: ConvergenceReport):
+    """conditions lines: every hypothesis sequence, then the FT sup gaps."""
+    for cond, name in zip(report.conditions, _quoted(c.name for c in report.conditions)):
         for n, value in cond.sequence:
-            yield (cond.name, str(n), _fmt(value))
+            yield "%s,%s,%.17g\n" % (name, n, value)
     for n, value in report.ft_sup:
-        yield ("ft_sup_distance", str(n), _fmt(value))
+        yield "ft_sup_distance,%s,%.17g\n" % (n, value)
 
 
 def _condition_summary(cond) -> dict:
@@ -82,13 +91,13 @@ def write_summary(path: str, payload: dict) -> None:
 
 
 def _write_reports(out_dir: str, tables, summary: dict) -> int:
-    """Write each (file name, header, rows) table and summary.json into
+    """Write each (file name, header, lines) table and summary.json into
     out_dir; returns summary["exit_code"], or EXIT_IO_ERROR when a write
     fails."""
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for name, header, rows in tables:
-            _write_csv(os.path.join(out_dir, name), header, rows)
+        for name, header, lines in tables:
+            _write_csv(os.path.join(out_dir, name), header, lines)
         write_summary(os.path.join(out_dir, "summary.json"), summary)
     except OSError:
         return EXIT_IO_ERROR
@@ -102,10 +111,10 @@ def run_check(cfg: ExperimentConfig, out_dir: str, mode: str) -> int:
     if mode not in ("verify", "conditions"):
         raise ValueError(f"unknown check mode {mode!r}")
     report = check_theorem(cfg.array, cfg.law, cfg.settings)
-    tables = [("conditions.csv", _CONDITIONS_HEADER, _condition_rows(report))]
+    tables = [("conditions.csv", _CONDITIONS_HEADER, _condition_lines(report))]
     if mode == "verify":
         overall = report.overall
-        tables.insert(0, ("ft_table.csv", _FT_HEADER, _ft_rows(report)))
+        tables.insert(0, ("ft_table.csv", _FT_HEADER, _ft_lines(report)))
     else:
         overall = "pass" if all(c.passed for c in report.conditions) else "fail"
     summary = {
@@ -132,16 +141,15 @@ _MC_HEADER = ("kind", "n", "char_id", "re_emp", "im_emp", "re_exact", "im_exact"
               "replicates", "stderr")
 
 
-def _mc_rows(kind: str, n: str, est, exact_fts, bound: float):
-    """mc_table rows of one estimate against the exact FT at each of its
-    characters, and whether every error is within bound."""
-    rows, ok = [], True
-    for chi, emp, exact in zip(est.chars, est.estimates, exact_fts):
-        err = abs(emp - exact)
-        ok = ok and err <= bound
-        values = map(_fmt, (emp.real, emp.imag, exact.real, exact.imag, err))
-        rows.append((kind, n, chi.char_id, *values, str(est.replicates), _fmt(est.stderr)))
-    return rows, ok
+def _mc_lines(chars, blocks):
+    """mc_table lines: for each (kind, n, estimate, exact FTs) block, one
+    per character.  The law's n is "", which %s leaves bare."""
+    labels = _quoted(chi.char_id for chi in chars)
+    for kind, n, est, exact_fts in blocks:
+        tail = "%s,%.17g\n" % (est.replicates, est.stderr)
+        for label, emp, z in zip(labels, est.estimates, exact_fts):
+            yield "%s,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (
+                kind, n, label, emp.real, emp.imag, z.real, z.imag, abs(emp - z), tail)
 
 
 def run_sample(cfg: ExperimentConfig, out_dir: str, seed_override: int | None = None) -> int:
@@ -149,7 +157,6 @@ def run_sample(cfg: ExperimentConfig, out_dir: str, seed_override: int | None = 
     M = cfg.mc.replicates
     chars = cfg.settings.characters
     bound = MC_ERROR_FACTOR / M**0.5
-    rows, all_ok = [], True
     ests = [
         empirical_ft(cfg.array, n, chars, M, SeededStream(seed).child(0, n))
         for n in cfg.mc.n_points
@@ -157,12 +164,10 @@ def run_sample(cfg: ExperimentConfig, out_dir: str, seed_override: int | None = 
     # the exact FTs after the draws, which allocate the most: computed
     # first, they raised the peak RSS of a general-array sample by 1.2 MB
     exact = row_ft_exact(cfg.array, cfg.mc.n_points, chars)
-    for n, est, exact_fts in zip(cfg.mc.n_points, ests, exact):
-        new, ok = _mc_rows("array", str(n), est, exact_fts, bound)
-        rows, all_ok = rows + new, all_ok and ok
+    blocks = [("array", n, est, fts) for n, est, fts in zip(cfg.mc.n_points, ests, exact)]
     est = empirical_law_ft(cfg.law, chars, M, SeededStream(seed).child(1))
-    new, ok = _mc_rows("law", "", est, limit_law_ft(cfg.law, chars), bound)
-    rows, all_ok = rows + new, all_ok and ok
+    blocks.append(("law", "", est, limit_law_ft(cfg.law, chars)))
+    all_ok = all(abs(e - z) <= bound for *_, est, fts in blocks for e, z in zip(est.estimates, fts))
     summary = {
         "mode": "sample",
         "group": cfg.group.describe(),
@@ -172,7 +177,8 @@ def run_sample(cfg: ExperimentConfig, out_dir: str, seed_override: int | None = 
         "overall": "pass" if all_ok else "fail",
         "exit_code": EXIT_PASS if all_ok else EXIT_CHECK_FAILED,
     }
-    return _write_reports(out_dir, [("mc_table.csv", _MC_HEADER, rows)], summary)
+    tables = [("mc_table.csv", _MC_HEADER, _mc_lines(chars, blocks))]
+    return _write_reports(out_dir, tables, summary)
 
 
 def run_selftest() -> int:

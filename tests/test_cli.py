@@ -684,6 +684,8 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "error: invalid config: " in err
         assert "row count K_n must be a positive integer; got 0 at n=4" in err
+        assert "do not cover the grid" not in err  # the row exists; it is empty
+        assert "general array at n=4: " in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["general_torus", "general_padic"])
