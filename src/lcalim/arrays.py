@@ -34,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .groups import (
+    ATOM_TOL_TURNS,
     PADIC,
     TORUS,
     GroupElement,
@@ -49,12 +50,13 @@ from .groups import (
     identity,
     lambda_subgroup,
     neg,
-    padic_metric,
+    neg_block,
     reduce_turns_block,
+    same_block,
+    tower_gauge,
     trivial_subgroup,
 )
 from .measures import (
-    ATOM_TOL_TURNS,
     DiscreteMeasure,
     PackedRow,
     cylinder_modulus,
@@ -238,17 +240,14 @@ def bernoulli_array(group: GroupId, x: GroupElement, p: Schedule, K: Schedule) -
     return _iid_array(group, "bernoulli", dist, K, x=lambda n: x, p=rate)
 
 
-def _is_symmetric(mu: DiscreteMeasure, tol_turns: float = 1e-12) -> bool:
-    """Invariance under x -> -x: every atom's negation lies within
-    tol_turns (exactly, on padic groups) of an atom whose weight is within
-    1e-12 of its own.  Atom pairs are compared in chunks of at most
-    MAX_TEMP."""
+def _is_symmetric(mu: DiscreteMeasure) -> bool:
+    """Invariance under x -> -x: every atom's negation is the same element
+    (groups.same_block) as an atom whose weight is within 1e-12 of its own.
+    Atom pairs are compared in chunks of at most MAX_TEMP."""
     g, v, w = mu.group, mu.values, mu.weights
-    mirrored = (-v) % g.modulus if g.kind == PADIC else reduce_turns_block(-v)
     step = max(1, MAX_TEMP // max(1, len(v)))
     for i in range(0, len(v), step):
-        y = mirrored[i : i + step, None]
-        close = (y == v) if g.kind == PADIC else np.abs(reduce_turns_block(y - v)) <= tol_turns
+        close = same_block(g, neg_block(g, v[i : i + step, None]), v)
         if not (close & (np.abs(w[i : i + step, None] - w) <= 1e-12)).any(axis=1).all():
             return False
     return True
@@ -273,8 +272,10 @@ def plain_entries(row: PackedRow) -> np.ndarray:
     keeps its atoms exactly as given and accepts them: every weight finite
     and positive, the total mass within 1e-12 of 1 with room for rounding,
     and no two atoms equal (padic) or within twice ATOM_TOL_TURNS of each
-    other.  An entry marked False may still be valid; only
-    row_distribution can tell."""
+    other on the deepest coordinate, at least as strict as the tower rule of
+    groups.same_block (deepest gap times p^depth >= 1), so no entry that
+    _measure would merge is plain.  An entry marked False may still be
+    valid; only row_distribution can tell."""
     values, weights = row.values, row.weights
     counts = np.diff(row.starts, append=len(values))
     entry = np.repeat(np.arange(len(counts)), counts)
@@ -478,20 +479,14 @@ def check_null_rule(array: TriangularArray, grid) -> None:
     """Reject Rademacher rules whose elements do not tend to the identity
     and Bernoulli rules whose rate does not tend to 0 along the grid.
 
-    The gauge sequence (distance of x_n to the identity, or p_n) must end
-    at its minimum and strictly below its start, or be null already; slow
-    decay is fine, flat or rising rules are not.
+    The gauge sequence (groups.tower_gauge of x_n from the identity, or
+    p_n) must end at its minimum and strictly below its start, or be null
+    already; slow decay is fine, flat or rising rules are not.
     """
     grid = tuple(grid)
     if array.kind == "rademacher":
         e = identity(array.group)
-        values = []
-        for n in grid:
-            x = array.x(n)
-            if array.group.kind == PADIC:
-                values.append(padic_metric(x, e))
-            else:
-                values.append(abs(x.turns - e.turns))
+        values = [tower_gauge(array.x(n), e) for n in grid]
     elif array.kind == "bernoulli":
         values = [array.p(n) for n in grid]
     else:

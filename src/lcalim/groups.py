@@ -8,6 +8,11 @@ the repeated multiply-by-p steps of the solenoid coordinate projection
 exact-ish: each multiplication is reduced mod 1 immediately, so the error
 never grows against 2*pi.
 
+The torus is the solenoid's coordinate tower of depth 0, whose deepest
+coordinate is its base y_0, so every angle-group kernel runs the tower
+code.  same_block (and its scalar twin same_value), neg_block and
+tower_gauge are the one home of the same-element, inverse and size rules.
+
 p-adic elements are residues mod p^(depth+1) held as Python integers, so
 group arithmetic on them is exact.  Observables that would need digits
 beyond the working depth raise instead of approximating.
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+ATOM_TOL_TURNS = 1e-12  # two angle-group entries within this in every coordinate are one
 
 TORUS = "torus"
 PADIC = "padic"
@@ -68,7 +74,9 @@ def reduce_turns(t: float) -> float:
 @dataclass(frozen=True)
 class GroupId:
     """Which group we are on: kind plus (for padic/solenoid) prime and
-    working depth."""
+    working depth.  The torus has p = 0 and depth = 0, the coordinate tower
+    of depth 0, so every tower factor p^j with j <= depth is 1 there
+    (0**0 is 1)."""
 
     kind: str
     p: int = 0
@@ -88,8 +96,13 @@ class GroupId:
             # solenoid turns are floats of the deepest coordinate, which
             # resolve the base coordinate y_0 only while p^depth stays well
             # inside 2^53 (p >= 2, so depth > 40 is already too deep)
-            if self.kind == SOLENOID and (self.depth > 40 or self.p**self.depth > 2**40):
+            if self.kind == SOLENOID and (self.depth > 40 or self.base_scale > 2**40):
                 raise ValueError("solenoid p^depth exceeds 2^40")
+
+    @property
+    def base_scale(self) -> int:
+        """p^depth: turns of the base coordinate y_0 per deepest turn."""
+        return self.p**self.depth
 
     @property
     def modulus(self) -> int:
@@ -120,7 +133,8 @@ def solenoid_group(p: int, depth: int = 8) -> GroupId:
 class GroupElement:
     """A point of one of the three groups.
 
-    torus     -- ``turns`` is the angle in turns.
+    torus     -- ``turns`` is the angle in turns: the tower of depth 0,
+                 whose one coordinate y_0 is the element itself.
     padic     -- ``residue`` is the value mod p^(depth+1); digit j of the
                  canonical expansion is ``residue // p**j % p``.
     solenoid  -- ``turns`` is the angle of the *deepest* tracked coordinate
@@ -166,17 +180,13 @@ def from_angle(group: GroupId, theta: float) -> GroupElement:
 def base_turns(group: GroupId, theta):
     """The turns of the deepest coordinate on the branch-0 tower over
     arg y_0 = theta (radians, a float or an array), not reduced mod 1:
-    theta / 2pi on the torus, where y_0 is the element itself, and
-    theta / 2pi / p^depth on the solenoid, whose coordinate at depth j then
-    has angle theta / p^j (no wrap-around)."""
-    t = theta / TWO_PI
-    return t / group.p**group.depth if group.kind == SOLENOID else t
+    theta / 2pi / p^depth, whose coordinate at depth j has angle
+    theta / p^j (no wrap-around); on the torus y_0 is the element itself."""
+    return theta / TWO_PI / group.base_scale
 
 
 def from_base_angle(group: GroupId, theta: float) -> GroupElement:
-    """Solenoid element on the branch-0 tower over arg y_0 = theta."""
-    if group.kind != SOLENOID:
-        raise ValueError("base-angle construction is solenoid-only")
+    """Torus or solenoid element on the branch-0 tower over arg y_0 = theta."""
     return from_turns(group, base_turns(group, theta))
 
 
@@ -306,8 +316,6 @@ def character(group: GroupId, ell: int, d: int = 0) -> Character:
 def canonical_character(chi: Character) -> Character:
     """Reduce (d, ell) by the depth-refinement identity chi_{d,ell} =
     chi_{d+1, p*ell}: divide ell by p while possible and d > 0."""
-    if chi.group.kind == TORUS:
-        return chi
     d, ell, p = chi.d, chi.ell, chi.group.p
     while d > 0 and ell % p == 0:
         d -= 1
@@ -369,6 +377,29 @@ def scale_block(group: GroupId, counts: np.ndarray, v) -> np.ndarray:
     return reduce_turns_block(counts * v)
 
 
+def neg_block(group: GroupId, v: np.ndarray) -> np.ndarray:
+    """The entrywise group inverse of a block."""
+    if group.kind == PADIC:
+        return (-v) % group.modulus
+    return reduce_turns_block(-v)
+
+
+def same_block(group: GroupId, u, v) -> np.ndarray:
+    """Whether two blocks' entries (either may be one entry) are one element:
+    equal residues, or within ATOM_TOL_TURNS in every coordinate y_j, i.e.
+    on y_0, whose gap is the deepest one times p^depth."""
+    if group.kind == PADIC:
+        return u == v
+    return np.abs(reduce_turns_block(u - v)) * group.base_scale <= ATOM_TOL_TURNS
+
+
+def same_value(group: GroupId, u, v, tol_turns: float = ATOM_TOL_TURNS) -> bool:
+    """same_block of one pair of entries, without numpy, within tol_turns."""
+    if group.kind == PADIC:
+        return u == v
+    return abs(reduce_turns(u - v)) * group.base_scale <= tol_turns
+
+
 # by the nearest quarter turn q = -2, ..., 2 (at index q + 2): whether cos
 # and sin swap places (a quarter turn either way), and the signs of the
 # real part (negated at q = 1, +-2) and of the imaginary part (at q = -1,
@@ -399,11 +430,13 @@ def cis_turns_block(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coordinates_block(group: GroupId, values: np.ndarray, lowest: int) -> dict:
-    """The turns of the coordinate y_j of every element of a solenoid block,
-    for every j from the working depth down to lowest: the deepest
-    coordinate multiplied by p and reduced mod 1 once per step."""
-    ys = {group.depth: values}
+def _coordinates_block(group: GroupId, values: np.ndarray, lowest: int) -> np.ndarray:
+    """The turns of the coordinate y_j of every element of a torus or
+    solenoid block, as row j of a (depth + 1) x len(values) array, for every
+    j from the working depth down to lowest (rows below are left unset): the
+    deepest coordinate multiplied by p and reduced mod 1 once per step."""
+    ys = np.empty((group.depth + 1, len(values)))
+    ys[group.depth] = values
     for j in range(group.depth - 1, lowest - 1, -1):
         ys[j] = reduce_turns_block(ys[j + 1] * group.p)
     return ys
@@ -414,20 +447,16 @@ def char_eval_block(group: GroupId, chars, values: np.ndarray) -> np.ndarray:
     len(chars) matrix of character values."""
     if any(chi.group != group for chi in chars):
         raise GroupMismatchError("character and element on different groups")
-    deepest = max((chi.d for chi in chars), default=0)
-    if deepest > group.depth:
-        raise DepthOverflowError(f"character depth {deepest} beyond working depth {group.depth}")
-    if group.kind == TORUS:
-        return cis_turns_block(values[:, None] * np.array([chi.ell for chi in chars], dtype=float))
+    ds = [chi.d for chi in chars]
+    if max(ds, default=0) > group.depth:
+        raise DepthOverflowError(f"character depth {max(ds)} beyond working depth {group.depth}")
     if group.kind == PADIC:  # ell * (x mod q) mod q / q turns, q = p^(d+1)
         qs = np.array([group.p ** (chi.d + 1) for chi in chars], dtype=values.dtype)
         ells = np.array([chi.ell for chi in chars], dtype=values.dtype)
         return cis_turns_block(np.asarray(ells * (values[:, None] % qs) % qs / qs, dtype=float))
-    ys = _coordinates_block(group, values, min((chi.d for chi in chars), default=0))
-    phases = np.empty((len(values), len(chars)))
-    for k, chi in enumerate(chars):
-        phases[:, k] = chi.ell * ys[chi.d]
-    return cis_turns_block(phases)
+    ys = _coordinates_block(group, values, min(ds, default=0))
+    ells = np.array([chi.ell for chi in chars], dtype=float)
+    return cis_turns_block(np.multiply(ys[ds].T, ells, order="C"))
 
 
 def local_inner(x: GroupElement, chi: Character) -> float:
@@ -445,11 +474,9 @@ def h_trunc_block(t: np.ndarray) -> np.ndarray:
 
 
 def h_arg_block(group: GroupId, values: np.ndarray) -> np.ndarray:
-    """h_trunc of the angle of every element of a torus block, or of the
-    angle of its base coordinate y_0 on the solenoid."""
-    if group.kind == SOLENOID:
-        values = _coordinates_block(group, values, 0)[0]
-    return h_trunc_block(TWO_PI * values)
+    """h_trunc of the angle of the base coordinate y_0 of every element of a
+    torus or solenoid block."""
+    return h_trunc_block(TWO_PI * _coordinates_block(group, values, 0)[0])
 
 
 def local_inner_block(group: GroupId, chars, values: np.ndarray) -> np.ndarray:
@@ -461,7 +488,7 @@ def local_inner_block(group: GroupId, chars, values: np.ndarray) -> np.ndarray:
     if group.kind != PADIC:  # padic local inner products are 0
         h = h_arg_block(group, values)
         for k, chi in enumerate(chars):
-            out[k] = chi.ell * h if group.kind == TORUS else chi.ell * h / group.p**chi.d
+            out[k] = chi.ell * h / group.p**chi.d
     return out
 
 
@@ -577,7 +604,7 @@ class Neighborhood:
         else:
             if not 0.0 < self.eps <= math.pi:
                 raise ValueError("neighborhood radius must lie in (0, pi]")
-            if self.group.kind == SOLENOID and not 0 <= self.d <= self.group.depth:
+            if not 0 <= self.d <= self.group.depth:
                 raise DepthOverflowError("neighborhood depth beyond working depth")
 
     @property
@@ -599,16 +626,14 @@ def in_nbhd_block(group: GroupId, nbhds, values: np.ndarray) -> np.ndarray:
     len(nbhds) x len(values) boolean array."""
     if any(U.group != group for U in nbhds):
         raise GroupMismatchError("element and neighborhood on different groups")
-    if group.kind == SOLENOID:
+    if group.kind != PADIC:
         ys = _coordinates_block(group, values, 0)
     out = np.empty((len(nbhds), len(values)), dtype=bool)
     for k, U in enumerate(nbhds):
-        if group.kind == TORUS:
-            out[k] = np.abs(TWO_PI * values) < U.eps
-        elif group.kind == PADIC:
+        if group.kind == PADIC:
             out[k] = values % group.p**U.rank == 0
         else:  # |arg y_j| < eps for every j <= d
-            out[k] = np.all([np.abs(TWO_PI * ys[j]) < U.eps for j in range(U.d + 1)], axis=0)
+            out[k] = (np.abs(TWO_PI * ys[: U.d + 1]) < U.eps).all(axis=0)
     return out
 
 
@@ -627,6 +652,21 @@ def padic_metric(x: GroupElement, y: GroupElement) -> float:
         diff //= x.group.p
         m += 1
     return 2.0**-m
+
+
+def tower_gauge(x: GroupElement, y: GroupElement, turn: float = 1.0) -> float:
+    """The size of x - y: the padic metric on padic groups; on the torus and
+    the solenoid the largest |turns| over its coordinates y_0..y_depth,
+    times turn (TWO_PI gives radians)."""
+    _check_same_group(x, y)
+    if x.group.kind == PADIC:
+        return padic_metric(x, y)
+    t = reduce_turns(x.turns - y.turns)
+    gauge = abs(t)
+    for _ in range(x.group.depth):  # the steps of _coordinates_block, in plain Python
+        t = reduce_turns(t * x.group.p)
+        gauge = max(gauge, abs(t))
+    return gauge * turn
 
 
 def solenoid_lift(x: GroupElement, branch: int) -> GroupElement:
@@ -650,11 +690,6 @@ def solenoid_project(x: GroupElement) -> GroupElement:
     return GroupElement(shallower, turns=reduce_turns(x.turns * x.group.p))
 
 
-def elements_close(x: GroupElement, y: GroupElement, tol_turns: float = 1e-12) -> bool:
-    """Equality at working depth: exact for padic, within tol (in turns,
-    measured around the circle) for angle groups."""
-    if x.group != y.group:
-        return False
-    if x.group.kind == PADIC:
-        return x.residue == y.residue
-    return abs(reduce_turns(x.turns - y.turns)) <= tol_turns
+def elements_close(x: GroupElement, y: GroupElement, tol_turns: float = ATOM_TOL_TURNS) -> bool:
+    """same_value of two elements' entries; elements of two groups differ."""
+    return x.group == y.group and same_value(x.group, element_value(x), element_value(y), tol_turns)

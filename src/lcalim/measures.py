@@ -24,9 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import (
+from .groups import (  # ATOM_TOL_TURNS stays importable from here
+    ATOM_TOL_TURNS,
     PADIC,
-    TORUS,
     Character,
     CompactSubgroup,
     DepthOverflowError,
@@ -45,12 +45,10 @@ from .groups import (
     identity,
     in_nbhd_block,
     local_inner_block,
-    reduce_turns,
-    reduce_turns_block,
+    same_block,
+    same_value,
     trivial_subgroup,
 )
-
-ATOM_TOL_TURNS = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +150,7 @@ class DiscreteMeasure(PackedRow):
 def _measure(group: GroupId, pairs) -> DiscreteMeasure:
     """The measure of the (block value, weight) pairs: negative weights
     rejected, zero weights dropped, and each atom merged into the first
-    kept atom equal to it (padic) or within ATOM_TOL_TURNS of it, in input
+    kept atom that is the same element (groups.same_value), in input
     order."""
     values, weights = [], []
     for v, w in pairs:
@@ -162,7 +160,7 @@ def _measure(group: GroupId, pairs) -> DiscreteMeasure:
         if w == 0.0:
             continue
         for i, u in enumerate(values):
-            if (v == u) if group.kind == PADIC else abs(reduce_turns(v - u)) <= ATOM_TOL_TURNS:
+            if same_value(group, v, u):
                 weights[i] += w
                 break
         else:
@@ -217,11 +215,7 @@ def convolve(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> DiscreteMeasure:
 def validate_levy(eta: DiscreteMeasure) -> DiscreteMeasure:
     """Accept a discrete measure as a Levy measure: weights are already
     known nonnegative, so only the no-identity-atom rule is checked."""
-    if eta.group.kind == PADIC:
-        at_identity = eta.values == 0
-    else:
-        at_identity = np.abs(reduce_turns_block(eta.values)) <= ATOM_TOL_TURNS
-    if at_identity.any():
+    if same_block(eta.group, eta.values, 0).any():  # 0 is the identity's entry
         raise ValueError("Levy measure must put no mass at the identity")
     return eta
 
@@ -245,12 +239,10 @@ class QuadraticFormParam:
 
 
 def qform_eval(b: QuadraticFormParam, chi: Character) -> float:
-    """b * ell^2 on the torus, 0 on padic, b * ell^2 / p^(2d) on the
-    solenoid."""
+    """b * ell^2 / p^(2d) on the torus (d = 0) and the solenoid, 0 on
+    padic."""
     if b.group != chi.group:
         raise GroupMismatchError("quadratic form and character on different groups")
-    if b.group.kind == TORUS:
-        return b.b * chi.ell**2
     if b.group.kind == PADIC:
         return 0.0
     return b.b * chi.ell**2 / b.group.p ** (2 * chi.d)

@@ -79,29 +79,18 @@ def _row_sampler(array: TriangularArray, n: int):
     row n.
 
     For a row of one entry taken K_n times (an i.i.d. row) the atom counts
-    are drawn in one shot (binomial for two-point rows, multinomial
-    otherwise) and combined as count * atom, so the cost is independent of
-    K_n.  Other rows are drawn entry by entry, subject to
-    DEFAULT_DIRECT_BUDGET, from atom and cumulative-weight tables built
-    once from the packed row.
+    are drawn in one multinomial shot and combined as count * atom, so the
+    cost is independent of K_n (numpy draws one atom's counts without
+    randomness, and two atoms' as one binomial per replicate).  Other rows
+    are drawn entry by entry, subject to DEFAULT_DIRECT_BUDGET, from atom
+    and cumulative-weight tables built once from the packed row.
     """
     g = array.group
     K = array.row_count(n)
     row = array.packed(n)
     if len(row.starts) == 1:
         pvals = (row.weights / row.masses()).tolist()
-
-        def draw_counts(gen, size):
-            if len(pvals) == 1:
-                counts = np.full((size, 1), K, dtype=np.int64)
-            elif len(pvals) == 2:
-                c = gen.binomial(K, pvals[0], size=size)
-                counts = np.stack([c, K - c], axis=1)
-            else:
-                counts = gen.multinomial(K, pvals, size=size)
-            return _combine(g, counts, row.values)
-
-        return draw_counts
+        return lambda gen, size: _combine(g, gen.multinomial(K, pvals, size=size), row.values)
 
     if K > DEFAULT_DIRECT_BUDGET:
         raise SamplingBudgetError(

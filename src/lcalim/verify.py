@@ -17,10 +17,10 @@ from itertools import repeat
 from .groups import (
     PADIC,
     TORUS,
+    TWO_PI,
     Character,
     GroupElement,
     GroupId,
-    GroupMismatchError,
     Neighborhood,
     arg_of,
     character,
@@ -29,8 +29,7 @@ from .groups import (
     elements_close,
     full_subgroup,
     identity,
-    padic_metric,
-    reduce_turns,
+    tower_gauge,
 )
 from .arrays import (
     TriangularArray,
@@ -129,13 +128,9 @@ def compound_growth(alpha: float, n: int) -> float:
 
 
 def element_distance(x: GroupElement, a: GroupElement) -> float:
-    """A metric gauge of x - a: angle of the difference (radians, via the
-    deepest coordinate for the solenoid) or the padic metric."""
-    if x.group != a.group:
-        raise GroupMismatchError("elements on different groups")
-    if x.group.kind == PADIC:
-        return padic_metric(x, a)
-    return abs(reduce_turns(x.turns - a.turns)) * 2.0 * math.pi
+    """A metric gauge of x - a: its largest coordinate angle (radians) on
+    the torus and the solenoid, or the padic metric (groups.tower_gauge)."""
+    return tower_gauge(x, a, TWO_PI)
 
 
 def default_characters(group: GroupId, max_ell: int = 8, max_d: int = 3) -> tuple[Character, ...]:
@@ -143,8 +138,6 @@ def default_characters(group: GroupId, max_ell: int = 8, max_d: int = 3) -> tupl
     |l| <= 8; padic all indices for d <= 3, refused with a ConfigError
     beyond MAX_DEFAULT_CHARACTERS; solenoid |l| <= 8 for d <= 3
     (duplicates under depth refinement removed)."""
-    if group.kind == TORUS:
-        return tuple(character(group, l) for l in range(-max_ell, max_ell + 1))
     depth = min(max_d, group.depth)
     if group.kind == PADIC:
         count = sum(group.p ** (d + 1) for d in range(depth + 1))
@@ -154,7 +147,7 @@ def default_characters(group: GroupId, max_ell: int = 8, max_d: int = 3) -> tupl
                 f"(more than {MAX_DEFAULT_CHARACTERS}); list `characters` explicitly"
             )
         pairs = ((l, d) for d in range(depth + 1) for l in range(group.p ** (d + 1)))
-    else:
+    else:  # the torus is the tower of depth 0
         pairs = ((l, d) for d in range(depth + 1) for l in range(-max_ell, max_ell + 1))
     # dict keys keep the first-seen order
     return tuple(dict.fromkeys(canonical_character(character(group, l, d)) for l, d in pairs))
@@ -163,16 +156,11 @@ def default_characters(group: GroupId, max_ell: int = 8, max_d: int = 3) -> tupl
 def default_neighborhoods(group: GroupId) -> tuple[Neighborhood, ...]:
     """Identity-neighborhood basis sample: shrinking arcs on the torus,
     lambda ranks 1..3 on padic, (depth, arc) grid on the solenoid."""
-    if group.kind == TORUS:
-        return tuple(Neighborhood(group, eps=math.pi / 2**k) for k in (1, 2, 3))
     if group.kind == PADIC:
         ranks = [r for r in (1, 2, 3) if r <= group.depth + 1]
         return tuple(Neighborhood(group, rank=r) for r in ranks)
-    out = []
-    for d in range(min(2, group.depth) + 1):
-        for k in (1, 2, 3):
-            out.append(Neighborhood(group, eps=math.pi / 2**k, d=d))
-    return tuple(out)
+    depths = range(min(2, group.depth) + 1)
+    return tuple(Neighborhood(group, eps=math.pi / 2**k, d=d) for d in depths for k in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -505,7 +493,7 @@ def predict_limit(array: TriangularArray, settings: VerifySettings | None = None
         if g.kind == PADIC:
             # the local inner product vanishes, so x_n -> e forces the
             # limit to be the point mass at e
-            seq = [(n, padic_metric(array.x(n), identity(g))) for n in grid]
+            seq = [(n, tower_gauge(array.x(n), identity(g))) for n in grid]
             verdict = settings.classify(seq)
             if verdict.kind == CONVERGES and abs(verdict.value) <= settings.trend_tol:
                 return Prediction(dirac_law(identity(g)), "rademacher-dirac")

@@ -1,7 +1,10 @@
 """Scalar references: the element-at-a-time kernels and the atom-loop law
 statistics that lcalim computed before every kernel became a one-value
 call of its block twin and every law statistic a per-entry body over a
-measure's table.  The tests hold the package to these bit for bit.
+measure's table; the torus and padic distances that the mean gap and the
+null rule read before the solenoid's tower gauge took their place; and the
+branch-per-atom-count draw of an i.i.d. row's atom counts.  The tests hold
+the package to these bit for bit.
 
 A measure is read here through atoms(mu), its (element, weight) pairs in
 table order.
@@ -9,6 +12,8 @@ table order.
 
 import cmath
 import math
+
+import numpy as np
 
 from lcalim.groups import (
     PADIC,
@@ -24,6 +29,7 @@ from lcalim.groups import (
     from_turns,
     identity,
     neg,
+    padic_metric,
     reduce_turns,
 )
 from lcalim.measures import ATOM_TOL_TURNS, cylinder_modulus, gauss_ft
@@ -70,13 +76,45 @@ def merged_atoms(group, pairs):
     return merged
 
 
-def is_symmetric(mu, tol_turns: float = 1e-12) -> bool:
+def is_symmetric(mu) -> bool:
     """Invariance under x -> -x, atom by atom."""
     pairs = atoms(mu)
     return all(
-        any(elements_close(neg(x), y, tol_turns) and abs(w - v) <= 1e-12 for y, v in pairs)
+        any(elements_close(neg(x), y) and abs(w - v) <= 1e-12 for y, v in pairs)
         for x, w in pairs
     )
+
+
+def element_distance(x: GroupElement, a: GroupElement) -> float:
+    """The torus and padic distance of x from a: the angle of the
+    difference, or the padic metric."""
+    if x.group.kind == PADIC:
+        return padic_metric(x, a)
+    if x.group.kind != TORUS:
+        raise ValueError("the reference distance covers the torus and padic groups")
+    return abs(reduce_turns(x.turns - a.turns)) * 2.0 * math.pi
+
+
+def null_gauge(x: GroupElement) -> float:
+    """The torus and padic gauge of a Rademacher element x_n in the null
+    rule: its padic metric or its |turns|."""
+    if x.group.kind == PADIC:
+        return padic_metric(x, identity(x.group))
+    if x.group.kind != TORUS:
+        raise ValueError("the reference gauge covers the torus and padic groups")
+    return abs(x.turns - 0.0)
+
+
+def iid_counts(gen, K: int, pvals, size: int):
+    """The atom counts of `size` i.i.d. rows of K entries with atom
+    probabilities pvals: K on one atom, one binomial per row for two atoms,
+    one multinomial draw otherwise."""
+    if len(pvals) == 1:
+        return np.full((size, 1), K, dtype=np.int64)
+    if len(pvals) == 2:
+        c = gen.binomial(K, pvals[0], size=size)
+        return np.stack([c, K - c], axis=1)
+    return gen.multinomial(K, pvals, size=size)
 
 
 def cis_turns(t: float) -> complex:

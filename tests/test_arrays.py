@@ -29,12 +29,14 @@ from lcalim.arrays import (
     table,
 )
 from lcalim.groups import (
+    GroupId,
     Neighborhood,
     add,
     character,
     cyclic_subgroup,
     elements_close,
     from_angle,
+    from_base_angle,
     from_int,
     from_turns,
     full_subgroup,
@@ -48,9 +50,11 @@ from lcalim.groups import (
     trivial_subgroup,
 )
 from lcalim.groups import char_eval_block
+from lcalim.arrays import check_null_rule
 from lcalim.verify import VerifySettings, default_characters, default_neighborhoods, predict_limit
 
 import reference as ref
+from test_groups import DEEP_SOLENOIDS
 from reference import cylinder_mass, local_mean, measure_ft, tail_mass_measure
 
 T = torus_group()
@@ -140,6 +144,11 @@ class TestRowDist:
         arr = bernoulli_array(g, from_int(g, 1), p=constant(1.5), K=linear(1.0))
         with pytest.raises(ValueError, match="outside"):
             arr.packed(10)
+
+    @pytest.mark.parametrize("g", DEEP_SOLENOIDS, ids=GroupId.describe)
+    def test_deep_solenoid_bernoulli_atom_accepted(self, g):
+        arr = bernoulli_array(g, from_base_angle(g, 0.5), p=constant(0.1), K=constant(10.0))
+        assert arr.packed(1).values.tolist() == [from_base_angle(g, 0.5).turns, 0.0]
 
     def test_k_must_be_positive_integer(self):
         arr = rademacher_array(T, K=constant(0.0), angle=power(1.0, -0.5))
@@ -736,6 +745,15 @@ class TestNullRule:
         arr = rademacher_array(T, K=linear(1.0), angle=constant(0.5))
         with pytest.raises(ValueError, match="not null"):
             check_null_rule(arr, GRID)
+
+    @pytest.mark.parametrize("g", [solenoid_group(3, 25), solenoid_group(2, 8)], ids=GroupId.describe)
+    def test_constant_solenoid_angle_rejected_at_every_depth(self, g):
+        # arg y_0 = 1 rad is 0.159 base turns, however small the deepest
+        # coordinate's turns (1.9e-13 on solenoid_group(3, 25))
+        arr = rademacher_array(g, K=linear(1.0), angle=constant(1.0))
+        with pytest.raises(ValueError, match=r"x_n ends at 0\.159155 \(started at 0\.159155\)"):
+            check_null_rule(arr, GRID)
+        check_null_rule(rademacher_array(g, K=linear(1.0), angle=power(1.0, -0.5)), GRID)
 
     def test_general_arrays_not_constrained(self):
         from lcalim.arrays import check_null_rule

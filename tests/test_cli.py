@@ -427,6 +427,24 @@ class TestCLI:
         assert "bernoulli_mismatch" in names
 
 
+def test_solenoid_mean_gap_reads_the_base_coordinate(tmp_path):
+    # a shift of 0.25 rad on y_0 is 0.25 / 2^8 rad on the deepest coordinate
+    # of the depth-8 tower, under the 1e-3 tolerance; the gap is the largest
+    # coordinate's, so the hypothesis fails at every depth
+    golden = os.path.join(os.path.dirname(__file__), "golden", "solenoid_gaiser", "config.json")
+    with open(golden) as fh:
+        doc = json.load(fh)
+    doc["law"]["a"] = {"base_angle": 0.25}
+    for depth in (8, 4):
+        doc["group"]["depth"] = depth
+        assert _run_cli(tmp_path, "conditions", doc) == 1
+        with open(tmp_path / "o" / "conditions.csv", newline="") as fh:
+            gaps = [float(r["value"]) for r in csv.DictReader(fh) if r["condition"] == "mean_sum_gap"]
+        assert gaps[-1] == pytest.approx(0.25, rel=1e-9)
+        with open(tmp_path / "o" / "summary.json") as fh:
+            assert json.load(fh)["overall"] != "pass"
+
+
 def _bundled_doc(name):
     with open(os.path.join(os.path.dirname(cli.__file__), "examples", f"{name}.json")) as fh:
         return json.load(fh)

@@ -9,12 +9,14 @@ from lcalim.groups import (
     TWO_PI,
     Character,
     DepthOverflowError,
+    GroupId,
     GroupMismatchError,
     Neighborhood,
     add,
     annihilator_contains,
     add_block,
     arg_of,
+    base_turns,
     block_dtype,
     char_eval,
     char_eval_block,
@@ -40,15 +42,19 @@ from lcalim.groups import (
     local_inner_block,
     neg,
     padic_group,
+    neg_block,
     padic_metric,
     reduce_turns,
     reduce_turns_block,
     scale,
+    same_block,
+    same_value,
     scale_block,
     solenoid_group,
     solenoid_lift,
     solenoid_project,
     torus_group,
+    tower_gauge,
     trivial_subgroup,
 )
 
@@ -570,6 +576,49 @@ class TestNeighborhoods:
             Neighborhood(T, eps=0.0)
         with pytest.raises(ValueError):
             Neighborhood(T, eps=4.0)
+
+    def test_torus_takes_no_depth(self):
+        # the torus is the tower of depth 0: d = 0 is its only coordinate
+        assert Neighborhood(T, eps=1.0, d=0) == Neighborhood(T, eps=1.0)
+        for d in (1, -1):
+            with pytest.raises(DepthOverflowError, match="neighborhood depth beyond working depth"):
+                Neighborhood(T, eps=1.0, d=d)
+
+
+# solenoids deep enough that base-coordinate gaps of order 1 are deepest
+# gaps below ATOM_TOL_TURNS (p^depth = 8.5e11 and 1.1e12)
+DEEP_SOLENOIDS = [solenoid_group(3, 25), solenoid_group(1021, 4)]
+
+
+class TestTowerRule:
+    @pytest.mark.parametrize("g", DEEP_SOLENOIDS, ids=GroupId.describe)
+    def test_distinct_base_angles_are_distinct_elements(self, g):
+        x, y = from_base_angle(g, 0.6), from_base_angle(g, 1.2)
+        assert abs(x.turns - y.turns) < 1e-12
+        assert not elements_close(x, y)
+        assert elements_close(x, from_base_angle(g, 0.6))
+
+    @pytest.mark.parametrize("g", DEEP_SOLENOIDS + [solenoid_group(2, 8), T], ids=GroupId.describe)
+    def test_gauge_reads_the_largest_coordinate(self, g):
+        x = from_turns(g, base_turns(g, 1.0))  # arg y_0 = 1 rad, arg y_j = 1 / p^j
+        assert tower_gauge(x, identity(g)) == pytest.approx(1.0 / TWO_PI, rel=1e-9)
+        assert tower_gauge(x, identity(g), TWO_PI) == pytest.approx(1.0, rel=1e-9)
+
+    def test_block_rule_and_its_scalar_twin_agree(self, rng):
+        for g in DEEP_SOLENOIDS + [solenoid_group(3, 6), T, padic_group(5, 3)]:
+            if g.kind == "padic":
+                u = np.array([element_value(random_element(g, rng)) for _ in range(60)])
+                near = (u + rng.integers(0, 2, size=60)) % g.modulus
+            else:  # on the branch-0 tower, half or twice the tolerance apart on y_0
+                u = base_turns(g, rng.uniform(-3.0, 3.0, 60))
+                near = u + rng.choice([-2.0, -0.5, 0.5, 2.0], 60) * 1e-12 / g.base_scale
+            v = neg_block(g, u)
+            assert v.tolist() == [element_value(neg(ref.element(g, a))) for a in u.tolist()]
+            for w in (v, near):
+                twins = [same_value(g, a, b) for a, b in zip(u.tolist(), w.tolist())]
+                assert same_block(g, u, w).tolist() == twins
+            assert 0 < sum(twins) < 60
+            assert same_block(g, u, u).all()
 
 
 class TestPadicMetric:

@@ -29,6 +29,8 @@ from lcalim.groups import (
     character,
     coordinate_arg,
     cyclic_subgroup,
+    elements_close,
+    from_turns,
     full_subgroup,
     h_trunc,
     identity,
@@ -39,6 +41,7 @@ from lcalim.groups import (
     padic_group,
     solenoid_group,
     torus_group,
+    tower_gauge,
     trivial_subgroup,
 )
 from lcalim.measures import (
@@ -56,6 +59,7 @@ from lcalim.measures import (
     tail_mass_measure,
     validate_levy,
 )
+from lcalim.verify import element_distance
 
 import reference as ref
 
@@ -283,3 +287,29 @@ def test_symmetry_check_equals_reference(name, data):
         atoms += [(neg(x), w + nudge) for x, w in atoms]
     mu = discrete_measure(g, atoms)
     assert _is_symmetric(mu) is ref.is_symmetric(mu)
+
+
+def test_atoms_merge_by_the_base_coordinate_gap():
+    # 3e-13 deepest turns apart on solenoid_group(3, 6) is 729 * 3e-13 =
+    # 2.2e-10 turns apart on y_0: two elements, though the deepest gap alone
+    # is within ATOM_TOL_TURNS
+    g = GROUPS["solenoid"]
+    x, y = GroupElement(g, turns=0.1), GroupElement(g, turns=0.1 + 3e-13)
+    mu = discrete_measure(g, [(x, 0.5), (y, 0.5)])
+    assert _same_table(mu, [(x, 0.5), (y, 0.5)])
+    assert _same_table(mu, ref.merged_atoms(g, [(x, 0.5), (y, 0.5)]))
+    assert not elements_close(x, y)
+    close = GroupElement(g, turns=0.1 + 1e-15)  # 7.3e-13 turns apart on y_0
+    assert _same_table(discrete_measure(g, [(x, 0.5), (close, 0.5)]), [(x, 1.0)])
+
+
+@pytest.mark.parametrize("name", ["torus", "padic", "padic-large"])
+@FEW
+@given(data=st.data())
+def test_torus_and_padic_gauges_keep_their_bits(name, data):
+    g = GROUPS[name]
+    x, a = data.draw(elements(g)), data.draw(elements(g))
+    assert _bits(element_distance(x, a)) == _bits(ref.element_distance(x, a))
+    if g.kind == TORUS:  # a Rademacher x_n is built by from_turns
+        x = from_turns(g, x.turns)
+    assert _bits(tower_gauge(x, identity(g))) == _bits(ref.null_gauge(x))

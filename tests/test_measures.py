@@ -4,12 +4,14 @@ import math
 import pytest
 
 from lcalim.groups import (
+    GroupId,
     GroupMismatchError,
     Neighborhood,
     char_eval,
     character,
     cyclic_subgroup,
     from_angle,
+    from_base_angle,
     from_int,
     from_turns,
     full_subgroup,
@@ -47,7 +49,7 @@ from lcalim.measures import (
 
 import reference as ref
 from conftest import random_element
-from test_groups import _random_char
+from test_groups import DEEP_SOLENOIDS, _random_char
 
 T = torus_group()
 
@@ -77,6 +79,13 @@ class TestDiscreteMeasure:
         with pytest.raises(GroupMismatchError):
             discrete_measure(T, [(identity(padic_group(2, 2)), 1.0)])
 
+    @pytest.mark.parametrize("g", DEEP_SOLENOIDS, ids=GroupId.describe)
+    def test_deep_solenoid_atoms_kept_apart(self, g):
+        # base angles 0.6 and 1.2 rad lie less than 1e-12 deepest turns apart
+        x, y = from_base_angle(g, 0.6), from_base_angle(g, 1.2)
+        mu = discrete_measure(g, [(x, 0.5), (y, 0.5)])
+        assert mu.values.tolist() == [x.turns, y.turns]
+
 
 class TestValidateLevy:
     def test_accepts_off_identity_atom(self):
@@ -89,6 +98,14 @@ class TestValidateLevy:
 
     def test_accepts_zero_measure(self):
         assert len(validate_levy(zero_measure(T)).values) == 0
+
+    @pytest.mark.parametrize("g", DEEP_SOLENOIDS, ids=GroupId.describe)
+    def test_deep_solenoid_atom_off_identity_accepted(self, g):
+        # arg y_0 = 0.5 rad is 9.4e-14 deepest turns on solenoid_group(3, 25)
+        eta = validate_levy(point_mass(from_base_angle(g, 0.5)))
+        assert eta.total_mass() == 1.0
+        with pytest.raises(ValueError, match="identity"):
+            validate_levy(point_mass(from_turns(g, 0.5e-12 / g.p**g.depth)))
 
 
 class TestQuadraticForm:

@@ -150,6 +150,26 @@ class TestSampleRowSum:
         s = sample_row_sum(arr, 1, SeededStream(3))  # must not loop K times
         assert s.group == T
 
+    @pytest.mark.parametrize("weights", [[1.0], [0.2, 0.8], [0.2, 0.5, 0.3]], ids=len)
+    @pytest.mark.parametrize("g", [T, padic_group(3, 4)], ids=["torus", "padic"])
+    def test_count_draw_equals_branch_per_atom_count(self, g, weights):
+        # one multinomial call draws, from the same stream, the counts that
+        # a branch per atom count drew, and leaves the generator in the
+        # same state; a one-atom row draws nothing
+        x = from_int(g, 5) if g.kind == "padic" else from_angle(g, 0.7)
+        dist = row_distribution(g, list(zip([identity(g), x, neg(x)], weights)))
+        for K in (1, 7, 10**6, 2**62):
+            row = pack_rows(g, (dist,), K)  # an i.i.d. row: one entry, K copies
+            sampler = _row_sampler(TriangularArray(g, "general", lambda n: row), 1)
+            got_gen, want_gen = SeededStream(8).generator(), SeededStream(8).generator()
+            before = got_gen.bit_generator.state
+            pvals = (row.weights / row.masses()).tolist()
+            want = sampling._combine(g, ref.iid_counts(want_gen, K, pvals, 300), row.values)
+            assert sampler(got_gen, 300).tobytes() == want.tobytes()
+            assert got_gen.bit_generator.state == want_gen.bit_generator.state
+            if len(weights) == 1:
+                assert got_gen.bit_generator.state == before
+
     def test_budget_enforced_for_direct(self, monkeypatch):
         law = row_distribution(T, [(from_angle(T, 0.5), 0.5), (from_angle(T, -0.5), 0.5)])
         arr = general_array(T, lambda n: (law,) * n)
