@@ -478,7 +478,7 @@ def parse_neighborhoods(doc, group: GroupId) -> tuple[Neighborhood, ...]:
             out.append(_checked(name, Neighborhood, group, rank=rank))
         else:
             eps = _float(_get(entry, "eps", name), f"{name}.eps")
-            d = _int(entry.get("d", 0), f"{name}.d") if group.kind == SOLENOID else 0
+            d = _int(entry.get("d", 0), f"{name}.d")
             out.append(_checked(name, Neighborhood, group, eps=eps, d=d))
     return tuple(out)
 

@@ -260,10 +260,10 @@ def arg_of(x: GroupElement) -> float:
 
 
 def coordinate_arg(x: GroupElement, j: int) -> float:
-    """Angle of the solenoid coordinate y_j, j <= working depth, in
-    [-pi, pi)."""
-    if x.group.kind != SOLENOID:
-        raise ValueError("coordinates only defined for solenoid elements")
+    """Angle of the coordinate y_j, j <= working depth, of a torus (depth 0)
+    or solenoid element, in [-pi, pi)."""
+    if x.group.kind == PADIC:
+        raise ValueError("coordinates only defined for torus and solenoid elements")
     if not 0 <= j <= x.group.depth:
         raise DepthOverflowError(f"coordinate {j} beyond working depth {x.group.depth}")
     return TWO_PI * _coordinates_block(x.group, element_block(x), j)[j].item()
@@ -393,11 +393,11 @@ def same_block(group: GroupId, u, v) -> np.ndarray:
     return np.abs(reduce_turns_block(u - v)) * group.base_scale <= ATOM_TOL_TURNS
 
 
-def same_value(group: GroupId, u, v, tol_turns: float = ATOM_TOL_TURNS) -> bool:
-    """same_block of one pair of entries, without numpy, within tol_turns."""
+def same_value(group: GroupId, u, v) -> bool:
+    """same_block of one pair of entries, without numpy."""
     if group.kind == PADIC:
         return u == v
-    return abs(reduce_turns(u - v)) * group.base_scale <= tol_turns
+    return abs(reduce_turns(u - v)) * group.base_scale <= ATOM_TOL_TURNS
 
 
 # by the nearest quarter turn q = -2, ..., 2 (at index q + 2): whether cos
@@ -690,6 +690,6 @@ def solenoid_project(x: GroupElement) -> GroupElement:
     return GroupElement(shallower, turns=reduce_turns(x.turns * x.group.p))
 
 
-def elements_close(x: GroupElement, y: GroupElement, tol_turns: float = ATOM_TOL_TURNS) -> bool:
+def elements_close(x: GroupElement, y: GroupElement) -> bool:
     """same_value of two elements' entries; elements of two groups differ."""
-    return x.group == y.group and same_value(x.group, element_value(x), element_value(y), tol_turns)
+    return x.group == y.group and same_value(x.group, element_value(x), element_value(y))

@@ -16,13 +16,11 @@ from itertools import repeat
 
 from .groups import (
     PADIC,
-    TORUS,
     TWO_PI,
     Character,
     GroupElement,
     GroupId,
     Neighborhood,
-    arg_of,
     character,
     canonical_character,
     coordinate_arg,
@@ -501,8 +499,7 @@ def predict_limit(array: TriangularArray, settings: VerifySettings | None = None
             return Prediction(None, "unclassified", reason)
         seq = []
         for n in grid:
-            x = array.x(n)
-            a0 = arg_of(x) if g.kind == TORUS else coordinate_arg(x, 0)
+            a0 = coordinate_arg(array.x(n), 0)
             seq.append((n, array.row_count(n) * a0 * a0))
         verdict = settings.classify(seq)
         if verdict.kind == CONVERGES:

@@ -17,7 +17,6 @@ import numpy as np
 
 from lcalim.groups import (
     PADIC,
-    SOLENOID,
     TORUS,
     TWO_PI,
     DepthOverflowError,
@@ -32,7 +31,7 @@ from lcalim.groups import (
     padic_metric,
     reduce_turns,
 )
-from lcalim.measures import ATOM_TOL_TURNS, cylinder_modulus, gauss_ft
+from lcalim.measures import cylinder_modulus, gauss_ft
 
 
 def _sum(terms, start=0.0):
@@ -68,7 +67,7 @@ def merged_atoms(group, pairs):
         if w == 0.0:
             continue
         for i, (y, v) in enumerate(merged):
-            if elements_close(x, y, ATOM_TOL_TURNS):
+            if elements_close(x, y):
                 merged[i] = (y, v + w)
                 break
         else:
@@ -134,10 +133,10 @@ def cis_turns(t: float) -> complex:
 
 
 def coordinate_turns(x: GroupElement, j: int) -> float:
-    """Turn count of the solenoid coordinate y_j, by repeated
-    multiply-by-p-and-reduce steps from the deepest coordinate."""
-    if x.group.kind != SOLENOID:
-        raise ValueError("coordinates only defined for solenoid elements")
+    """Turn count of the coordinate y_j of a torus or solenoid element, by
+    repeated multiply-by-p-and-reduce steps from the deepest coordinate."""
+    if x.group.kind == PADIC:
+        raise ValueError("coordinates only defined for torus and solenoid elements")
     if not 0 <= j <= x.group.depth:
         raise DepthOverflowError(f"coordinate {j} beyond working depth {x.group.depth}")
     t = x.turns

@@ -581,6 +581,12 @@ _MESSAGES = {
         "neighborhoods[0].eps must be a finite number",
     ),
     "eps missing": (("neighborhoods",), [{}], "missing field 'eps' in neighborhoods[0]"),
+    # the torus is the tower of depth 0: d = 1 names a coordinate it lacks
+    "torus neighborhood depth": (
+        ("neighborhoods",),
+        [{"eps": 1.0, "d": 1}],
+        "neighborhoods[0]: neighborhood depth beyond working depth",
+    ),
     # 2 pi times an odd integer in (2^52, 2^53): the identity, once reduced
     "eta atom at the identity": (
         ("law", "eta"),
