@@ -271,10 +271,10 @@ def plain_entries(row: PackedRow) -> np.ndarray:
     """For each entry of a table of atoms, whether row_distribution surely
     keeps its atoms exactly as given and accepts them: every weight finite
     and positive, the total mass within 1e-12 of 1 with room for rounding,
-    and no two atoms equal (padic) or within twice ATOM_TOL_TURNS of each
-    other on the deepest coordinate, at least as strict as the tower rule of
-    groups.same_block (deepest gap times p^depth >= 1), so no entry that
-    _measure would merge is plain.  An entry marked False may still be
+    and no two atoms equal (padic) or within 2 * ATOM_TOL_TURNS / p^depth
+    (at least eps) of each other on the deepest coordinate: twice the gap
+    at which the tower rule of groups.same_block merges them, so no entry
+    that _measure would merge is plain.  An entry marked False may still be
     valid; only row_distribution can tell."""
     values, weights = row.values, row.weights
     counts = np.diff(row.starts, append=len(values))
@@ -293,9 +293,12 @@ def plain_entries(row: PackedRow) -> np.ndarray:
         if row.group.kind == PADIC:
             close = (v[:, 1:] == v[:, :-1]).any(axis=-1)
         else:
-            close = (v[:, 1:] - v[:, :-1] <= 2 * ATOM_TOL_TURNS).any(axis=-1)
+            # across the wrap, this gap and same_block's reduce_turns(u - v)
+            # each round once, by at most eps / 4
+            tol = max(2 * ATOM_TOL_TURNS / row.group.base_scale, np.finfo(float).eps)
+            close = (v[:, 1:] - v[:, :-1] <= tol).any(axis=-1)
             if m > 1:
-                close |= v[:, 0] + 1.0 - v[:, -1] <= 2 * ATOM_TOL_TURNS
+                close |= v[:, 0] + 1.0 - v[:, -1] <= tol
         plain[entries] &= ~close
     return plain
 

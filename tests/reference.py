@@ -2,9 +2,10 @@
 statistics that lcalim computed before every kernel became a one-value
 call of its block twin and every law statistic a per-entry body over a
 measure's table; the torus and padic distances that the mean gap and the
-null rule read before the solenoid's tower gauge took their place; and the
-branch-per-atom-count draw of an i.i.d. row's atom counts.  The tests hold
-the package to these bit for bit.
+null rule read before the solenoid's tower gauge took their place; the
+branch-per-atom-count draw of an i.i.d. row's atom counts; and the Monte
+Carlo estimator that evaluated every character at every draw.  The tests
+hold the package to these bit for bit.
 
 A measure is read here through atoms(mu), its (element, weight) pairs in
 table order.
@@ -23,6 +24,7 @@ from lcalim.groups import (
     GroupElement,
     GroupMismatchError,
     annihilator_contains,
+    char_eval_block,
     elements_close,
     from_angle,
     from_turns,
@@ -32,6 +34,7 @@ from lcalim.groups import (
     reduce_turns,
 )
 from lcalim.measures import cylinder_modulus, gauss_ft
+from lcalim.sampling import BLOCK_SIZE
 
 
 def _sum(terms, start=0.0):
@@ -114,6 +117,18 @@ def iid_counts(gen, K: int, pvals, size: int):
         c = gen.binomial(K, pvals[0], size=size)
         return np.stack([c, K - c], axis=1)
     return gen.multinomial(K, pvals, size=size)
+
+
+def estimate(draw, group, chars, M: int, stream) -> tuple[complex, ...]:
+    """The estimates of chi over M draws: block j of BLOCK_SIZE drawn from
+    the stream's child (j,), every character evaluated at every draw of the
+    block, and the block's sum added to the total in block order."""
+    chars = tuple(chars)
+    total = np.zeros(len(chars), dtype=complex)
+    for j, lo in enumerate(range(0, M, BLOCK_SIZE)):
+        block = draw(stream.child(j).generator(), min(BLOCK_SIZE, M - lo))
+        total += char_eval_block(group, chars, block).sum(axis=0)
+    return tuple(complex(z) for z in total / M)
 
 
 def cis_turns(t: float) -> complex:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcalim import arrays, cli
+from lcalim import arrays, cli, sampling
 from lcalim.arrays import row_ft_exact
 from lcalim.config import parse_config
 from lcalim.groups import character
@@ -710,6 +710,22 @@ class TestExitCodeContract:
         assert "row count K_n must be a positive integer; got 0 at n=4" in err
         assert "do not cover the grid" not in err  # the row exists; it is empty
         assert "general array at n=4: " in err
+        assert not (tmp_path / "o").exists()
+
+    def test_sampling_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a general row past the budget of entry-by-entry draws is a config
+        # that `sample` refuses before it writes anything
+        monkeypatch.setattr(sampling, "DEFAULT_DIRECT_BUDGET", 5)
+        doc = json.loads(json.dumps(_FUZZ_DOCS["general_torus"]))
+        doc["array"]["rows"]["30"] = [
+            [{"x": {"angle": sign * (k + 1) / 30}, "weight": 0.5} for sign in (1, -1)]
+            for k in range(30)
+        ]
+        doc["mc"]["n"] = [30]
+        assert _run_cli(tmp_path, "sample", doc) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid config: row n=30: direct sampling of K_n=30 entries exceeds budget 5\n"
+        )
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["general_torus", "general_padic"])

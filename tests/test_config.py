@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcalim import config
-from lcalim.arrays import PackedRow, pack_rows, plain_entries
+from lcalim.arrays import PackedRow, pack_rows, plain_entries, row_distribution
 from lcalim.config import (
     _FLOAT_MAX,
     _dict,
@@ -33,6 +33,7 @@ from lcalim.config import (
 from lcalim.groups import (
     PADIC,
     TWO_PI,
+    GroupId,
     block_dtype,
     padic_group,
     reduce_turns_block,
@@ -41,6 +42,8 @@ from lcalim.groups import (
 )
 from lcalim.measures import ATOM_TOL_TURNS
 from lcalim.verify import ConfigError, default_neighborhoods
+
+import reference as ref
 
 GROUPS = {
     "torus": torus_group(),
@@ -293,6 +296,7 @@ def _argsort_plain_entries(group, values, weights, counts):
     plain = np.bincount(entry, weights=bad, minlength=len(counts)) == 0
     mass = np.bincount(entry, weights=np.where(bad, 0.0, weights), minlength=len(counts))
     plain &= np.abs(mass - 1.0) <= 1e-12 - 2 * counts * np.finfo(float).eps
+    tol = max(2 * ATOM_TOL_TURNS / group.base_scale, np.finfo(float).eps)
     order = np.argsort(values, kind="stable")
     order = order[np.argsort(entry[order], kind="stable")]
     v, e = values[order], entry[order]
@@ -300,9 +304,9 @@ def _argsort_plain_entries(group, values, weights, counts):
     if group.kind == PADIC:
         close = same & (v[1:] == v[:-1]).astype(bool)
     else:
-        close = same & (v[1:] - v[:-1] <= 2 * ATOM_TOL_TURNS)
+        close = same & (v[1:] - v[:-1] <= tol)
         ends = np.flatnonzero(counts > 1)
-        wrap = v[starts[ends]] + 1.0 - v[starts[ends] + counts[ends] - 1] <= 2 * ATOM_TOL_TURNS
+        wrap = v[starts[ends]] + 1.0 - v[starts[ends] + counts[ends] - 1] <= tol
         plain[ends[wrap]] = False
     plain[e[1:][close]] = False
     return plain
@@ -310,16 +314,19 @@ def _argsort_plain_entries(group, values, weights, counts):
 
 # torus, solenoid, int64 residues and Python-int residues (101^9 > 2^31)
 PLAIN_GROUPS = (torus_group(), solenoid_group(3, 6), padic_group(2, 16), padic_group(101, 8))
-# nudges that put an atom within, at or just beyond 2 * ATOM_TOL_TURNS of another
+# solenoids whose plain threshold on the deepest coordinate is below eps
+DEEP_SOLENOIDS = (solenoid_group(3, 25), solenoid_group(1021, 4))
+# nudges that put an atom within, at or just beyond 2 * ATOM_TOL_TURNS of
+# another, in base turns: an angle group's atoms take them divided by p^depth
 NUDGES = (0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12, 2.5e-12, -2.5e-12, 1e-9, 0.5)
 
 
 @st.composite
-def _atom_tables(draw):
+def _atom_tables(draw, groups=PLAIN_GROUPS):
     """(group, values, weights, counts): entries of equal or mixed widths,
     zero-atom entries included, with atoms that repeat or nearly repeat
     earlier ones, also across the +-1/2 wrap."""
-    group = draw(st.sampled_from(PLAIN_GROUPS))
+    group = draw(st.sampled_from(groups))
     k = draw(st.integers(1, 10))
     if draw(st.booleans()):
         counts = [draw(st.integers(0, 5))] * k
@@ -332,11 +339,13 @@ def _atom_tables(draw):
             if group.kind == PADIC:
                 raw.append(raw[j] + draw(st.sampled_from((0, 0, 1, group.modulus - 1))))
             else:
-                raw.append(raw[j] + draw(st.sampled_from(NUDGES)))
+                raw.append(raw[j] + draw(st.sampled_from(NUDGES)) / group.base_scale)
         elif group.kind == PADIC:
             raw.append(draw(st.integers(0, group.modulus - 1)))
         else:
-            edge = st.sampled_from((-0.5, 0.5 - 1e-12, 0.5 - 3e-12, -0.5 + 1e-12, 0.0))
+            s = group.base_scale
+            edges = (-0.5, 0.5 - 1e-12 / s, 0.5 - 3e-12 / s, -0.5 + 1e-12 / s, 0.0, 0.5 - 2**-54)
+            edge = st.sampled_from(edges)
             raw.append(draw(st.one_of(edge, st.floats(-0.5, 0.5, exclude_max=True))))
     if group.kind == PADIC:
         values = np.array([v % group.modulus for v in raw], dtype=block_dtype(group))
@@ -361,15 +370,47 @@ def test_plain_entries_find_close_atoms_in_equal_widths(group):
     if group.kind == PADIC:
         rows = [[5, 7], [7, 7], [group.modulus - 1, 0], [3, 3]]
         want = [True, False, True, False]
-    else:
-        rows = [[0.1, 0.2], [0.1, 0.1 + 1e-12], [-0.5, 0.5 - 1e-12], [0.25, -0.5 + 3e-12],
-                [0.3, 0.3 + 3e-12]]
+    else:  # gaps in base turns, so deepest turns divided by p^depth
+        s = group.base_scale
+        rows = [[0.1, 0.2], [0.1, 0.1 + 1e-12 / s], [-0.5, 0.5 - 1e-12 / s],
+                [0.25, -0.5 + 3e-12 / s], [0.3, 0.3 + 3e-12 / s]]
         want = [True, False, False, True, True]
     values = np.array([v for row in rows for v in row], dtype=block_dtype(group))
     weights = np.full(len(values), 0.5)
     counts = np.full(len(rows), 2)
     assert _plain(group, values, weights, counts).tolist() == want
     assert _argsort_plain_entries(group, values, weights, counts).tolist() == want
+
+
+@pytest.mark.parametrize("group", DEEP_SOLENOIDS + (solenoid_group(2, 8),), ids=GroupId.describe)
+def test_far_atoms_on_deep_solenoids_are_plain(group):
+    # atoms at base angles +-0.1k rad are 3.8e-14 k deepest turns apart on
+    # solenoid_group(3, 25), far apart on y_0, so every entry reads in bulk
+    entries = [
+        [{"x": {"base_angle": sign * 0.1 * k}, "weight": 0.5} for sign in (1, -1)]
+        for k in range(1, 11)
+    ]
+    assert plain_entries(_general_row(entries, group, "row")).tolist() == [True] * 10
+
+
+@pytest.mark.parametrize("group", DEEP_SOLENOIDS, ids=GroupId.describe)
+def test_atoms_merged_across_the_wrap_are_not_plain(group):
+    # -1/2 - (1/2 - 2^-54) rounds to -1, so same_block merges the two atoms,
+    # although their gap is far beyond 2 * ATOM_TOL_TURNS / p^depth
+    values = np.array([-0.5, 0.5 - 2**-54])
+    assert len(row_distribution(group, [(ref.element(group, v), 0.5) for v in values]).values) == 1
+    assert _plain(group, values, np.full(2, 0.5), [2]).tolist() == [False]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_atom_tables(PLAIN_GROUPS + DEEP_SOLENOIDS))
+def test_plain_entries_are_kept_as_given(table):
+    group, values, weights, counts = table
+    first = np.append(np.cumsum(counts) - counts, len(values)).tolist()
+    for k in np.flatnonzero(_plain(group, values, weights, counts)).tolist():
+        v, w = values[first[k] : first[k + 1]], weights[first[k] : first[k + 1]]
+        law = row_distribution(group, [(ref.element(group, x), y) for x, y in zip(v, w)])
+        _assert_same_table(law, PackedRow(group, v, w, np.zeros(1, dtype=law.starts.dtype)))
 
 
 @pytest.mark.parametrize("group", PLAIN_GROUPS, ids=["torus", "solenoid", "padic", "padic-object"])

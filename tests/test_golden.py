@@ -13,7 +13,8 @@ pinned by small configs stored beside their reports as
 tests/golden/<name>/config.json: symmetric_clt and symmetric_haar
 (iid_symmetric rows), padic_gaiser (a padic general array, which adds the
 cylinder conditions), solenoid_gaiser (a solenoid general array) and
-padic_rademacher_clt.
+padic_rademacher_clt.  Their `sample` reports were captured before each
+character came to be evaluated once per distinct draw.
 """
 
 import os
@@ -46,7 +47,7 @@ def test_reports_match_golden_files(tmp_path, example, command):
     _assert_matches(tmp_path, os.path.join(GOLDEN, example, command), f"{example}/{command}")
 
 
-@pytest.mark.parametrize("command", ["verify", "conditions"])
+@pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
 @pytest.mark.parametrize("name", BRANCH_CONFIGS)
 def test_branch_reports_match_golden_files(tmp_path, name, command):
     config = os.path.join(GOLDEN, name, "config.json")

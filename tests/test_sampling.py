@@ -17,6 +17,8 @@ from lcalim.arrays import (
     row_distribution,
     row_ft_exact,
 )
+from lcalim.cli import load_config_text
+from lcalim.config import parse_config
 from lcalim.groups import (
     CompactSubgroup,
     char_eval_block,
@@ -449,3 +451,124 @@ def test_solenoid_law_matches_exact_ft(g, factor):
     est = empirical_law_ft(law, chars, M, SeededStream(15))
     for emp, exact in zip(est.estimates, limit_law_ft(law, est.chars)):
         assert abs(emp - exact) <= 4.0 / math.sqrt(M)
+
+
+def _chars(g, k):
+    """k nontrivial characters of g, of depths 0 to 4 off the torus."""
+    if g.kind == "torus":
+        pool = [character(g, s * l) for l in range(1, 10) for s in (1, -1)]
+    else:
+        pool = [
+            character(g, l, d)
+            for d in range(5)
+            for l in range(1, 6)
+            if g.kind != "padic" or l < g.p ** (d + 1)
+        ]
+    return pool[:k]
+
+
+def _iid_row(g, weights):
+    """The sampler of an i.i.d. row of 9 entries with 1 to 3 atoms."""
+    x = from_int(g, 5) if g.kind == "padic" else from_angle(g, 0.7)
+    dist = row_distribution(g, list(zip([identity(g), x, neg(x)], weights)))
+    row = pack_rows(g, (dist,), 9)
+    return _row_sampler(TriangularArray(g, "general", lambda n: row), 1)
+
+
+def _general_rows(g):
+    x = from_int(g, 3) if g.kind == "padic" else from_angle(g, 0.5)
+    laws = tuple(row_distribution(g, [(x, p), (identity(g), 1.0 - p)]) for p in (0.2, 0.5, 0.9))
+    return _row_sampler(general_array(g, lambda n: laws * 2), 1)
+
+
+P = padic_group(3, 4)
+BIG = padic_group(2, 70)  # residues beyond int64: object blocks
+S = solenoid_group(2, 8)
+# (group, sampler) of every kind of draw
+DRAWS = {
+    "iid-1-atom": (T, _iid_row(T, [1.0])),
+    "iid-2-atoms": (P, _iid_row(P, [0.4, 0.6])),
+    "iid-3-atoms": (S, _iid_row(S, [0.2, 0.5, 0.3])),
+    "bernoulli": (padic_group(2), _row_sampler(_padic_bernoulli(), 1000)),
+    "rademacher": (T, _row_sampler(_torus_rademacher(), 100)),
+    "general-torus": (T, _general_rows(T)),
+    "general-padic": (P, _general_rows(P)),
+    "object-bernoulli": (
+        BIG,
+        _row_sampler(bernoulli_array(BIG, from_int(BIG, 1), p=constant(0.5), K=constant(40)), 1),
+    ),
+    "compound-poisson": (
+        P,
+        _law_sampler(compound_poisson_law(scale_measure(point_mass(from_int(P, 1)), 2.0))),
+    ),
+    "gauss": (S, _law_sampler(gauss_law(S, 0.7))),
+    "cyclic-haar": (T, _law_sampler(haar_law(cyclic_subgroup(T, 5)))),
+    "full-haar": (T, _law_sampler(haar_law(full_subgroup(T)))),
+    "lambda-haar": (P, _law_sampler(haar_law(lambda_subgroup(P, 2)))),
+    "object-lambda-haar": (BIG, _law_sampler(haar_law(lambda_subgroup(BIG, 66)))),
+}
+
+
+class TestDistinctDraws:
+    # the estimator evaluates each character once per distinct draw of a
+    # group of blocks; reference.estimate evaluates it at every draw
+    @pytest.mark.parametrize("case", sorted(DRAWS))
+    def test_estimates_equal_per_block_evaluation(self, case):
+        g, draw = DRAWS[case]
+        stream = SeededStream(5).child(2)
+        # 1, 8 and 17 characters: 16, 2 and 1 blocks per group; none, as
+        # the API allows
+        for k in (0, 1, 8, 17):
+            chars = _chars(g, k)
+            for M in (1, 1023, 1024, 1025, 5000):
+                got = sampling._estimate(draw, g, chars, M, stream)
+                want = ref.estimate(draw, g, chars, M, stream)
+                assert np.array(got.estimates).tobytes() == np.array(want).tobytes()
+
+    def test_signed_zeros_stay_apart(self, monkeypatch):
+        # a block of +0.0 and -0.0 turns: == would take them for one draw
+        seen = []
+
+        def spy(group, chars, values):
+            seen.append(values.copy())
+            return char_eval_block(group, chars, values)
+
+        def draw(gen, size):
+            return np.where(gen.random(size) < 0.5, 0.0, -0.0)
+
+        monkeypatch.setattr(sampling, "char_eval_block", spy)
+        chars = _chars(T, 3)
+        for M in (1, 1023, 1024, 1025, 5000):
+            seen.clear()
+            got = sampling._estimate(draw, T, chars, M, SeededStream(9))
+            assert np.array(got.estimates).tobytes() == np.array(
+                ref.estimate(draw, T, chars, M, SeededStream(9))
+            ).tobytes()
+        assert [np.signbit(v).tolist() for v in seen] == [[True, False]]
+
+    def test_characters_see_only_distinct_draws(self, monkeypatch):
+        # padic_poisson at 2000 replicates: its 8 characters take both
+        # blocks in one group, whose 2000 draws hold 9 values
+        cfg = parse_config(load_config_text("padic_poisson"))
+        chars, (n,) = cfg.settings.characters, cfg.mc.n_points
+        seen = []
+
+        def spy(group, chars, values):
+            seen.append(values.copy())
+            return char_eval_block(group, chars, values)
+
+        monkeypatch.setattr(sampling, "char_eval_block", spy)
+        for draw, stream in (
+            (_row_sampler(cfg.array, n), SeededStream(42).child(0, n)),
+            (_law_sampler(cfg.law), SeededStream(42).child(1)),
+        ):
+            seen.clear()
+            got = sampling._estimate(draw, cfg.group, chars, 2000, stream)
+            blocks = [draw(stream.child(j).generator(), size) for j, size in enumerate((1024, 976))]
+            assert len(seen) == 1
+            assert seen[0].tolist() == np.unique(np.concatenate(blocks)).tolist()
+            assert 5 <= len(seen[0]) <= 40
+            monkeypatch.setattr(sampling, "char_eval_block", char_eval_block)
+            want = ref.estimate(draw, cfg.group, chars, 2000, stream)
+            monkeypatch.setattr(sampling, "char_eval_block", spy)
+            assert np.array(got.estimates).tobytes() == np.array(want).tobytes()
