@@ -34,7 +34,6 @@ from typing import Callable
 import numpy as np
 
 from .groups import (
-    ATOM_TOL_TURNS,
     PADIC,
     TORUS,
     GroupElement,
@@ -268,14 +267,11 @@ def iid_symmetric_array(
 
 
 def plain_entries(row: PackedRow) -> np.ndarray:
-    """For each entry of a table of atoms, whether row_distribution surely
-    keeps its atoms exactly as given and accepts them: every weight finite
-    and positive, the total mass within 1e-12 of 1 with room for rounding,
-    and no two atoms equal (padic) or within 2 * ATOM_TOL_TURNS / p^depth
-    (at least eps) of each other on the deepest coordinate: twice the gap
-    at which the tower rule of groups.same_block merges them, so no entry
-    that _measure would merge is plain.  An entry marked False may still be
-    valid; only row_distribution can tell."""
+    """For each entry of a table of atoms, whether row_distribution keeps
+    its atoms exactly as given and accepts them: every weight finite and
+    positive, the total mass within 1e-12 of 1 with room for rounding, and
+    no two atoms one element (groups.same_block).  An entry marked False
+    may still be valid; only row_distribution can tell."""
     values, weights = row.values, row.weights
     counts = np.diff(row.starts, append=len(values))
     entry = np.repeat(np.arange(len(counts)), counts)
@@ -286,19 +282,14 @@ def plain_entries(row: PackedRow) -> np.ndarray:
     # left to row_distribution, whose total_mass decides it
     mass = np.bincount(entry, weights=np.where(bad, 0.0, weights), minlength=len(counts))
     plain &= np.abs(mass - 1.0) <= 1e-12 - 2 * counts * np.finfo(float).eps
-    # close atoms are neighbours once each entry is sorted, circularly on
-    # angle groups; the entries of each atom count m are sorted in one call
+    # rounding is monotone, so when any two atoms of a sorted entry are one
+    # element, so are two neighbours or the first and the last (across the
+    # wrap); the entries of each atom count m are sorted in one call
     for entries, at, m in row._groups:
         v = np.sort(values.reshape(len(counts), m) if at is None else values[at], axis=-1)
-        if row.group.kind == PADIC:
-            close = (v[:, 1:] == v[:, :-1]).any(axis=-1)
-        else:
-            # across the wrap, this gap and same_block's reduce_turns(u - v)
-            # each round once, by at most eps / 4
-            tol = max(2 * ATOM_TOL_TURNS / row.group.base_scale, np.finfo(float).eps)
-            close = (v[:, 1:] - v[:, :-1] <= tol).any(axis=-1)
-            if m > 1:
-                close |= v[:, 0] + 1.0 - v[:, -1] <= tol
+        close = same_block(row.group, v[:, 1:], v[:, :-1]).any(axis=-1)
+        if m > 1:
+            close |= same_block(row.group, v[:, 0], v[:, -1])
         plain[entries] &= ~close
     return plain
 

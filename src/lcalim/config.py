@@ -39,6 +39,7 @@ from .groups import (
     block_dtype,
     character,
     cyclic_subgroup,
+    from_digits,
     from_turns,
     full_subgroup,
     identity,
@@ -194,15 +195,10 @@ def _element_value(doc, group: GroupId, context: str):
     name = f"{context}.{key}"
     if key == "digits":
         # short digit vectors are padded with zeros up to the depth
-        p = group.p
         digits = _ints(doc[key], name)
-        _require(
-            len(digits) <= group.depth + 1,
-            f"{context}: more digits than the working depth allows",
-        )
-        for d in digits:
-            _require(0 <= d < p, f"{context}: digit {d} out of range for p={p}")
-        return sum(d * p**j for j, d in enumerate(digits))
+        padding = group.depth + 1 - len(digits)
+        _require(padding >= 0, f"{context}: more digits than the working depth allows")
+        return _checked(context, from_digits, group, digits + [0] * padding).residue
     if key == "int":
         return _int(doc[key], name) % group.modulus
     return _turns(group, key, _float(doc[key], name))
@@ -297,8 +293,9 @@ def _bulk_values(group: GroupId, key: str, raw: list):
 def _read_row(entries: list, group: GroupId):
     """The atoms of a general row read in bulk: (block values, weights,
     atom count of each entry), or None unless every entry is a list of
-    {"x": element, "weight": number} objects and every element has a key
-    that _element_value reads, with a value that it accepts."""
+    {"x": element, "weight": number} objects whose elements each hold one
+    key, the same one across the row, that _element_value reads, with a
+    value that it accepts."""
     if set(map(type, entries)) - {list}:
         return None
     atoms = [atom for entry in entries for atom in entry]
@@ -311,26 +308,13 @@ def _read_row(entries: list, group: GroupId):
         return None
     if set(map(type, xs)) - {dict} or set(map(type, weights)) - {float, int}:
         return None
-    order = _ELEMENT_KEYS[group.kind]
-    if set(map(len, xs)) == {1}:
-        keys = [*map(next, map(iter, xs))]
-    else:  # the key that _element_value reads, or None
-        keys = [next((k for k in order if k in x), None) for x in xs]
-    names = set(keys)
-    if names - set(order):
+    if set(map(len, xs)) != {1}:
         return None
-    raw = [*map(dict.__getitem__, xs, keys)]
-    if len(names) == 1:
-        values = _bulk_values(group, keys[0], raw)
-    else:  # keys mixed in the row (or no atoms): each key's values scattered
-        values = np.empty(len(raw), dtype=float if group.kind != PADIC else object)
-        key_of = np.array(keys)
-        for key in names:
-            at = np.flatnonzero(key_of == key)
-            part = _bulk_values(group, key, [raw[i] for i in at.tolist()])
-            if part is None:
-                return None
-            values[at] = part
+    keys = set(map(next, map(iter, xs)))
+    if len(keys) != 1 or not keys <= set(_ELEMENT_KEYS[group.kind]):
+        return None
+    (key,) = keys
+    values = _bulk_values(group, key, [x[key] for x in xs])
     if values is None:
         return None
     try:
@@ -348,18 +332,17 @@ def _general_row(entries: list, group: GroupId, context: str) -> PackedRow:
     """One row of a general array, read from its JSON entries straight
     into a PackedRow.
 
-    _read_row reads every atom in bulk, and numpy checks the weights and
-    masses (plain_entries).  An entry that this fast path does not take as
-    given (an atom to merge or drop, or a failed check) goes through
-    _row_law, in entry order, so the first invalid entry raises exactly
-    the error that per-entry parsing would; when the row does not read
-    cleanly, every entry does."""
+    A row that _read_row reads in bulk keeps the entries that
+    plain_entries finds plain as read; every other entry of it (an atom to
+    merge or drop, or a failed check) goes through _row_law, in entry
+    order, so the first invalid entry raises exactly the error that
+    per-entry parsing would.  A row that does not read in bulk is
+    pack_rows of the _row_law tables of all its entries."""
     read = _read_row(entries, group)
-    if read is None:  # entries with no atoms, none of them plain
-        values, weights = np.empty(0, dtype=block_dtype(group)), np.empty(0)
-        counts = np.zeros(len(entries), dtype=np.intp)
-    else:
-        values, weights, counts = read
+    if read is None:
+        laws = [_row_law(entry, group, f"{context}[{k}]") for k, entry in enumerate(entries)]
+        return pack_rows(group, laws)
+    values, weights, counts = read
     row = PackedRow(group, values, weights, np.cumsum(counts) - counts)
     plain = plain_entries(row)
     if plain.all():

@@ -197,11 +197,12 @@ def from_digits(group: GroupId, digits) -> GroupElement:
     digits = tuple(digits)
     if len(digits) != group.depth + 1:
         raise ValueError(f"expected {group.depth + 1} digits, got {len(digits)}")
-    value = 0
-    for j, d in enumerate(digits):
+    for d in digits:
         if not 0 <= d < group.p:
             raise ValueError(f"digit {d} out of range for p={group.p}")
-        value += d * group.p**j
+    value = 0
+    for d in reversed(digits):  # Horner's rule: no power of p is formed
+        value = value * group.p + d
     return GroupElement(group, residue=value)
 
 
@@ -385,19 +386,23 @@ def neg_block(group: GroupId, v: np.ndarray) -> np.ndarray:
 
 
 def same_block(group: GroupId, u, v) -> np.ndarray:
-    """Whether two blocks' entries (either may be one entry) are one element:
-    equal residues, or within ATOM_TOL_TURNS in every coordinate y_j, i.e.
-    on y_0, whose gap is the deepest one times p^depth."""
+    """Whether two blocks' canonical entries (either may be one entry) are
+    one element: equal residues, or within ATOM_TOL_TURNS in every
+    coordinate y_j, i.e. on y_0, whose gap is the deepest one times
+    p^depth.  The deepest gap is min(|u - v|, (1/2 - |u|) + (1/2 - |v|)),
+    the way round the +-1/2 wrap taken by two terms that stay exact near
+    it, so p^depth scales no rounding of a whole turn."""
     if group.kind == PADIC:
         return u == v
-    return np.abs(reduce_turns_block(u - v)) * group.base_scale <= ATOM_TOL_TURNS
+    gap = np.minimum(np.abs(u - v), (0.5 - np.abs(u)) + (0.5 - np.abs(v)))
+    return gap * group.base_scale <= ATOM_TOL_TURNS
 
 
 def same_value(group: GroupId, u, v) -> bool:
     """same_block of one pair of entries, without numpy."""
     if group.kind == PADIC:
         return u == v
-    return abs(reduce_turns(u - v)) * group.base_scale <= ATOM_TOL_TURNS
+    return min(abs(u - v), (0.5 - abs(u)) + (0.5 - abs(v))) * group.base_scale <= ATOM_TOL_TURNS
 
 
 # by the nearest quarter turn q = -2, ..., 2 (at index q + 2): whether cos

@@ -143,8 +143,8 @@ class DiscreteMeasure(PackedRow):
     def total_mass(self) -> float:
         return self.masses().item()
 
-    def is_probability(self, tol: float = 1e-12) -> bool:
-        return abs(self.total_mass() - 1.0) <= tol
+    def is_probability(self) -> bool:
+        return abs(self.total_mass() - 1.0) <= 1e-12
 
 
 def _measure(group: GroupId, pairs) -> DiscreteMeasure:

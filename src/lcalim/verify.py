@@ -131,12 +131,12 @@ def element_distance(x: GroupElement, a: GroupElement) -> float:
     return tower_gauge(x, a, TWO_PI)
 
 
-def default_characters(group: GroupId, max_ell: int = 8, max_d: int = 3) -> tuple[Character, ...]:
+def default_characters(group: GroupId) -> tuple[Character, ...]:
     """Deterministic finite stand-in for "all characters": torus indices
     |l| <= 8; padic all indices for d <= 3, refused with a ConfigError
     beyond MAX_DEFAULT_CHARACTERS; solenoid |l| <= 8 for d <= 3
     (duplicates under depth refinement removed)."""
-    depth = min(max_d, group.depth)
+    depth = min(3, group.depth)
     if group.kind == PADIC:
         count = sum(group.p ** (d + 1) for d in range(depth + 1))
         if count > MAX_DEFAULT_CHARACTERS:
@@ -146,7 +146,7 @@ def default_characters(group: GroupId, max_ell: int = 8, max_d: int = 3) -> tupl
             )
         pairs = ((l, d) for d in range(depth + 1) for l in range(group.p ** (d + 1)))
     else:  # the torus is the tower of depth 0
-        pairs = ((l, d) for d in range(depth + 1) for l in range(-max_ell, max_ell + 1))
+        pairs = ((l, d) for d in range(depth + 1) for l in range(-8, 9))
     # dict keys keep the first-seen order
     return tuple(dict.fromkeys(canonical_character(character(group, l, d)) for l, d in pairs))
 

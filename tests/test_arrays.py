@@ -557,7 +557,10 @@ SWEEP = tuple(sorted({round(10 ** (2 + k / 4)) for k in range(41)}))[:40]
 def _grid_cases(g):
     """(characters, neighborhoods, cylinders) of the grid-pass tests: the
     defaults, with depth-0 characters only on padic_group(101, 8)."""
-    chars = default_characters(g, max_d=0 if g.p == 101 else 3)
+    if g.p == 101:  # the default padic set of depth 0, in its order
+        chars = tuple(character(g, l) for l in range(g.p))
+    else:
+        chars = default_characters(g)
     nbhds = default_neighborhoods(g)
     cylinders = ()
     if g.kind == "padic":

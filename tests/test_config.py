@@ -37,6 +37,7 @@ from lcalim.groups import (
     block_dtype,
     padic_group,
     reduce_turns_block,
+    same_block,
     solenoid_group,
     torus_group,
 )
@@ -288,36 +289,30 @@ def test_plain_masses_hold_in_any_summation_order():
 def _argsort_plain_entries(group, values, weights, counts):
     """plain_entries with two stable argsorts for every table: the
     formulation that the sorts by atom count replaced, kept as their
-    oracle."""
+    oracle.  It asks groups.same_block about every pair of an entry's
+    atoms, not only its sorted neighbours and its first and last atoms."""
     counts = np.asarray(counts, dtype=np.intp)
     entry = np.repeat(np.arange(len(counts)), counts)
-    starts = np.cumsum(counts) - counts
     bad = ~(np.isfinite(weights) & (weights > 0.0))
     plain = np.bincount(entry, weights=bad, minlength=len(counts)) == 0
     mass = np.bincount(entry, weights=np.where(bad, 0.0, weights), minlength=len(counts))
     plain &= np.abs(mass - 1.0) <= 1e-12 - 2 * counts * np.finfo(float).eps
-    tol = max(2 * ATOM_TOL_TURNS / group.base_scale, np.finfo(float).eps)
     order = np.argsort(values, kind="stable")
     order = order[np.argsort(entry[order], kind="stable")]
     v, e = values[order], entry[order]
-    same = e[1:] == e[:-1]
-    if group.kind == PADIC:
-        close = same & (v[1:] == v[:-1]).astype(bool)
-    else:
-        close = same & (v[1:] - v[:-1] <= tol)
-        ends = np.flatnonzero(counts > 1)
-        wrap = v[starts[ends]] + 1.0 - v[starts[ends] + counts[ends] - 1] <= tol
-        plain[ends[wrap]] = False
-    plain[e[1:][close]] = False
+    # each entry's atoms are one run of v, so its pairs are s places apart
+    for s in range(1, max(counts, default=0)):
+        close = (e[s:] == e[:-s]) & same_block(group, v[s:], v[:-s])
+        plain[e[s:][close]] = False
     return plain
 
 
 # torus, solenoid, int64 residues and Python-int residues (101^9 > 2^31)
 PLAIN_GROUPS = (torus_group(), solenoid_group(3, 6), padic_group(2, 16), padic_group(101, 8))
-# solenoids whose plain threshold on the deepest coordinate is below eps
+# solenoids whose same-element gap on the deepest coordinate is below eps
 DEEP_SOLENOIDS = (solenoid_group(3, 25), solenoid_group(1021, 4))
-# nudges that put an atom within, at or just beyond 2 * ATOM_TOL_TURNS of
-# another, in base turns: an angle group's atoms take them divided by p^depth
+# nudges that put an atom within, at or beyond ATOM_TOL_TURNS of another,
+# in base turns: an angle group's atoms take them divided by p^depth
 NUDGES = (0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, -2e-12, 2.5e-12, -2.5e-12, 1e-9, 0.5)
 
 
@@ -370,11 +365,15 @@ def test_plain_entries_find_close_atoms_in_equal_widths(group):
     if group.kind == PADIC:
         rows = [[5, 7], [7, 7], [group.modulus - 1, 0], [3, 3]]
         want = [True, False, True, False]
-    else:  # gaps in base turns, so deepest turns divided by p^depth
-        s = group.base_scale
-        rows = [[0.1, 0.2], [0.1, 0.1 + 1e-12 / s], [-0.5, 0.5 - 1e-12 / s],
-                [0.25, -0.5 + 3e-12 / s], [0.3, 0.3 + 3e-12 / s]]
-        want = [True, False, False, True, True]
+    else:  # the same-element gap ATOM_TOL_TURNS / p^depth in deepest turns,
+        # and one ulp either side; across the wrap, the 2^-54 steps below 1/2
+        # closest to it on either side
+        gap = ATOM_TOL_TURNS / group.base_scale
+        wrap = math.floor(gap / 2**-54) * 2**-54
+        rows = [[0.1, 0.2], [0.0, gap], [0.0, np.nextafter(gap, 0.0)],
+                [0.0, np.nextafter(gap, 1.0)], [-0.5, 0.5 - wrap],
+                [-0.5, 0.5 - wrap - 2**-54], [0.25, -0.5 + 3 * gap]]
+        want = [True, False, False, True, False, True, True]
     values = np.array([v for row in rows for v in row], dtype=block_dtype(group))
     weights = np.full(len(values), 0.5)
     counts = np.full(len(rows), 2)
@@ -394,12 +393,13 @@ def test_far_atoms_on_deep_solenoids_are_plain(group):
 
 
 @pytest.mark.parametrize("group", DEEP_SOLENOIDS, ids=GroupId.describe)
-def test_atoms_merged_across_the_wrap_are_not_plain(group):
-    # -1/2 - (1/2 - 2^-54) rounds to -1, so same_block merges the two atoms,
-    # although their gap is far beyond 2 * ATOM_TOL_TURNS / p^depth
+def test_atoms_across_the_wrap_stay_apart_and_plain(group):
+    # -1/2 - (1/2 - 2^-54) rounds to -1, but the gap across the wrap,
+    # 2^-54 * p^depth base turns, is far beyond ATOM_TOL_TURNS
     values = np.array([-0.5, 0.5 - 2**-54])
-    assert len(row_distribution(group, [(ref.element(group, v), 0.5) for v in values]).values) == 1
-    assert _plain(group, values, np.full(2, 0.5), [2]).tolist() == [False]
+    law = row_distribution(group, [(ref.element(group, v), 0.5) for v in values])
+    assert law.values.tolist() == values.tolist()
+    assert _plain(group, values, np.full(2, 0.5), [2]).tolist() == [True]
 
 
 @settings(max_examples=300, deadline=None)
@@ -411,6 +411,24 @@ def test_plain_entries_are_kept_as_given(table):
         v, w = values[first[k] : first[k + 1]], weights[first[k] : first[k + 1]]
         law = row_distribution(group, [(ref.element(group, x), y) for x, y in zip(v, w)])
         _assert_same_table(law, PackedRow(group, v, w, np.zeros(1, dtype=law.starts.dtype)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_atom_tables(PLAIN_GROUPS + DEEP_SOLENOIDS))
+def test_an_entry_is_plain_exactly_when_kept_as_given(table):
+    # the pre-filter has no margin: with valid weights, an entry is plain
+    # exactly when it has atoms and no two of them are one element
+    # (groups.same_block), and row_distribution then keeps them as given
+    group, values, weights, counts = table
+    first = np.append(np.cumsum(counts) - counts, len(values)).tolist()
+    plain = _plain(group, values, weights, counts).tolist()
+    for k, m in enumerate(counts.tolist()):
+        v, w = values[first[k] : first[k + 1]], weights[first[k] : first[k + 1]]
+        same_pair = np.triu(same_block(group, v[:, None], v[None, :]), 1).any()
+        assert plain[k] == (m > 0 and not same_pair)
+        if m:
+            law = row_distribution(group, [(ref.element(group, x), y) for x, y in zip(v, w)])
+            assert plain[k] == (len(law.values) == m)
 
 
 @pytest.mark.parametrize("group", PLAIN_GROUPS, ids=["torus", "solenoid", "padic", "padic-object"])
@@ -602,27 +620,32 @@ class TestBulkRead:
         g = GROUPS[name]
         rng = np.random.default_rng(21)
         rows = [_keyed_row(g, (key,), rng) for key in ELEMENT_KEYS[name]]
-        rows.append(_keyed_row(g, ELEMENT_KEYS[name], rng))  # keys mixed in a row
+        mixed = _keyed_row(g, ELEMENT_KEYS[name], rng)  # keys mixed in a row
         # every third element object also has the group's other keys and
         # one it does not read; _element_value reads the first key it knows
-        extra = json.loads(json.dumps(rows[-1]))
+        extra = json.loads(json.dumps(mixed))
         for i, atom in enumerate(a for entry in extra for a in entry):
             if i % 3 == 0:
                 others = {k: [1] if k == "digits" else 1 for k in ELEMENT_KEYS[name]}
                 atom["x"] = dict(others, **atom["x"], note="kept")
-        rows.append(extra)
         calls = []
         monkeypatch.setattr(config, "_row_law", lambda *args: calls.append(args) or _row_law(*args))
-        for entries in rows:
-            assert config._read_row(entries, g) is not None
+        # in bulk only when each element holds one key, the same across the row
+        for entries, bulk in [(r, True) for r in rows] + [(mixed, False), (extra, False)]:
+            assert (config._read_row(entries, g) is not None) == bulk
             calls.clear()
             want, _ = _read(_per_atom_general_row, entries, g)
             fallback = len(calls)
             calls.clear()
             row = _general_row(entries, g, "array.rows[5]")
             _assert_same_table(row, want)
-            # only entries the per-atom reader could not take as given
-            assert len(calls) == fallback
+            # in bulk, only entries the per-atom reader could not take as
+            # given; otherwise every entry, in order
+            contexts = [context for _, _, context in calls]
+            if bulk:
+                assert len(contexts) == fallback
+            else:
+                assert contexts == [f"array.rows[5][{k}]" for k in range(len(entries))]
 
     @pytest.mark.parametrize(
         "atom",

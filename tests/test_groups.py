@@ -620,6 +620,23 @@ class TestTowerRule:
             assert 0 < sum(twins) < 60
             assert same_block(g, u, u).all()
 
+    @pytest.mark.parametrize("g", DEEP_SOLENOIDS + [T], ids=GroupId.describe)
+    def test_twins_agree_near_the_wrap(self, g, rng):
+        # 10^5 pairs: -1/2 and turns a few hundred 2^-54 steps inside either
+        # side of the wrap, each against one within a few gaps of it or of
+        # its inverse, and uniform pairs
+        n, s = 10**5, g.base_scale
+        steps = np.arange(1, 300) * 2**-54
+        edges = np.concatenate([[-0.5], -0.5 + steps, 0.5 - steps])
+        u = np.where(rng.random(n) < 0.5, rng.choice(edges, n), rng.uniform(-0.5, 0.5, n))
+        near = u * rng.choice([1.0, -1.0], n) + rng.uniform(-3.0, 3.0, n) * 1e-12 / s
+        v = np.where(rng.random(n) < 0.9, reduce_turns_block(near), rng.uniform(-0.5, 0.5, n))
+        block = same_block(g, u, v)
+        assert block.tolist() == [same_value(g, a, b) for a, b in zip(u.tolist(), v.tolist())]
+        assert 0.1 < block.mean() < 0.9
+        # -1/2 - (1/2 - 2^-54) rounds to -1, yet the pair is 2^-54 turns apart
+        assert same_value(g, -0.5, 0.5 - 2**-54) == (2**-54 * s <= 1e-12)
+
 
 class TestPadicMetric:
     def test_examples(self):
