@@ -43,6 +43,7 @@ from .groups import (
     block_dtype,
     cyclic_subgroup,
     digits_of,
+    element_block,
     elements_close,
     from_turns,
     full_subgroup,
@@ -52,7 +53,7 @@ from .groups import (
     neg_block,
     reduce_turns_block,
     same_block,
-    tower_gauge,
+    tower_gauge_block,
     trivial_subgroup,
 )
 from .measures import (
@@ -473,14 +474,14 @@ def check_null_rule(array: TriangularArray, grid) -> None:
     """Reject Rademacher rules whose elements do not tend to the identity
     and Bernoulli rules whose rate does not tend to 0 along the grid.
 
-    The gauge sequence (groups.tower_gauge of x_n from the identity, or
-    p_n) must end at its minimum and strictly below its start, or be null
+    The gauge sequence (groups.tower_gauge_block of x_n from the identity,
+    or p_n) must end at its minimum and strictly below its start, or be null
     already; slow decay is fine, flat or rising rules are not.
     """
     grid = tuple(grid)
     if array.kind == "rademacher":
-        e = identity(array.group)
-        values = [tower_gauge(array.x(n), e) for n in grid]
+        xs = element_block(*map(array.x, grid))
+        values = tower_gauge_block(array.group, xs, 0).tolist()  # 0 is the identity's entry
     elif array.kind == "bernoulli":
         values = [array.p(n) for n in grid]
     else:

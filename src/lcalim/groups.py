@@ -10,17 +10,17 @@ never grows against 2*pi.
 
 The torus is the solenoid's coordinate tower of depth 0, whose deepest
 coordinate is its base y_0, so every angle-group kernel runs the tower
-code.  same_block (and its scalar twin same_value), neg_block and
-tower_gauge are the one home of the same-element, inverse and size rules.
+code.  same_block, neg_block and tower_gauge_block are the one home of the
+same-element, inverse and size rules.
 
 p-adic elements are residues mod p^(depth+1) held as Python integers, so
 group arithmetic on them is exact.  Observables that would need digits
 beyond the working depth raise instead of approximating.
 
 The ``*_block`` functions are the same operations on a block of elements
-of one group, held as one numpy array of their turns or residues.
-char_eval, coordinate_arg, h_trunc, local_inner and in_nbhd evaluate their
-block twin at one value; element arithmetic (add, neg, scale) is scalar.
+of one group, held as one numpy array of their turns or residues.  They
+hold every element rule: each operation on GroupElements evaluates its
+block twin at one value.
 """
 
 from __future__ import annotations
@@ -57,18 +57,6 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def reduce_turns(t: float) -> float:
-    """Reduce a turn count into the canonical interval [-1/2, 1/2)."""
-    r = t - math.floor(t + 0.5)
-    # floor() at the upper boundary can round back to exactly +1/2
-    if r >= 0.5:
-        r -= 1.0
-    # from 2^52 on, t + 0.5 rounds half to even: an odd integral t gives -1
-    if r < -0.5:
-        r += 1.0
-    return r
 
 
 @dataclass(frozen=True)
@@ -168,7 +156,9 @@ def identity(group: GroupId) -> GroupElement:
 def from_turns(group: GroupId, t: float) -> GroupElement:
     if group.kind == PADIC:
         raise ValueError("padic elements are built from digits, not angles")
-    return GroupElement(group, turns=reduce_turns(t))
+    if not math.isfinite(t):
+        raise ValueError(f"turns must be finite; got {t}")
+    return _element(group, reduce_turns_block(np.array([t], dtype=float)))
 
 
 def from_angle(group: GroupId, theta: float) -> GroupElement:
@@ -234,23 +224,21 @@ def add(x: GroupElement, y: GroupElement) -> GroupElement:
     """Group sum; exact residue addition for padic, angle addition mod one
     turn otherwise."""
     _check_same_group(x, y)
-    if x.group.kind == PADIC:
-        return GroupElement(x.group, residue=(x.residue + y.residue) % x.group.modulus)
-    return GroupElement(x.group, turns=reduce_turns(x.turns + y.turns))
+    return _element(x.group, add_block(x.group, element_block(x), element_value(y)))
 
 
 def neg(x: GroupElement) -> GroupElement:
     """Group inverse: add(x, neg(x)) is the identity."""
-    if x.group.kind == PADIC:
-        return GroupElement(x.group, residue=(-x.residue) % x.group.modulus)
-    return GroupElement(x.group, turns=reduce_turns(-x.turns))
+    return _element(x.group, neg_block(x.group, element_block(x)))
 
 
 def scale(k: int, x: GroupElement) -> GroupElement:
     """k-fold group sum of x (k any integer)."""
-    if x.group.kind == PADIC:
-        return GroupElement(x.group, residue=(k * x.residue) % x.group.modulus)
-    return GroupElement(x.group, turns=reduce_turns(k * x.turns))
+    g = x.group
+    # int64 counts cannot hold every k: padic groups read k mod the
+    # modulus, angle groups float(k), the factor of the product k * turns
+    count = k % g.modulus if g.kind == PADIC else float(k)
+    return _element(g, scale_block(g, np.array([count]), element_value(x)))
 
 
 def arg_of(x: GroupElement) -> float:
@@ -348,16 +336,25 @@ def element_value(x: GroupElement):
     return x.residue if x.group.kind == PADIC else x.turns
 
 
-def element_block(x: GroupElement) -> np.ndarray:
-    """The block of the one element x."""
-    return np.array([element_value(x)], dtype=block_dtype(x.group))
+def element_block(*xs: GroupElement) -> np.ndarray:
+    """The block of the elements xs, all of one group."""
+    return np.array([element_value(x) for x in xs], dtype=block_dtype(xs[0].group))
+
+
+def _element(group: GroupId, block: np.ndarray) -> GroupElement:
+    """The element that a one-entry block stands for."""
+    if group.kind == PADIC:
+        return GroupElement(group, residue=block.item())
+    return GroupElement(group, turns=block.item())
 
 
 def reduce_turns_block(t: np.ndarray) -> np.ndarray:
-    """reduce_turns of every entry."""
+    """Every turn count reduced into the canonical interval [-1/2, 1/2)."""
     r = t - np.floor(t + 0.5)
+    # floor() can round back to exactly +1/2, and from 2^52 on t + 0.5
+    # rounds half to even, so that an odd integral t gives -1
     r -= r >= 0.5  # less 1.0 or 0.0: r - 0.0 is r, signed zeros included
-    r[r < -0.5] += 1.0  # the -1s (see reduce_turns); r += r < -0.5 would make -0.0 +0.0
+    r[r < -0.5] += 1.0  # r += r < -0.5 would make -0.0 +0.0
     return r
 
 
@@ -385,24 +382,20 @@ def neg_block(group: GroupId, v: np.ndarray) -> np.ndarray:
     return reduce_turns_block(-v)
 
 
-def same_block(group: GroupId, u, v) -> np.ndarray:
-    """Whether two blocks' canonical entries (either may be one entry) are
-    one element: equal residues, or within ATOM_TOL_TURNS in every
-    coordinate y_j, i.e. on y_0, whose gap is the deepest one times
-    p^depth.  The deepest gap is min(|u - v|, (1/2 - |u|) + (1/2 - |v|)),
-    the way round the +-1/2 wrap taken by two terms that stay exact near
-    it, so p^depth scales no rounding of a whole turn."""
+def same_block(group: GroupId, u, v):
+    """Whether two blocks' canonical entries (either may be one entry), or
+    one pair of entries as Python scalars, are one element: equal residues,
+    or within ATOM_TOL_TURNS in every coordinate y_j, i.e. on y_0, whose
+    gap is the deepest one times p^depth.  The deepest gap is
+    min(|u - v|, (1/2 - |u|) + (1/2 - |v|)), the way round the +-1/2 wrap
+    taken by two terms that stay exact near it, so p^depth scales no
+    rounding of a whole turn.  Rounding is monotone, so the min of the two
+    scaled terms is the scaled min, and either term may decide."""
     if group.kind == PADIC:
         return u == v
-    gap = np.minimum(np.abs(u - v), (0.5 - np.abs(u)) + (0.5 - np.abs(v)))
-    return gap * group.base_scale <= ATOM_TOL_TURNS
-
-
-def same_value(group: GroupId, u, v) -> bool:
-    """same_block of one pair of entries, without numpy."""
-    if group.kind == PADIC:
-        return u == v
-    return min(abs(u - v), (0.5 - abs(u)) + (0.5 - abs(v))) * group.base_scale <= ATOM_TOL_TURNS
+    s = group.base_scale
+    wrap = (0.5 - abs(u)) + (0.5 - abs(v))
+    return (abs(u - v) * s <= ATOM_TOL_TURNS) | (wrap * s <= ATOM_TOL_TURNS)
 
 
 # by the nearest quarter turn q = -2, ..., 2 (at index q + 2): whether cos
@@ -642,6 +635,31 @@ def in_nbhd_block(group: GroupId, nbhds, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def tower_gauge_block(group: GroupId, u: np.ndarray, v, turn: float = 1.0) -> np.ndarray:
+    """The size of the difference of every pair of entries of a block u and
+    a block or one entry v.  On padic groups it is the padic metric 2^-m, m
+    the least index of a differing digit, and 0 when the residues are equal
+    (resolution floor 2^-depth).  On the torus and the solenoid it is the
+    largest |turns| over the coordinates y_0..y_depth of the reduced
+    difference, times turn (TWO_PI gives radians)."""
+    if group.kind == PADIC:
+        diff = (u - v) % group.modulus
+        # the valuation m of a nonzero residue: how many of p, p^2, ...,
+        # p^depth divide it
+        m = sum(diff % group.p**j == 0 for j in range(1, group.depth + 1))
+        return np.where(diff == 0, 0.0, np.ldexp(1.0, -m))
+    ys = _coordinates_block(group, reduce_turns_block(u - v), 0)
+    return np.abs(ys).max(axis=0) * turn
+
+
+def tower_gauge(x: GroupElement, y: GroupElement, turn: float = 1.0) -> float:
+    """The size of x - y (tower_gauge_block): the padic metric on padic
+    groups; on the torus and the solenoid the largest |turns| over its
+    coordinates y_0..y_depth, times turn."""
+    _check_same_group(x, y)
+    return tower_gauge_block(x.group, element_block(x), element_value(y), turn).item()
+
+
 def padic_metric(x: GroupElement, y: GroupElement) -> float:
     """Invariant metric 2^-m on the p-adic integers, m the least index of a
     differing digit; 0 when equal at the working depth (resolution floor
@@ -649,29 +667,7 @@ def padic_metric(x: GroupElement, y: GroupElement) -> float:
     _check_same_group(x, y)
     if x.group.kind != PADIC:
         raise ValueError("padic_metric expects padic elements")
-    diff = (x.residue - y.residue) % x.group.modulus
-    if diff == 0:
-        return 0.0
-    m = 0
-    while diff % x.group.p == 0:
-        diff //= x.group.p
-        m += 1
-    return 2.0**-m
-
-
-def tower_gauge(x: GroupElement, y: GroupElement, turn: float = 1.0) -> float:
-    """The size of x - y: the padic metric on padic groups; on the torus and
-    the solenoid the largest |turns| over its coordinates y_0..y_depth,
-    times turn (TWO_PI gives radians)."""
-    _check_same_group(x, y)
-    if x.group.kind == PADIC:
-        return padic_metric(x, y)
-    t = reduce_turns(x.turns - y.turns)
-    gauge = abs(t)
-    for _ in range(x.group.depth):  # the steps of _coordinates_block, in plain Python
-        t = reduce_turns(t * x.group.p)
-        gauge = max(gauge, abs(t))
-    return gauge * turn
+    return tower_gauge_block(x.group, element_block(x), y.residue).item()
 
 
 def solenoid_lift(x: GroupElement, branch: int) -> GroupElement:
@@ -682,7 +678,7 @@ def solenoid_lift(x: GroupElement, branch: int) -> GroupElement:
     if not 0 <= branch < x.group.p:
         raise ValueError(f"branch {branch} out of range for p={x.group.p}")
     deeper = GroupId(SOLENOID, x.group.p, x.group.depth + 1)
-    return GroupElement(deeper, turns=reduce_turns((x.turns + branch) / x.group.p))
+    return _element(deeper, reduce_turns_block((element_block(x) + branch) / x.group.p))
 
 
 def solenoid_project(x: GroupElement) -> GroupElement:
@@ -692,9 +688,9 @@ def solenoid_project(x: GroupElement) -> GroupElement:
     if x.group.depth == 0:
         raise DepthOverflowError("cannot project below depth 0")
     shallower = GroupId(SOLENOID, x.group.p, x.group.depth - 1)
-    return GroupElement(shallower, turns=reduce_turns(x.turns * x.group.p))
+    return _element(shallower, reduce_turns_block(element_block(x) * x.group.p))
 
 
 def elements_close(x: GroupElement, y: GroupElement) -> bool:
-    """same_value of two elements' entries; elements of two groups differ."""
-    return x.group == y.group and same_value(x.group, element_value(x), element_value(y))
+    """same_block of two elements' entries; elements of two groups differ."""
+    return x.group == y.group and same_block(x.group, element_value(x), element_value(y))

@@ -46,7 +46,6 @@ from .groups import (  # ATOM_TOL_TURNS stays importable from here
     in_nbhd_block,
     local_inner_block,
     same_block,
-    same_value,
     trivial_subgroup,
 )
 
@@ -150,7 +149,7 @@ class DiscreteMeasure(PackedRow):
 def _measure(group: GroupId, pairs) -> DiscreteMeasure:
     """The measure of the (block value, weight) pairs: negative weights
     rejected, zero weights dropped, and each atom merged into the first
-    kept atom that is the same element (groups.same_value), in input
+    kept atom that is the same element (groups.same_block), in input
     order."""
     values, weights = [], []
     for v, w in pairs:
@@ -160,7 +159,7 @@ def _measure(group: GroupId, pairs) -> DiscreteMeasure:
         if w == 0.0:
             continue
         for i, u in enumerate(values):
-            if same_value(group, v, u):
+            if same_block(group, v, u):
                 weights[i] += w
                 break
         else:

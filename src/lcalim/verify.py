@@ -23,11 +23,13 @@ from .groups import (
     Neighborhood,
     character,
     canonical_character,
-    coordinate_arg,
+    _coordinates_block,
+    element_block,
+    element_value,
     elements_close,
     full_subgroup,
     identity,
-    tower_gauge,
+    tower_gauge_block,
 )
 from .arrays import (
     TriangularArray,
@@ -123,12 +125,6 @@ def compound_growth(alpha: float, n: int) -> float:
     if alpha == -n:
         return 0.0
     return math.exp(n * math.log1p(alpha / n))
-
-
-def element_distance(x: GroupElement, a: GroupElement) -> float:
-    """A metric gauge of x - a: its largest coordinate angle (radians) on
-    the torus and the solenoid, or the padic metric (groups.tower_gauge)."""
-    return tower_gauge(x, a, TWO_PI)
 
 
 def default_characters(group: GroupId) -> tuple[Character, ...]:
@@ -365,8 +361,11 @@ def check_theorem(
         conditions += settings.family("tail_sum", sum_tail, array, nbhds, labels, repeat(0.0))
     elif law.H.is_trivial():
         theorem = "gaiser"
-        means = sum_local_means(array, grid)
-        seq = [(n, element_distance(m, law.a)) for n, m in zip(grid, means)]
+        # the gauge of each mean from law.a: its largest coordinate angle
+        # (radians) on the torus and the solenoid, or the padic metric
+        means = element_block(*sum_local_means(array, grid))
+        gaps = tower_gauge_block(law.group, means, element_value(law.a), TWO_PI)
+        seq = list(zip(grid, gaps.tolist()))
         conditions.append(settings.judge("mean_sum_gap", seq, 0.0))
         # the integral of g^2 under eta: its second g-moment
         second = law.eta.g_moments(chars)[1][:, 0].tolist()
@@ -488,19 +487,18 @@ def predict_limit(array: TriangularArray, settings: VerifySettings | None = None
     grid = settings.grid
     g = array.group
     if array.kind == "rademacher":
+        xs = element_block(*map(array.x, grid))
         if g.kind == PADIC:
             # the local inner product vanishes, so x_n -> e forces the
-            # limit to be the point mass at e
-            seq = [(n, tower_gauge(array.x(n), identity(g))) for n in grid]
+            # limit to be the point mass at e (0 is the identity's entry)
+            seq = list(zip(grid, tower_gauge_block(g, xs, 0).tolist()))
             verdict = settings.classify(seq)
             if verdict.kind == CONVERGES and abs(verdict.value) <= settings.trend_tol:
                 return Prediction(dirac_law(identity(g)), "rademacher-dirac")
             reason = "padic Rademacher elements do not tend to the identity"
             return Prediction(None, "unclassified", reason)
-        seq = []
-        for n in grid:
-            a0 = coordinate_arg(array.x(n), 0)
-            seq.append((n, array.row_count(n) * a0 * a0))
+        a0s = (TWO_PI * _coordinates_block(g, xs, 0)[0]).tolist()  # arg y_0 of every x_n
+        seq = [(n, array.row_count(n) * a0 * a0) for n, a0 in zip(grid, a0s)]
         verdict = settings.classify(seq)
         if verdict.kind == CONVERGES:
             return Prediction(gauss_law(g, max(verdict.value, 0.0)), "rademacher-clt")

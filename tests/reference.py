@@ -1,9 +1,9 @@
-"""Scalar references: the element-at-a-time kernels and the atom-loop law
-statistics that lcalim computed before every kernel became a one-value
-call of its block twin and every law statistic a per-entry body over a
-measure's table; the torus and padic distances that the mean gap and the
-null rule read before the solenoid's tower gauge took their place; the
-branch-per-atom-count draw of an i.i.d. row's atom counts; and the Monte
+"""Scalar references: the element-at-a-time kernels, element rules and
+arithmetic, and the atom-loop law statistics that lcalim computed before
+every kernel and element rule became a one-value call of its block twin
+and every law statistic a per-entry body over a measure's table; the torus
+and padic distances that the mean gap and the null rule read before the
+solenoid's tower gauge took their place; the branch-per-atom-count draw of an i.i.d. row's atom counts; and the Monte
 Carlo estimator that evaluated every character at every draw.  The tests
 hold the package to these bit for bit.
 
@@ -17,21 +17,18 @@ import math
 import numpy as np
 
 from lcalim.groups import (
+    ATOM_TOL_TURNS,
     PADIC,
+    SOLENOID,
     TORUS,
     TWO_PI,
     DepthOverflowError,
     GroupElement,
+    GroupId,
     GroupMismatchError,
     annihilator_contains,
     char_eval_block,
-    elements_close,
-    from_angle,
-    from_turns,
     identity,
-    neg,
-    padic_metric,
-    reduce_turns,
 )
 from lcalim.measures import cylinder_modulus, gauss_ft
 from lcalim.sampling import BLOCK_SIZE
@@ -50,6 +47,107 @@ def element(group, v) -> GroupElement:
     if group.kind == PADIC:
         return GroupElement(group, residue=int(v))
     return GroupElement(group, turns=float(v))
+
+
+def reduce_turns(t: float) -> float:
+    """Reduce a turn count into the canonical interval [-1/2, 1/2)."""
+    r = t - math.floor(t + 0.5)
+    # floor() at the upper boundary can round back to exactly +1/2
+    if r >= 0.5:
+        r -= 1.0
+    # from 2^52 on, t + 0.5 rounds half to even: an odd integral t gives -1
+    if r < -0.5:
+        r += 1.0
+    return r
+
+
+def same_value(group, u, v) -> bool:
+    """same_block of one pair of entries, without numpy."""
+    if group.kind == PADIC:
+        return u == v
+    return min(abs(u - v), (0.5 - abs(u)) + (0.5 - abs(v))) * group.base_scale <= ATOM_TOL_TURNS
+
+
+def elements_close(x: GroupElement, y: GroupElement) -> bool:
+    def value(z):
+        return z.residue if z.group.kind == PADIC else z.turns
+
+    return x.group == y.group and same_value(x.group, value(x), value(y))
+
+
+def from_turns(group, t: float) -> GroupElement:
+    if group.kind == PADIC:
+        raise ValueError("padic elements are built from digits, not angles")
+    return GroupElement(group, turns=reduce_turns(t))
+
+
+def from_angle(group, theta: float) -> GroupElement:
+    return from_turns(group, theta / TWO_PI)
+
+
+def from_base_angle(group, theta: float) -> GroupElement:
+    return from_turns(group, theta / TWO_PI / group.base_scale)
+
+
+def add(x: GroupElement, y: GroupElement) -> GroupElement:
+    if x.group != y.group:
+        raise GroupMismatchError("elements on different groups")
+    if x.group.kind == PADIC:
+        return GroupElement(x.group, residue=(x.residue + y.residue) % x.group.modulus)
+    return GroupElement(x.group, turns=reduce_turns(x.turns + y.turns))
+
+
+def neg(x: GroupElement) -> GroupElement:
+    if x.group.kind == PADIC:
+        return GroupElement(x.group, residue=(-x.residue) % x.group.modulus)
+    return GroupElement(x.group, turns=reduce_turns(-x.turns))
+
+
+def scale(k: int, x: GroupElement) -> GroupElement:
+    if x.group.kind == PADIC:
+        return GroupElement(x.group, residue=(k * x.residue) % x.group.modulus)
+    return GroupElement(x.group, turns=reduce_turns(k * x.turns))
+
+
+def padic_metric(x: GroupElement, y: GroupElement) -> float:
+    """2^-m, m the least index of a differing digit; 0 when equal."""
+    if x.group != y.group:
+        raise GroupMismatchError("elements on different groups")
+    if x.group.kind != PADIC:
+        raise ValueError("padic_metric expects padic elements")
+    diff = (x.residue - y.residue) % x.group.modulus
+    if diff == 0:
+        return 0.0
+    m = 0
+    while diff % x.group.p == 0:
+        diff //= x.group.p
+        m += 1
+    return 2.0**-m
+
+
+def tower_gauge(x: GroupElement, y: GroupElement, turn: float = 1.0) -> float:
+    """The padic metric, or the largest |turns| over the coordinates
+    y_0..y_depth of x - y, walked in plain Python, times turn."""
+    if x.group != y.group:
+        raise GroupMismatchError("elements on different groups")
+    if x.group.kind == PADIC:
+        return padic_metric(x, y)
+    t = reduce_turns(x.turns - y.turns)
+    gauge = abs(t)
+    for _ in range(x.group.depth):
+        t = reduce_turns(t * x.group.p)
+        gauge = max(gauge, abs(t))
+    return gauge * turn
+
+
+def solenoid_lift(x: GroupElement, branch: int) -> GroupElement:
+    deeper = GroupId(SOLENOID, x.group.p, x.group.depth + 1)
+    return GroupElement(deeper, turns=reduce_turns((x.turns + branch) / x.group.p))
+
+
+def solenoid_project(x: GroupElement) -> GroupElement:
+    shallower = GroupId(SOLENOID, x.group.p, x.group.depth - 1)
+    return GroupElement(shallower, turns=reduce_turns(x.turns * x.group.p))
 
 
 def atoms(mu):

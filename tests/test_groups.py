@@ -44,11 +44,9 @@ from lcalim.groups import (
     padic_group,
     neg_block,
     padic_metric,
-    reduce_turns,
     reduce_turns_block,
     scale,
     same_block,
-    same_value,
     scale_block,
     solenoid_group,
     solenoid_lift,
@@ -109,12 +107,20 @@ class TestConstruction:
     @pytest.mark.parametrize("t", [2.0**52 + 1, 2.0**53 - 1, -(2.0**52 + 1)])
     def test_odd_turns_past_2_to_52_reduce_to_zero(self, t):
         # t + 0.5 rounds half to even there, so floor(t + 0.5) is t + 1
-        assert reduce_turns(t) == 0.0
+        assert from_turns(T, t).turns == 0.0
         assert reduce_turns_block(np.array([t])).tolist() == [0.0]
 
     def test_negative_zero_turns_kept(self):
-        assert math.copysign(1.0, reduce_turns(-0.0)) == -1.0
+        assert math.copysign(1.0, from_turns(T, -0.0).turns) == -1.0
         assert math.copysign(1.0, reduce_turns_block(np.array([-0.0]))[0]) == -1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("make", [from_turns, from_angle, from_base_angle])
+    @pytest.mark.parametrize("g", [T, solenoid_group(2, 8)], ids=GroupId.describe)
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_turns_rejected(self, t, g, make):
+        with pytest.raises(ValueError, match="turns must be finite"):
+            make(g, t)
 
 
 class TestAdd:
@@ -613,9 +619,9 @@ class TestTowerRule:
                 u = base_turns(g, rng.uniform(-3.0, 3.0, 60))
                 near = u + rng.choice([-2.0, -0.5, 0.5, 2.0], 60) * 1e-12 / g.base_scale
             v = neg_block(g, u)
-            assert v.tolist() == [element_value(neg(ref.element(g, a))) for a in u.tolist()]
+            assert v.tolist() == [element_value(ref.neg(ref.element(g, a))) for a in u.tolist()]
             for w in (v, near):
-                twins = [same_value(g, a, b) for a, b in zip(u.tolist(), w.tolist())]
+                twins = [ref.same_value(g, a, b) for a, b in zip(u.tolist(), w.tolist())]
                 assert same_block(g, u, w).tolist() == twins
             assert 0 < sum(twins) < 60
             assert same_block(g, u, u).all()
@@ -632,10 +638,12 @@ class TestTowerRule:
         near = u * rng.choice([1.0, -1.0], n) + rng.uniform(-3.0, 3.0, n) * 1e-12 / s
         v = np.where(rng.random(n) < 0.9, reduce_turns_block(near), rng.uniform(-0.5, 0.5, n))
         block = same_block(g, u, v)
-        assert block.tolist() == [same_value(g, a, b) for a, b in zip(u.tolist(), v.tolist())]
+        pairs = list(zip(u.tolist(), v.tolist()))
+        assert block.tolist() == [ref.same_value(g, a, b) for a, b in pairs]
+        assert block.tolist() == [same_block(g, a, b) for a, b in pairs]  # one pair of scalars
         assert 0.1 < block.mean() < 0.9
         # -1/2 - (1/2 - 2^-54) rounds to -1, yet the pair is 2^-54 turns apart
-        assert same_value(g, -0.5, 0.5 - 2**-54) == (2**-54 * s <= 1e-12)
+        assert same_block(g, -0.5, 0.5 - 2**-54) is (2**-54 * s <= 1e-12)
 
 
 class TestPadicMetric:

@@ -1,6 +1,8 @@
 """Every import in the package sits at module level: an import inside a
-function or branch hides an import cycle instead of removing it.  And the
-package keeps exporting its public names."""
+function or branch hides an import cycle instead of removing it.  The
+package keeps exporting its public names.  And no group operation keeps a
+scalar body beside its block kernel, which would have to be kept equal to
+it by hand."""
 
 import ast
 import pathlib
@@ -22,6 +24,30 @@ def test_no_function_local_imports(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
     ]
     assert nested == [], f"{path.name}: imports below module level at lines {nested}"
+
+
+def _called(node) -> set[str]:
+    """The names of the functions that a function's body calls."""
+    return {
+        getattr(call.func, "id", getattr(call.func, "attr", ""))
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    }
+
+
+def test_group_operations_run_their_block_kernels():
+    # a function X or X_value beside its block twin X_block evaluates some
+    # *_block kernel, unless the twin is built on it
+    tree = ast.parse((PACKAGE / "groups.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    twins = []
+    for name, node in functions.items():
+        kernel = functions.get(name.removesuffix("_value") + "_block")
+        if kernel is None or name in _called(kernel):
+            continue
+        if not any(called.endswith("_block") for called in _called(node)):
+            twins.append(name)
+    assert twins == [], f"scalar twins of block kernels in groups.py: {twins}"
 
 
 # every public name of `lcalim`, written out so that none is dropped

@@ -1,12 +1,14 @@
-"""One definition per kernel and per law statistic, held to the scalar
-references of reference.py bit for bit.
+"""One definition per kernel, element rule and law statistic, held to the
+scalar references of reference.py bit for bit.
 
-Every scalar group kernel is a one-value call of its block twin, and every
-law statistic is a per-entry body over the measure's one-entry table.  On
-the torus, on padic_group(2, 16), on padic_group(101, 8) (whose blocks
-hold Python ints) and on solenoid_group(3, 6), each must return the bits
-of the element-at-a-time kernel or atom loop it replaced, and raise the
-same errors.
+Every scalar group kernel and element operation is a one-value call of its
+block twin, and every law statistic is a per-entry body over the measure's
+one-entry table.  On the torus, on padic_group(2, 16), on
+padic_group(101, 8) (whose blocks hold Python ints) and on
+solenoid_group(3, 6), each must return the bits of the element-at-a-time
+kernel or atom loop it replaced, and raise the same errors; the element
+operations are also held to them on deep solenoids and on
+padic_group(3, 40), whose residues pass int64.
 """
 
 import math
@@ -21,7 +23,9 @@ from lcalim.groups import (
     PADIC,
     SOLENOID,
     TORUS,
+    TWO_PI,
     GroupElement,
+    GroupId,
     Neighborhood,
     add,
     block_dtype,
@@ -29,7 +33,12 @@ from lcalim.groups import (
     character,
     coordinate_arg,
     cyclic_subgroup,
+    element_block,
+    element_value,
     elements_close,
+    from_angle,
+    from_base_angle,
+    from_int,
     from_turns,
     full_subgroup,
     h_trunc,
@@ -39,9 +48,14 @@ from lcalim.groups import (
     local_inner,
     neg,
     padic_group,
+    padic_metric,
+    scale,
     solenoid_group,
+    solenoid_lift,
+    solenoid_project,
     torus_group,
     tower_gauge,
+    tower_gauge_block,
     trivial_subgroup,
 )
 from lcalim.measures import (
@@ -59,8 +73,6 @@ from lcalim.measures import (
     tail_mass_measure,
     validate_levy,
 )
-from lcalim.verify import element_distance
-
 import reference as ref
 
 GROUPS = {
@@ -82,7 +94,7 @@ def _bits(value):
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, GroupElement):
-        return value.group, value.residue, value.turns.hex()
+        return value.group, type(value.residue), value.residue, type(value.turns), value.turns.hex()
     return value
 
 
@@ -309,7 +321,81 @@ def test_atoms_merge_by_the_base_coordinate_gap():
 def test_torus_and_padic_gauges_keep_their_bits(name, data):
     g = GROUPS[name]
     x, a = data.draw(elements(g)), data.draw(elements(g))
-    assert _bits(element_distance(x, a)) == _bits(ref.element_distance(x, a))
+    assert _bits(tower_gauge(x, a, TWO_PI)) == _bits(ref.element_distance(x, a))
     if g.kind == TORUS:  # a Rademacher x_n is built by from_turns
         x = from_turns(g, x.turns)
     assert _bits(tower_gauge(x, identity(g))) == _bits(ref.null_gauge(x))
+
+
+# the element operations' groups: deep solenoids, where p^depth nears the
+# 2^40 guard, and padic_group(3, 40), whose modulus 3^41 passes 2^63
+ELEMENT_GROUPS = [
+    torus_group(),
+    solenoid_group(2, 8),
+    solenoid_group(3, 25),
+    solenoid_group(1021, 4),
+    padic_group(2, 16),
+    padic_group(3, 40),
+]
+# raw turns: the wrap, signed zero, the last float below 1/2, odd integral
+# turns from 2^52 on (where t + 1/2 rounds half to even), and a few others
+_EDGE_TURNS = [0.5, -0.5, 0.0, -0.0, 0.5 - 2**-54, -0.5 + 2**-54, 2.0**52 + 1, 2.0**53 - 1,
+               -(2.0**52 + 1), 0.25, 1e-12, -3e-13, 7.3, -1234.5678]
+_COUNTS = [0, 1, -1, 3, 2**52 + 1, 2**64 + 1, -(2**64 + 1), -(10**30)]
+
+
+def _edge_elements(g, rng, count=6):
+    """Canonical elements of g: its edges and `count` random ones."""
+    if g.kind == PADIC:
+        m = g.modulus
+        residues = [0, 1, m - 1, g.p, g.p**g.depth, m // 2]
+        # residues of valuation 0, 1, 2, ... up to the depth, in turn
+        draws = rng.integers(1, 2**62, size=count).tolist()
+        residues += [g.p ** (j % g.depth) * r % m for j, r in enumerate(draws)]
+        return [from_int(g, r) for r in residues]
+    turns = _EDGE_TURNS + rng.uniform(-0.5, 0.5, count).tolist()
+    return [ref.from_turns(g, t) for t in turns]
+
+
+@pytest.mark.parametrize("g", ELEMENT_GROUPS, ids=GroupId.describe)
+def test_one_value_operations_equal_references(g, rng):
+    xs = _edge_elements(g, rng)
+    for make, want in ((from_turns, ref.from_turns), (from_angle, ref.from_angle),
+                       (from_base_angle, ref.from_base_angle)):
+        for t in _EDGE_TURNS:
+            if g.kind == PADIC:
+                assert _raised(make, g, t) is not None
+                assert _raised(make, g, t) == _raised(want, g, t)
+            else:
+                assert _bits(make(g, t)) == _bits(want(g, t))
+    for x in xs:
+        assert _bits(neg(x)) == _bits(ref.neg(x))
+        for k in _COUNTS:
+            assert _bits(scale(k, x)) == _bits(ref.scale(k, x))
+        for y in xs:
+            assert _bits(add(x, y)) == _bits(ref.add(x, y))
+            assert elements_close(x, y) is ref.elements_close(x, y)
+            for turn in (1.0, TWO_PI):
+                assert _bits(tower_gauge(x, y, turn)) == _bits(ref.tower_gauge(x, y, turn))
+            assert _raised(padic_metric, x, y) == _raised(ref.padic_metric, x, y)
+            if g.kind == PADIC:
+                assert _bits(padic_metric(x, y)) == _bits(ref.padic_metric(x, y))
+        if g.kind == SOLENOID:
+            assert _bits(solenoid_project(x)) == _bits(ref.solenoid_project(x))
+            for branch in (0, 1, g.p - 1):
+                got = _raised(solenoid_lift, x, branch)
+                assert got == _raised(ref.solenoid_lift, x, branch)
+                if got is None:  # deep groups are past the 2^40 guard one level down
+                    assert _bits(solenoid_lift(x, branch)) == _bits(ref.solenoid_lift(x, branch))
+
+
+@pytest.mark.parametrize("g", ELEMENT_GROUPS, ids=GroupId.describe)
+def test_grid_gauge_equals_the_element_walk(g, rng):
+    xs = _edge_elements(g, rng, count=200)
+    ys = xs[::-1]
+    for turn in (1.0, TWO_PI):
+        for y in (identity(g), xs[3]):  # one entry against the block
+            got = tower_gauge_block(g, element_block(*xs), element_value(y), turn).tolist()
+            assert _bits(got) == _bits([ref.tower_gauge(x, y, turn) for x in xs])
+        got = tower_gauge_block(g, element_block(*xs), element_block(*ys), turn).tolist()
+        assert _bits(got) == _bits([ref.tower_gauge(x, y, turn) for x, y in zip(xs, ys)])

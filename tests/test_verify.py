@@ -15,6 +15,7 @@ from lcalim.arrays import (
     row_distribution,
 )
 from lcalim.groups import (
+    TWO_PI,
     canonical_character,
     char_eval_block,
     character,
@@ -26,6 +27,7 @@ from lcalim.groups import (
     padic_group,
     solenoid_group,
     torus_group,
+    tower_gauge,
     trivial_subgroup,
 )
 from lcalim.measures import (
@@ -46,7 +48,6 @@ from lcalim.verify import (
     crosscheck_gensym2,
     default_characters,
     default_neighborhoods,
-    element_distance,
     ft_sup_distance,
     trend_classify,
 )
@@ -235,12 +236,14 @@ class TestDefaults:
 
 
 class TestElementDistance:
+    # the gauge of the gaiser mean gap: radians on the torus, the padic
+    # metric on padic groups
     def test_torus_angle_gap(self):
-        assert element_distance(from_angle(T, 0.5), from_angle(T, 0.2)) == pytest.approx(0.3)
+        assert tower_gauge(from_angle(T, 0.5), from_angle(T, 0.2), TWO_PI) == pytest.approx(0.3)
 
     def test_padic_uses_metric(self):
         g = padic_group(2, 6)
-        assert element_distance(from_int(g, 4), from_int(g, 0)) == 0.25
+        assert tower_gauge(from_int(g, 4), from_int(g, 0), TWO_PI) == 0.25
 
 
 class TestCheckTheorem:
