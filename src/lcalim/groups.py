@@ -153,9 +153,21 @@ def identity(group: GroupId) -> GroupElement:
     return GroupElement(group, turns=0.0)
 
 
+def _as_float(name: str, value):
+    """An int value as a float (a ValueError naming the argument when it
+    is too large for one); any other value unchanged."""
+    if not isinstance(value, int):
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} too large for a float ({value.bit_length()} bits)") from None
+
+
 def from_turns(group: GroupId, t: float) -> GroupElement:
     if group.kind == PADIC:
         raise ValueError("padic elements are built from digits, not angles")
+    t = _as_float("turns", t)
     if not math.isfinite(t):
         raise ValueError(f"turns must be finite; got {t}")
     return _element(group, reduce_turns_block(np.array([t], dtype=float)))
@@ -164,7 +176,7 @@ def from_turns(group: GroupId, t: float) -> GroupElement:
 def from_angle(group: GroupId, theta: float) -> GroupElement:
     """Torus element with the given angle; solenoid element whose *deepest*
     coordinate has the given angle (radians)."""
-    return from_turns(group, theta / TWO_PI)
+    return from_turns(group, _as_float("theta", theta) / TWO_PI)
 
 
 def base_turns(group: GroupId, theta):
@@ -177,7 +189,7 @@ def base_turns(group: GroupId, theta):
 
 def from_base_angle(group: GroupId, theta: float) -> GroupElement:
     """Torus or solenoid element on the branch-0 tower over arg y_0 = theta."""
-    return from_turns(group, base_turns(group, theta))
+    return from_turns(group, base_turns(group, _as_float("theta", theta)))
 
 
 def from_digits(group: GroupId, digits) -> GroupElement:
@@ -236,8 +248,8 @@ def scale(k: int, x: GroupElement) -> GroupElement:
     """k-fold group sum of x (k any integer)."""
     g = x.group
     # int64 counts cannot hold every k: padic groups read k mod the
-    # modulus, angle groups float(k), the factor of the product k * turns
-    count = k % g.modulus if g.kind == PADIC else float(k)
+    # modulus, angle groups k as a float, the factor of the product k * turns
+    count = k % g.modulus if g.kind == PADIC else _as_float("k", k)
     return _element(g, scale_block(g, np.array([count]), element_value(x)))
 
 
@@ -668,27 +680,6 @@ def padic_metric(x: GroupElement, y: GroupElement) -> float:
     if x.group.kind != PADIC:
         raise ValueError("padic_metric expects padic elements")
     return tower_gauge_block(x.group, element_block(x), y.residue).item()
-
-
-def solenoid_lift(x: GroupElement, branch: int) -> GroupElement:
-    """Deepen a solenoid representation by one coordinate along the chosen
-    p-th root branch; solenoid_project inverts it."""
-    if x.group.kind != SOLENOID:
-        raise ValueError("solenoid_lift expects a solenoid element")
-    if not 0 <= branch < x.group.p:
-        raise ValueError(f"branch {branch} out of range for p={x.group.p}")
-    deeper = GroupId(SOLENOID, x.group.p, x.group.depth + 1)
-    return _element(deeper, reduce_turns_block((element_block(x) + branch) / x.group.p))
-
-
-def solenoid_project(x: GroupElement) -> GroupElement:
-    """Forget the deepest coordinate of a solenoid representation."""
-    if x.group.kind != SOLENOID:
-        raise ValueError("solenoid_project expects a solenoid element")
-    if x.group.depth == 0:
-        raise DepthOverflowError("cannot project below depth 0")
-    shallower = GroupId(SOLENOID, x.group.p, x.group.depth - 1)
-    return _element(shallower, reduce_turns_block(element_block(x) * x.group.p))
 
 
 def elements_close(x: GroupElement, y: GroupElement) -> bool:

@@ -63,13 +63,6 @@ class SeededStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def derive_seed(master: int, path=()) -> int:
-    """Deterministic, collision-resistant 64-bit seed for (master, path);
-    the empty path gives the hash of the master seed itself."""
-    ss = np.random.SeedSequence(master, spawn_key=tuple(path))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _combine(group, counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Block of sums over atoms of count * atom; column a of counts holds
     the counts of the atom values[a]."""

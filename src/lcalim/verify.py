@@ -23,11 +23,9 @@ from .groups import (
     Neighborhood,
     character,
     canonical_character,
-    _coordinates_block,
     element_block,
     element_value,
     elements_close,
-    full_subgroup,
     identity,
     tower_gauge_block,
 )
@@ -46,15 +44,10 @@ from .arrays import (
 )
 from .measures import (
     LimitLaw,
-    compound_poisson_law,
     cylinder_mass,
-    dirac_law,
     gauss_law,
-    haar_law,
     limit_law_ft,
-    point_mass,
     qform_eval,
-    scale_measure,
     tail_mass_measure,
 )
 
@@ -196,16 +189,13 @@ class VerifySettings:
             self, grid=tuple(self.grid), characters=tuple(chars), neighborhoods=tuple(nbhds)
         )
 
-    def classify(self, seq) -> TrendVerdict:
-        """trend_classify of seq under these tolerances."""
-        return trend_classify(seq, self.trend_tol, self.window, self.divergence_threshold)
-
     def judge(self, name: str, seq, target: float | None) -> ConditionVerdict:
         """The one rule every hypothesis is judged by: the (n, value)
         sequence seq passes when it converges to target within trend_tol
         (relative to max(1, |target|)), or, for a target of None, when it
         diverges to infinity."""
-        seq, verdict = tuple(seq), self.classify(seq)
+        seq = tuple(seq)
+        verdict = trend_classify(seq, self.trend_tol, self.window, self.divergence_threshold)
         if target is None:
             return ConditionVerdict(name, "-> infinity", seq, verdict, verdict.kind == DIVERGES)
         bound = self.trend_tol * max(1.0, abs(target))
@@ -461,63 +451,3 @@ def crosscheck_gensym2(
     return EquivalenceReport(
         b, report.ft_passed, family("char_gap"), family("var_sum"), family("tail_sum")
     )
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Outcome of trend-based limit classification."""
-
-    law: LimitLaw | None
-    theorem: str
-    reason: str = ""
-
-    def classified(self) -> bool:
-        return self.law is not None
-
-
-def predict_limit(array: TriangularArray, settings: VerifySettings | None = None) -> Prediction:
-    """Classify the driving sequence of a Rademacher or Bernoulli array on
-    the settings' n-grid, under their trend tolerances (settings.classify),
-    and return the theorem-predicted limit law.  The character and
-    neighborhood sets are not read, so they are not resolved either.
-
-    Unclassifiable trends are reported as such, never guessed.
-    """
-    settings = settings or VerifySettings()
-    grid = settings.grid
-    g = array.group
-    if array.kind == "rademacher":
-        xs = element_block(*map(array.x, grid))
-        if g.kind == PADIC:
-            # the local inner product vanishes, so x_n -> e forces the
-            # limit to be the point mass at e (0 is the identity's entry)
-            seq = list(zip(grid, tower_gauge_block(g, xs, 0).tolist()))
-            verdict = settings.classify(seq)
-            if verdict.kind == CONVERGES and abs(verdict.value) <= settings.trend_tol:
-                return Prediction(dirac_law(identity(g)), "rademacher-dirac")
-            reason = "padic Rademacher elements do not tend to the identity"
-            return Prediction(None, "unclassified", reason)
-        a0s = (TWO_PI * _coordinates_block(g, xs, 0)[0]).tolist()  # arg y_0 of every x_n
-        seq = [(n, array.row_count(n) * a0 * a0) for n, a0 in zip(grid, a0s)]
-        verdict = settings.classify(seq)
-        if verdict.kind == CONVERGES:
-            return Prediction(gauss_law(g, max(verdict.value, 0.0)), "rademacher-clt")
-        if verdict.kind == DIVERGES:
-            return Prediction(haar_law(full_subgroup(g)), "rademacher-haar")
-        return Prediction(None, "unclassified", "driving sequence K_n*arg(x_n)^2 has no clear trend")
-    if array.kind == "bernoulli":
-        x = array.x(grid[-1])
-        seq = [(n, bernoulli_rate(array, n)) for n in grid]
-        verdict = settings.classify(seq)
-        if verdict.kind == CONVERGES:
-            lam = max(verdict.value, 0.0)
-            eta = scale_measure(point_mass(x), lam)
-            return Prediction(compound_poisson_law(eta), "bernoulli-poisson")
-        if verdict.kind == DIVERGES:
-            H = generating_subgroup(x)
-            if H is None:
-                reason = "closure of the cyclic group of x is not determinable here"
-                return Prediction(None, "unclassified", reason)
-            return Prediction(haar_law(H), "bernoulli-haar")
-        return Prediction(None, "unclassified", "rate sequence K_n*p_n has no clear trend")
-    return Prediction(None, "unclassified", "only Rademacher/Bernoulli arrays are classified")

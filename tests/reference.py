@@ -19,12 +19,10 @@ import numpy as np
 from lcalim.groups import (
     ATOM_TOL_TURNS,
     PADIC,
-    SOLENOID,
     TORUS,
     TWO_PI,
     DepthOverflowError,
     GroupElement,
-    GroupId,
     GroupMismatchError,
     annihilator_contains,
     char_eval_block,
@@ -138,16 +136,6 @@ def tower_gauge(x: GroupElement, y: GroupElement, turn: float = 1.0) -> float:
         t = reduce_turns(t * x.group.p)
         gauge = max(gauge, abs(t))
     return gauge * turn
-
-
-def solenoid_lift(x: GroupElement, branch: int) -> GroupElement:
-    deeper = GroupId(SOLENOID, x.group.p, x.group.depth + 1)
-    return GroupElement(deeper, turns=reduce_turns((x.turns + branch) / x.group.p))
-
-
-def solenoid_project(x: GroupElement) -> GroupElement:
-    shallower = GroupId(SOLENOID, x.group.p, x.group.depth - 1)
-    return GroupElement(shallower, turns=reduce_turns(x.turns * x.group.p))
 
 
 def atoms(mu):

@@ -49,8 +49,6 @@ from lcalim.groups import (
     same_block,
     scale_block,
     solenoid_group,
-    solenoid_lift,
-    solenoid_project,
     torus_group,
     tower_gauge,
     trivial_subgroup,
@@ -87,8 +85,6 @@ class TestConstruction:
         for p, depth in ((2, 41), (101, 8), (3, 10**9)):
             with pytest.raises(ValueError, match="solenoid p\\^depth exceeds 2\\^40"):
                 solenoid_group(p, depth)
-        with pytest.raises(ValueError, match="exceeds 2\\^40"):
-            solenoid_lift(identity(solenoid_group(2, 40)), 0)
 
     def test_digit_range_validation(self):
         g = padic_group(3, 1)
@@ -121,6 +117,22 @@ class TestConstruction:
     def test_non_finite_turns_rejected(self, t, g, make):
         with pytest.raises(ValueError, match="turns must be finite"):
             make(g, t)
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (from_turns, "turns"),
+            (from_angle, "theta"),
+            (from_base_angle, "theta"),
+            (lambda g, k: scale(k, from_turns(g, 0.25)), "k"),
+        ],
+        ids=["from_turns", "from_angle", "from_base_angle", "scale"],
+    )
+    @pytest.mark.parametrize("g", [T, solenoid_group(2, 8)], ids=GroupId.describe)
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["10^400", "-10^400"])
+    def test_ints_too_large_for_a_float_rejected_by_name(self, big, g, make, name):
+        with pytest.raises(ValueError, match=f"^{name} too large for a float"):
+            make(g, big)
 
 
 class TestAdd:
@@ -724,43 +736,6 @@ class TestAnnihilator:
         assert not annihilator_contains(full_subgroup(g), character(g, 1, 2))
         # l = p*l' at depth d equals l' at depth d-1, still nontrivial
         assert not annihilator_contains(full_subgroup(g), character(g, 2, 1))
-
-
-class TestSolenoidLift:
-    def test_branch_zero(self):
-        g = solenoid_group(2, 3)
-        x = from_angle(g, 0.4)
-        y = solenoid_lift(x, 0)
-        assert y.group.depth == 4
-        assert coordinate_arg(y, 4) == pytest.approx(0.2, abs=1e-15)
-
-    def test_branch_one_canonicalized(self):
-        g = solenoid_group(2, 3)
-        y = solenoid_lift(from_angle(g, 0.4), 1)
-        assert coordinate_arg(y, 4) == pytest.approx(0.2 + math.pi - 2 * math.pi, abs=1e-12)
-
-    def test_round_trip(self, rng):
-        g = solenoid_group(3, 2)
-        for _ in range(100):
-            x = random_element(g, rng)
-            k = int(rng.integers(0, 3))
-            assert elements_close(solenoid_project(solenoid_lift(x, k)), x)
-
-    def test_lift_consistent_coordinates(self, rng):
-        # lifting must not disturb the coordinates already tracked
-        g = solenoid_group(2, 3)
-        for _ in range(50):
-            x = random_element(g, rng)
-            y = solenoid_lift(x, int(rng.integers(0, 2)))
-            for j in range(4):
-                assert coordinate_arg(y, j) == pytest.approx(
-                    coordinate_arg(x, j), abs=1e-12
-                )
-
-    def test_branch_out_of_range(self):
-        g = solenoid_group(2, 3)
-        with pytest.raises(ValueError):
-            solenoid_lift(identity(g), 2)
 
 
 class TestScale:

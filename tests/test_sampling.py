@@ -52,7 +52,6 @@ from lcalim.sampling import (
     BLOCK_SIZE,
     SamplingBudgetError,
     SeededStream,
-    derive_seed,
     empirical_ft,
     empirical_law_ft,
     _law_sampler,
@@ -74,18 +73,16 @@ def sample_limit_law(law, stream):
     return ref.element(law.group, _law_sampler(law)(stream.generator(), 1)[0])
 
 
+def _first_draw(master, *path):
+    return SeededStream(master).child(*path).generator().random()
+
+
 class TestSeeds:
-    def test_derive_deterministic(self):
-        assert derive_seed(42, (1, 2)) == derive_seed(42, (1, 2))
+    def test_paths_give_different_streams(self):
+        assert _first_draw(42, 1) != _first_draw(42, 2)
 
-    def test_derive_path_sensitivity(self):
-        assert derive_seed(42, (1,)) != derive_seed(42, (2,))
-        assert derive_seed(42, ()) != derive_seed(43, ())
-
-    def test_empty_path_hashes_master(self):
-        # passthrough hash, not the raw master value
-        assert derive_seed(42, ()) != 42
-        assert 0 <= derive_seed(42, ()) < 2**64
+    def test_masters_give_different_streams(self):
+        assert _first_draw(42, 1) != _first_draw(43, 1)
 
     def test_stream_children(self):
         s = SeededStream(7)

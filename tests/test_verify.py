@@ -108,6 +108,25 @@ class TestTrendClassify:
         assert v.evidence == (5.0, 5.0, 5.0)
 
 
+class TestJudge:
+    # every hypothesis verdict reads the settings' trend tolerance, window
+    # and divergence threshold
+    def test_trend_tolerance_is_read(self):
+        seq = list(zip(GRID, (1.0, 1.0, 1.0, 1.05, 1.1)))
+        assert not VerifySettings().judge("c", seq, 1.05).passed
+        assert VerifySettings(trend_tol=0.1).judge("c", seq, 1.05).passed
+
+    def test_window_is_read(self):
+        seq = list(zip(GRID, (5.0, 4.0, 3.0, 1.0, 1.0)))
+        assert not VerifySettings().judge("c", seq, 1.0).passed
+        assert VerifySettings(window=2).judge("c", seq, 1.0).passed
+
+    def test_divergence_threshold_is_read(self):
+        seq = list(zip(GRID, (1.0, 2.0, 10.0, 20.0, 30.0)))
+        assert not VerifySettings().judge("c", seq, None).passed
+        assert VerifySettings(divergence_threshold=25.0).judge("c", seq, None).passed
+
+
 class TestCompoundGrowth:
     def test_alpha_zero(self):
         for n in (1, 10, 1_000_000):
