@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -36,7 +37,6 @@ from .groups import (
     GroupId,
     Neighborhood,
     base_turns,
-    block_dtype,
     character,
     cyclic_subgroup,
     from_digits,
@@ -103,8 +103,7 @@ def _get(doc: dict, key: str, context: str):
 
 
 # Typed getters: each returns the value as the named field's type or
-# raises ConfigError naming the field.  The bulk readers of general rows
-# (_bulk_ints, _bulk_values) accept exactly the values they accept.
+# raises ConfigError naming the field.
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -130,14 +129,37 @@ def _str(value, name: str) -> str:
     raise ConfigError(f"{name} must be a non-empty string")
 
 
+def _path(value, name: str) -> str:
+    """A non-empty string that the file system takes as a path."""
+    path = _str(value, name)
+    try:
+        valid = b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:  # a lone surrogate
+        valid = False
+    _require(valid, f"{name} is not a valid path")
+    return path
+
+
 def _ints(value, name: str) -> list[int]:
     return [_int(v, f"{name}[{i}]") for i, v in enumerate(_list(value, name))]
 
 
-def _int_key(key: str, name: str) -> int:
-    """An object key naming a row index n."""
-    _require(key.removeprefix("-").isdecimal(), f"{name}: key {key!r} is not an integer")
-    return int(key)
+def _by_index(doc, name: str, read) -> dict:
+    """{n: read(value, f"{name}[{key}]")} of the object doc, whose keys
+    name row indices n; two keys that name one n (such as "100" and
+    "0100") raise ConfigError."""
+    out, keys = {}, {}
+    for key, value in _dict(doc, name).items():
+        _require(key.removeprefix("-").isdecimal(), f"{name}: key {key!r} is not an integer")
+        try:
+            n = int(key)
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise ConfigError(f"{name}: key of {len(key)} characters is too long") from None
+        if n in keys:
+            raise ConfigError(f"{name}: keys {keys[n]!r} and {key!r} name the same n")
+        keys[n] = key
+        out[n] = read(value, f"{name}[{key}]")
+    return out
 
 
 def _dict(value, name: str) -> dict:
@@ -225,10 +247,8 @@ def parse_schedule(doc, context: str) -> Schedule:
     if kind == "power":
         return Schedule("power", coef=num("coef"), exp=num("exp"))
     if kind == "table":
-        name = f"{context}.values"
-        values = _dict(_get(doc, "values", context), name)
-        table = ((_int_key(k, name), _float(v, f"{name}[{k}]")) for k, v in values.items())
-        return Schedule("table", table=tuple(sorted(table)))
+        table = _by_index(_get(doc, "values", context), f"{context}.values", _float)
+        return Schedule("table", table=tuple(sorted(table.items())))
     raise ConfigError(f"{context}: unknown schedule kind {kind!r}")
 
 
@@ -246,57 +266,26 @@ def _row_law(doc, group: GroupId, context: str):
     return _checked(context, row_distribution, group, _parse_atoms(doc, group, context))
 
 
-def _bulk_ints(values: list):
-    """The values as Python ints when each is a JSON integer (see _int),
-    else None."""
-    types = set(map(type, values))
-    if types <= {int}:
-        return values
-    if types <= {int, float} and all(v.is_integer() for v in values if type(v) is float):
-        return [*map(int, values)]
-    return None
-
-
-def _bulk_values(group: GroupId, key: str, raw: list):
-    """_element_value of the elements {key: raw[i]}, as one array before
-    turn reduction, or None when some raw[i] is not one that
-    _element_value accepts."""
-    if group.kind != PADIC:
-        if set(map(type, raw)) - {float, int}:
-            return None
-        try:
-            t = np.array(raw, dtype=float)
-        except OverflowError:  # an int beyond the float range
-            return None
-        # < rather than <=: an int may round down to the largest float
-        return _turns(group, key, t) if (np.abs(t) < _FLOAT_MAX).all() else None
-    if key == "int":
-        ints = _bulk_ints(raw)
-        return None if ints is None else np.array(ints, dtype=object) % group.modulus
-    if set(map(type, raw)) - {list}:
+def _floats(values: list):
+    """The values as a float array when each is a number that _float
+    accepts, else None."""
+    if set(map(type, values)) - {float, int}:
         return None
-    lengths = [*map(len, raw)]
-    width = max(lengths, default=0)
-    digits = _bulk_ints([d for ds in raw for d in ds])
-    if digits is None or width > group.depth + 1:
+    try:
+        array = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
         return None
-    if digits and not 0 <= min(digits) <= max(digits) < group.p:
-        return None
-    # one row per element: its digits, then zeros up to the widest
-    table = np.zeros((len(raw), width), dtype=object)
-    element = np.repeat(np.arange(len(raw)), lengths)
-    place = np.arange(len(digits)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    table[element, place] = np.array(digits, dtype=object)
-    return table @ np.array([group.p**j for j in range(width)], dtype=object)
+    # < rather than <=: an int may round down to the largest float
+    return array if (np.abs(array) < _FLOAT_MAX).all() else None
 
 
 def _read_row(entries: list, group: GroupId):
-    """The atoms of a general row read in bulk: (block values, weights,
-    atom count of each entry), or None unless every entry is a list of
-    {"x": element, "weight": number} objects whose elements each hold one
-    key, the same one across the row, that _element_value reads, with a
-    value that it accepts."""
-    if set(map(type, entries)) - {list}:
+    """The atoms of an angle-group general row read in bulk: (reduced
+    turns, weights, atom count of each entry), or None on padic groups and
+    unless every entry is a list of {"x": element, "weight": number}
+    objects whose elements each hold one key, the same one across the row,
+    that _element_value reads, with numbers that _float accepts."""
+    if group.kind == PADIC or set(map(type, entries)) - {list}:
         return None
     atoms = [atom for entry in entries for atom in entry]
     if set(map(type, atoms)) - {dict}:
@@ -306,58 +295,37 @@ def _read_row(entries: list, group: GroupId):
         weights = [atom["weight"] for atom in atoms]
     except KeyError:
         return None
-    if set(map(type, xs)) - {dict} or set(map(type, weights)) - {float, int}:
-        return None
-    if set(map(len, xs)) != {1}:
+    if set(map(type, xs)) - {dict} or set(map(len, xs)) != {1}:
         return None
     keys = set(map(next, map(iter, xs)))
     if len(keys) != 1 or not keys <= set(_ELEMENT_KEYS[group.kind]):
         return None
     (key,) = keys
-    values = _bulk_values(group, key, [x[key] for x in xs])
-    if values is None:
+    turns, weights = _floats([x[key] for x in xs]), _floats(weights)
+    if turns is None or weights is None:
         return None
-    try:
-        weights = np.array(weights, dtype=float)
-    except OverflowError:
-        return None
-    if group.kind == PADIC:
-        values = values.astype(block_dtype(group))
-    else:
-        values = reduce_turns_block(values)
-    return values, weights, np.array([*map(len, entries)], dtype=np.intp)
+    turns = reduce_turns_block(_turns(group, key, turns))
+    return turns, weights, np.array([*map(len, entries)], dtype=np.intp)
 
 
 def _general_row(entries: list, group: GroupId, context: str) -> PackedRow:
     """One row of a general array, read from its JSON entries straight
     into a PackedRow.
 
-    A row that _read_row reads in bulk keeps the entries that
-    plain_entries finds plain as read; every other entry of it (an atom to
-    merge or drop, or a failed check) goes through _row_law, in entry
-    order, so the first invalid entry raises exactly the error that
-    per-entry parsing would.  A row that does not read in bulk is
-    pack_rows of the _row_law tables of all its entries."""
+    A row that _read_row reads in bulk, and whose entries plain_entries
+    all finds plain, is the table as read.  Every other row (a padic one,
+    one that does not read in bulk, or one with an atom to merge or drop
+    or a failed check) is pack_rows of the _row_law tables of all its
+    entries, in entry order, so the first invalid entry raises exactly the
+    error that per-entry parsing would."""
     read = _read_row(entries, group)
-    if read is None:
-        laws = [_row_law(entry, group, f"{context}[{k}]") for k, entry in enumerate(entries)]
-        return pack_rows(group, laws)
-    values, weights, counts = read
-    row = PackedRow(group, values, weights, np.cumsum(counts) - counts)
-    plain = plain_entries(row)
-    if plain.all():
-        return row
-    first = np.append(row.starts, len(values))  # entry k's atoms start at first[k]
-
-    def as_read(a: int, b: int) -> PackedRow:  # entries a, ..., b - 1
-        at = slice(first[a], first[b])
-        return PackedRow(group, values[at], weights[at], row.starts[a:b] - first[a])
-
-    parts, done = [], 0  # the table is rebuilt from entry done on
-    for k in np.flatnonzero(~plain).tolist():
-        parts += [as_read(done, k), _row_law(entries[k], group, f"{context}[{k}]")]
-        done = k + 1
-    return pack_rows(group, parts + [as_read(done, len(entries))])
+    if read is not None:
+        values, weights, counts = read
+        row = PackedRow(group, values, weights, np.cumsum(counts) - counts)
+        if plain_entries(row).all():
+            return row
+    laws = [_row_law(entry, group, f"{context}[{k}]") for k, entry in enumerate(entries)]
+    return pack_rows(group, laws)
 
 
 def _row_rule(table: dict):
@@ -376,14 +344,12 @@ def parse_array(doc, group: GroupId) -> TriangularArray:
     if kind == "rademacher":
         K = parse_schedule(_get(doc, "K", "array"), "array.K")
         if group.kind == PADIC:
-            elements = _dict(_get(doc, "elements", "array (padic rademacher)"), "array.elements")
-            pairs = tuple(
-                sorted(
-                    (_int_key(n, "array.elements"), parse_element(e, group, f"array.elements[{n}]"))
-                    for n, e in elements.items()
-                )
+            elements = _by_index(
+                _get(doc, "elements", "array (padic rademacher)"),
+                "array.elements",
+                lambda e, context: parse_element(e, group, context),
             )
-            return rademacher_array(group, K, elements=pairs)
+            return rademacher_array(group, K, elements=tuple(sorted(elements.items())))
         angle = parse_schedule(_get(doc, "angle", "array"), "array.angle")
         return rademacher_array(group, K, angle=angle)
     if kind == "bernoulli":
@@ -393,20 +359,18 @@ def parse_array(doc, group: GroupId) -> TriangularArray:
         return _checked("array", bernoulli_array, group, x, p, K)
     if kind == "iid_symmetric":
         K = parse_schedule(_get(doc, "K", "array"), "array.K")
-        rows = _dict(_get(doc, "rows", "array"), "array.rows")
-        dists = {
-            _int_key(n, "array.rows"): _row_law(atoms, group, f"array.rows[{n}]")
-            for n, atoms in rows.items()
-        }
+        dists = _by_index(
+            _get(doc, "rows", "array"),
+            "array.rows",
+            lambda atoms, context: _row_law(atoms, group, context),
+        )
         return iid_symmetric_array(group, _row_rule(dists), K)
     if kind == "general":
-        rows = _dict(_get(doc, "rows", "array"), "array.rows")
-        per_n = {
-            _int_key(n, "array.rows"): _general_row(
-                _list(row_list, f"array.rows[{n}]"), group, f"array.rows[{n}]"
-            )
-            for n, row_list in rows.items()
-        }
+        per_n = _by_index(
+            _get(doc, "rows", "array"),
+            "array.rows",
+            lambda entries, context: _general_row(_list(entries, context), group, context),
+        )
         return TriangularArray(group, "general", _row_rule(per_n))
     raise ConfigError(f"unknown array kind {kind!r}")
 
@@ -486,7 +450,9 @@ def parse_config(text: str) -> ExperimentConfig:
 def _parse_config(text: str) -> ExperimentConfig:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    # a JSONDecodeError is a ValueError, as is an integer past the
+    # interpreter's limit on digits; RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "config must be a JSON object")
 
@@ -537,7 +503,7 @@ def _parse_config(text: str) -> ExperimentConfig:
         law=law,
         settings=settings,
         mc=mc,
-        out_dir=_str(doc.get("out", "reports"), "out"),
+        out_dir=_path(doc.get("out", "reports"), "out"),
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcalim import arrays, cli, sampling
+from lcalim import arrays, cli, config, sampling
 from lcalim.arrays import row_ft_exact
 from lcalim.config import parse_config
 from lcalim.groups import character
@@ -518,6 +518,11 @@ _FUZZ_DOCS["general_padic"] = {
     "mc": {"replicates": 50, "seed": 3, "n": [4]},
 }
 _KEY_PATHS = [(name, path) for name, doc in _FUZZ_DOCS.items() for path in _key_paths(doc)]
+# the same documents for `sample`, at 200 replicates
+_SAMPLE_DOCS = {
+    name: _mutated(doc, ("mc",), dict(doc.get("mc", {}), replicates=200))
+    for name, doc in _FUZZ_DOCS.items()
+}
 _KEYS = sorted({key for _, path in _KEY_PATHS for key in path if isinstance(key, str)})
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -596,6 +601,41 @@ _MESSAGES = {
 }
 
 
+def _golden_doc(name):
+    with open(os.path.join(os.path.dirname(__file__), "golden", name, "config.json")) as fh:
+        return json.load(fh)
+
+
+# an object keyed by row index n, given a second key that names the same n:
+# (base document, the object's path, its field name, a key and its twin)
+_TWIN_KEYS = {
+    "general rows": (_FUZZ_DOCS["general_torus"], ("array", "rows"), "array.rows", "4", "04"),
+    "iid_symmetric rows": (
+        _golden_doc("symmetric_clt"), ("array", "rows"), "array.rows", "100", "0100"
+    ),
+    "padic Rademacher elements": (
+        _golden_doc("padic_rademacher_clt"),
+        ("array", "elements"),
+        "array.elements",
+        "100",
+        "0100",
+    ),
+    "table schedule values": (
+        _mutated(
+            _bundled_doc("torus_clt"),
+            ("array", "angle"),
+            {"kind": "table", "values": {str(10**k): 0.1**k for k in range(2, 7)}},
+        ),
+        ("array", "angle", "values"),
+        "array.angle.values",
+        "100",
+        "0100",
+    ),
+}
+# this interpreter's limit on the digits of an integer read from text
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 class TestExitCodeContract:
     @pytest.mark.parametrize("command", ["verify", "conditions"])
     @pytest.mark.parametrize("case", sorted(_INVALID))
@@ -632,6 +672,50 @@ class TestExitCodeContract:
         assert cli.main(["conditions", "--config", "cfg.json"]) == 2
         assert "out must be a non-empty string" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("override", [False, True], ids=["config-out", "--out"])
+    @pytest.mark.parametrize("out", ["a\0b", "\ud800"], ids=["nul", "lone-surrogate"])
+    def test_out_that_names_no_path_exit_2(self, tmp_path, monkeypatch, capsys, out, override):
+        # the config's `out` is checked also when --out takes its place
+        monkeypatch.chdir(tmp_path)
+        doc = _mutated(_bundled_doc("torus_clt"), ("out",), out)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        argv = ["verify", "--config", "cfg.json"] + (["--out", "o"] if override else [])
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: invalid config: out is not a valid path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("case", sorted(_TWIN_KEYS))
+    def test_two_keys_naming_one_n_exit_2(self, tmp_path, capsys, case):
+        base, path, name, key, twin = _TWIN_KEYS[case]
+        doc = json.loads(json.dumps(base))
+        node = doc
+        for step in path:
+            node = node[step]
+        node[twin] = node[key]
+        assert _run_cli(tmp_path, "verify", doc) == 2
+        message = f"{name}: keys {key!r} and {twin!r} name the same n"
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.skipif(_MAX_DIGITS == 0, reason="no limit on integer digits")
+    def test_integer_literal_past_the_digit_limit_exit_2(self, tmp_path, capsys):
+        digits = "1" * (_MAX_DIGITS + 700)
+        text = json.dumps(_bundled_doc("torus_clt")).replace('"grid": [', f'"grid": [{digits}, ')
+        (tmp_path / "cfg.json").write_text(text)
+        argv = ["verify", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert "error: invalid config: config is not valid JSON: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.skipif(_MAX_DIGITS == 0, reason="no limit on integer digits")
+    def test_row_key_past_the_digit_limit_exit_2(self, tmp_path, capsys):
+        digits = "1" * (_MAX_DIGITS + 700)
+        doc = _mutated(_FUZZ_DOCS["general_torus"], ("array", "rows", digits), [])
+        assert _run_cli(tmp_path, "verify", doc) == 2
+        message = f"array.rows: key of {len(digits)} characters is too long"
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_large_default_character_set_exit_2(self, tmp_path, capsys):
         group = {"kind": "padic", "p": 23, "depth": 4}
@@ -742,6 +826,16 @@ class TestExitCodeContract:
         doc = _mutated(_FUZZ_DOCS[name], path, value)
         for command in ("verify", "conditions"):
             assert _run_cli(tmp_path_factory.mktemp("fuzz"), command, doc) in (0, 1, 2, 3)
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(target=st.sampled_from(_KEY_PATHS), value=_JSON)
+    def test_any_single_mutation_keeps_sample_exit_codes(self, tmp_path_factory, target, value):
+        name, path = target
+        doc = _mutated(_SAMPLE_DOCS[name], path, value)
+        # a mutated replicate count draws for seconds, not minutes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(config, "MAX_REPLICATES", 10**4)
+            assert _run_cli(tmp_path_factory.mktemp("fuzz"), "sample", doc) in (0, 1, 2, 3)
 
 
 # every subgroup kind the config grammar accepts on each group, and an atom

@@ -1,10 +1,13 @@
 """The general-row parser against per-entry parsing.
 
 config._general_row reads a row of a general array straight into a
-PackedRow.  Its reference is the per-entry path it replaced: _row_law of
-every entry in order, then pack_rows of the laws.  On valid rows the
-tables must agree bit for bit; on invalid ones the ConfigError message
-must be the one the per-entry path raises first.
+PackedRow.  It reads in bulk only an angle-group row whose element objects
+all hold one key, the same one across the row, and whose entries are all
+plain; every other row, padic rows included, goes through _row_law entry
+by entry.  Its reference is the per-entry path: _row_law of every entry in
+order, then pack_rows of the laws.  On valid rows the tables must agree
+bit for bit; on invalid ones the ConfigError message must be the one the
+per-entry path raises first.
 """
 
 import gc
@@ -628,24 +631,37 @@ class TestBulkRead:
             if i % 3 == 0:
                 others = {k: [1] if k == "digits" else 1 for k in ELEMENT_KEYS[name]}
                 atom["x"] = dict(others, **atom["x"], note="kept")
+        # the row of the first key, its last entry one atom given twice: it
+        # reads in bulk on angle groups, but that entry is not plain
+        key = ELEMENT_KEYS[name][0]
+        twice = rows[0][:-1] + [[{"x": _keyed_element(g, key, rng), "weight": 0.5}] * 2]
+        assert g.kind == PADIC or not _plain(g, *config._read_row(twice, g))[-1]
         calls = []
         monkeypatch.setattr(config, "_row_law", lambda *args: calls.append(args) or _row_law(*args))
-        # in bulk only when each element holds one key, the same across the row
-        for entries, bulk in [(r, True) for r in rows] + [(mixed, False), (extra, False)]:
-            assert (config._read_row(entries, g) is not None) == bulk
-            calls.clear()
+        # in bulk only on angle groups, and when each element holds one key,
+        # the same across the row
+        angle = g.kind != PADIC
+        cases = [(r, angle) for r in rows + [twice]] + [(mixed, False), (extra, False)]
+        if angle:  # the plain entries of each row alone, last
+            for r in rows:
+                plain = _plain(g, *config._read_row(r, g))
+                cases.append(([e for e, ok in zip(r, plain) if ok], True))
+        kept = []  # whether each row is the table as read
+        for entries, bulk in cases:
+            read = config._read_row(entries, g)
+            assert (read is not None) == bulk
             want, _ = _read(_per_atom_general_row, entries, g)
-            fallback = len(calls)
             calls.clear()
             row = _general_row(entries, g, "array.rows[5]")
             _assert_same_table(row, want)
-            # in bulk, only entries the per-atom reader could not take as
-            # given; otherwise every entry, in order
+            # the table as read when every entry is plain; otherwise every
+            # entry through _row_law, in order
+            as_read = bulk and _plain(g, *read).all()
+            kept.append(as_read)
             contexts = [context for _, _, context in calls]
-            if bulk:
-                assert len(contexts) == fallback
-            else:
-                assert contexts == [f"array.rows[5][{k}]" for k in range(len(entries))]
+            every = [f"array.rows[5][{k}]" for k in range(len(entries))]
+            assert contexts == ([] if as_read else every)
+        assert kept[-len(rows) :] == [True] * len(rows) if angle else not any(kept)
 
     @pytest.mark.parametrize(
         "atom",
