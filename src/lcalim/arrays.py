@@ -14,13 +14,12 @@ is its K_n entries taken once each.  Every statistic is one PackedRow
 per-entry body over such a table (the body that the law statistics run on
 a measure) and takes a sequence of grid points with all their characters
 (or neighborhoods, or cylinders) at once, returning one result per point.
-Consecutive grid rows are joined into one table, a grid block, while its
-atoms times the items stay within MAX_TEMP // 4 values; a larger row is a
-block of its own and takes its items in chunks of at most that many atom
-x item values.  Each block is one vector pass, whose per-entry values are
-then folded row by row: on a reshape when the rows have equally many
-entries, one contiguous slice per row otherwise, so that each row keeps
-the reduction order of a pass over it alone.
+Consecutive grid rows with equally many entries are joined into one table,
+a grid block, while its atoms times the items stay within MAX_TEMP // 4
+values; a larger row is a block of its own and takes its items in chunks
+of at most that many atom x item values.  Each block is one vector pass,
+whose per-entry values are then folded row by row on one reshape, so that
+each row keeps the reduction order of a pass over it alone.
 """
 
 from __future__ import annotations
@@ -273,8 +272,7 @@ def plain_entries(row: PackedRow) -> np.ndarray:
     positive, the total mass within 1e-12 of 1 with room for rounding, and
     no two atoms one element (groups.same_block).  An entry marked False
     may still be valid; only row_distribution can tell."""
-    values, weights = row.values, row.weights
-    counts = np.diff(row.starts, append=len(values))
+    values, weights, counts = row.values, row.weights, row.counts
     entry = np.repeat(np.arange(len(counts)), counts)
     bad = ~(np.isfinite(weights) & (weights > 0.0))
     plain = np.bincount(entry, weights=bad, minlength=len(counts)) == 0
@@ -286,7 +284,7 @@ def plain_entries(row: PackedRow) -> np.ndarray:
     # rounding is monotone, so when any two atoms of a sorted entry are one
     # element, so are two neighbours or the first and the last (across the
     # wrap); the entries of each atom count m are sorted in one call
-    for entries, at, m in row._groups:
+    for entries, at, m in row.by_width:
         v = np.sort(values.reshape(len(counts), m) if at is None else values[at], axis=-1)
         close = same_block(row.group, v[:, 1:], v[:, :-1]).any(axis=-1)
         if m > 1:
@@ -320,12 +318,14 @@ def _power(z: complex, K: int) -> complex:
 
 
 def _blocks(rows, items: int):
-    """(start, stop) of each run of consecutive rows whose atoms times the
-    items fit in MAX_TEMP // 4 values; a row larger than that is a run of
-    its own, and its items are taken in chunks."""
+    """(start, stop) of each run of consecutive rows with equally many
+    entries whose atoms times the items fit in MAX_TEMP // 4 values; a row
+    larger than that is a run of its own, and its items are taken in
+    chunks."""
     start, atoms = 0, 0
     for k, row in enumerate(rows):
-        if k > start and (atoms + len(row.values)) * items > MAX_TEMP // 4:
+        fits = (atoms + len(row.values)) * items <= MAX_TEMP // 4
+        if k > start and not (fits and len(row.starts) == len(rows[start].starts)):
             yield start, k
             start, atoms = k, 0
         atoms += len(row.values)
@@ -333,32 +333,22 @@ def _blocks(rows, items: int):
         yield start, len(rows)
 
 
-def _fold(x: np.ndarray, counts: list, reduce) -> list:
-    """reduce over each row's entries of x (items x the block's entries):
-    per row, one Python number per item.  Rows with equally many entries
-    are reduced in one call on a reshape, others one contiguous slice at a
-    time, so every row keeps the order of a pass over it alone."""
-    if min(counts) == max(counts):
-        return reduce(x.reshape(len(x), len(counts), counts[0])).T.tolist()
-    ends = np.cumsum(counts).tolist()
-    return [reduce(x[:, a:b]).tolist() for a, b in zip([0] + ends, ends)]
-
-
 def _grid_pass(array: TriangularArray, ns, items, per_entry, reduce) -> list:
     """(row, values) at every grid point of ns: per_entry(block, chunk) is
     the chunk x entries array of a chunk of the items on a block of joined
-    rows (see _blocks), and reduce folds it over each row's entries."""
+    rows (see _blocks), and reduce folds it over each row's entries on a
+    reshape, so every row keeps the order of a pass over it alone."""
     rows = [array.packed(n) for n in ns]
     if not items:
         return [(row, []) for row in rows]
     out = []
     for a, b in _blocks(rows, len(items)):
         block = rows[a] if b == a + 1 else pack_rows(array.group, rows[a:b])
-        counts = [len(row.starts) for row in rows[a:b]]
         step = max(1, MAX_TEMP // 4 // max(1, len(block.values)))
-        values = [[] for _ in counts]
+        values = [[] for _ in range(a, b)]
         for i in range(0, len(items), step):
-            for acc, v in zip(values, _fold(per_entry(block, items[i : i + step]), counts, reduce)):
+            x = per_entry(block, items[i : i + step])
+            for acc, v in zip(values, reduce(x.reshape(len(x), b - a, -1)).T.tolist()):
                 acc += v
         out += zip(rows[a:b], values)
     return out

@@ -450,10 +450,11 @@ def parse_config(text: str) -> ExperimentConfig:
 def _parse_config(text: str) -> ExperimentConfig:
     try:
         doc = json.loads(text)
-    # a JSONDecodeError is a ValueError, as is an integer past the
-    # interpreter's limit on digits; RecursionError: nested too deep
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's limit on digits
+        limit = f"an integer literal is longer than {sys.get_int_max_str_digits()} digits"
+        raise ConfigError(f"config is not valid JSON: {limit}") from exc
     _require(isinstance(doc, dict), "config must be a JSON object")
 
     group = parse_group(_get(doc, "group", "config"))

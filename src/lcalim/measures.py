@@ -55,7 +55,9 @@ class PackedRow:
     """A table of entries: entry k has the atoms
     values[starts[k]:starts[k + 1]] with the weights at the same positions,
     and the table stands for `copies` independent copies of every entry.
-    The statistics return one value per entry (on the last axis) per item."""
+    counts and by_width are the one view of this ragged layout by atom
+    count.  The statistics return one value per entry (on the last axis)
+    per item."""
 
     group: GroupId
     values: np.ndarray
@@ -64,15 +66,19 @@ class PackedRow:
     copies: int = 1
 
     @cached_property
-    def _groups(self) -> list:
+    def counts(self) -> np.ndarray:
+        """The number of atoms of each entry."""
+        return np.diff(self.starts, append=len(self.values))
+
+    @cached_property
+    def by_width(self) -> list:
         """The entries grouped by atom count m: (entries, their atoms'
         positions as an entries x m array, m), or (all, None, m) when every
         entry has m atoms and a reshape lines them up."""
-        counts = np.diff(self.starts, append=len(self.values))
-        widths = sorted(set(counts.tolist()))
+        widths = sorted(set(self.counts.tolist()))
         if len(widths) == 1:
             return [(slice(None), None, widths[0])]
-        groups = [(np.flatnonzero(counts == m), m) for m in widths]
+        groups = [(np.flatnonzero(self.counts == m), m) for m in widths]
         return [(e, self.starts[e, None] + np.arange(m), m) for e, m in groups]
 
     def entry_sums(self, x: np.ndarray) -> np.ndarray:
@@ -83,7 +89,7 @@ class PackedRow:
         if len(self.starts) == 1:  # one entry (a measure, or an i.i.d. row)
             return _sequential_sums(wx)[..., None]
         out = np.empty(wx.shape[:-1] + (len(self.starts),), dtype=wx.dtype)
-        for entries, at, m in self._groups:
+        for entries, at, m in self.by_width:
             block = wx.reshape(wx.shape[:-1] + (len(self.starts), m)) if at is None else wx[..., at]
             out[..., entries] = _sequential_sums(block)
         return out

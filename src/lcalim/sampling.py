@@ -80,8 +80,9 @@ def _row_sampler(array: TriangularArray, n: int):
     are drawn in one multinomial shot and combined as count * atom, so the
     cost is independent of K_n (numpy draws one atom's counts without
     randomness, and two atoms' as one binomial per replicate).  Other rows
-    are drawn entry by entry, subject to DEFAULT_DIRECT_BUDGET, from atom
-    and cumulative-weight tables built once from the packed row.
+    are drawn entry by entry, subject to DEFAULT_DIRECT_BUDGET, from dense
+    atom and boundary tables built once per atom count (PackedRow.by_width),
+    so that one wide entry widens no other entry's tables.
     """
     g = array.group
     K = array.row_count(n)
@@ -94,22 +95,17 @@ def _row_sampler(array: TriangularArray, n: int):
         raise SamplingBudgetError(
             f"row n={n}: direct sampling of K_n={K} entries exceeds budget {DEFAULT_DIRECT_BUDGET}"
         )
-    # one table row per packed entry; entry k of the row is table row
-    # k // copies
-    counts = np.diff(row.starts, append=len(row.values))
-    width = int(counts.max(initial=1))
-    entry = np.repeat(np.arange(len(counts)), counts)
-    slot = np.arange(len(row.values)) - row.starts[entry]
-    vals = np.zeros((len(counts), width), dtype=block_dtype(g))
-    vals[entry, slot] = row.values
-    probs = np.zeros((len(counts), width))
-    # over each entry's mass, the sum total_mass takes of its row law
-    probs[entry, slot] = row.weights / np.repeat(row.masses(), counts)
-    # entry k with uniform u takes the atom whose index is the number of
-    # boundaries cum[k, :] <= u; boundaries past an entry's second-to-last
-    # atom stay +inf, so its last atom also takes any rounding remainder
-    cum = np.cumsum(probs[:, :-1], axis=1)
-    cum[np.arange(width - 1) >= counts[:, None] - 1] = np.inf
+    # entry k of the row is table entry k // copies, drawn from the tables of
+    # its atom count m: entry e with uniform u takes the atom whose index is
+    # the number of boundaries cum[e, :] <= u, the sums of weight over the
+    # entry's mass (the sum total_mass takes) up to its second-to-last atom,
+    # so that its last atom also takes any rounding remainder
+    masses, rank, tables = row.masses(), np.empty(len(row.starts), dtype=np.intp), []
+    for entries, at, m in row.by_width:
+        at = np.arange(len(row.values)).reshape(len(row.starts), m) if at is None else at
+        rank[entries] = np.arange(len(at))  # the entry's row in its tables
+        cum = np.cumsum(row.weights[at[:, :-1]] / masses[entries, None], axis=1)
+        tables.append((m, row.values[at], cum))
 
     def draw_entries(gen, size):
         out = np.zeros(size, dtype=block_dtype(g))
@@ -118,10 +114,16 @@ def _row_sampler(array: TriangularArray, n: int):
             k1 = min(k0 + step, K)
             rows = np.arange(k0, k1) // row.copies
             u = gen.random((size, k1 - k0))
-            idx = np.zeros(u.shape, dtype=np.intp)
-            for a in range(width - 1):
-                idx += u >= cum[rows, a]
-            out = add_block(g, out, vals[rows, idx].sum(axis=1))
+            picked = np.empty(u.shape, dtype=block_dtype(g))
+            for m, vals, cum in tables:
+                cols = np.flatnonzero(row.counts[rows] == m)
+                if len(cols):  # a wide entry's m - 1 passes run in its chunk only
+                    at, uc = rank[rows[cols]], u[:, cols]
+                    idx = np.zeros(uc.shape, dtype=np.intp)
+                    for a in range(m - 1):
+                        idx += uc >= cum[at, a]
+                    picked[:, cols] = vals[at, idx]
+            out = add_block(g, out, picked.sum(axis=1))
         return out
 
     return draw_entries

@@ -3,9 +3,10 @@ arithmetic, and the atom-loop law statistics that lcalim computed before
 every kernel and element rule became a one-value call of its block twin
 and every law statistic a per-entry body over a measure's table; the torus
 and padic distances that the mean gap and the null rule read before the
-solenoid's tower gauge took their place; the branch-per-atom-count draw of an i.i.d. row's atom counts; and the Monte
-Carlo estimator that evaluated every character at every draw.  The tests
-hold the package to these bit for bit.
+solenoid's tower gauge took their place; the branch-per-atom-count draw of
+an i.i.d. row's atom counts; the direct row-sum draw from tables padded to
+the widest entry; and the Monte Carlo estimator that evaluated every
+character at every draw.  The tests hold the package to these bit for bit.
 
 A measure is read here through atoms(mu), its (element, weight) pairs in
 table order.
@@ -16,6 +17,7 @@ import math
 
 import numpy as np
 
+from lcalim.arrays import MAX_TEMP
 from lcalim.groups import (
     ATOM_TOL_TURNS,
     PADIC,
@@ -24,7 +26,9 @@ from lcalim.groups import (
     DepthOverflowError,
     GroupElement,
     GroupMismatchError,
+    add_block,
     annihilator_contains,
+    block_dtype,
     char_eval_block,
     identity,
 )
@@ -203,6 +207,39 @@ def iid_counts(gen, K: int, pvals, size: int):
         c = gen.binomial(K, pvals[0], size=size)
         return np.stack([c, K - c], axis=1)
     return gen.multinomial(K, pvals, size=size)
+
+
+def padded_direct_draw(row, K: int):
+    """A function (gen, size) -> block of `size` row sums of K entries,
+    entry k drawn from table row k // copies of atom and cumulative-weight
+    tables padded to the widest entry, boundaries past an entry's
+    second-to-last atom +inf."""
+    g = row.group
+    counts = np.diff(row.starts, append=len(row.values))
+    width = int(counts.max(initial=1))
+    entry = np.repeat(np.arange(len(counts)), counts)
+    slot = np.arange(len(row.values)) - row.starts[entry]
+    vals = np.zeros((len(counts), width), dtype=block_dtype(g))
+    vals[entry, slot] = row.values
+    probs = np.zeros((len(counts), width))
+    probs[entry, slot] = row.weights / np.repeat(row.masses(), counts)
+    cum = np.cumsum(probs[:, :-1], axis=1)
+    cum[np.arange(width - 1) >= counts[:, None] - 1] = np.inf
+
+    def draw_entries(gen, size):
+        out = np.zeros(size, dtype=block_dtype(g))
+        step = max(1, MAX_TEMP // size)
+        for k0 in range(0, K, step):
+            k1 = min(k0 + step, K)
+            rows = np.arange(k0, k1) // row.copies
+            u = gen.random((size, k1 - k0))
+            idx = np.zeros(u.shape, dtype=np.intp)
+            for a in range(width - 1):
+                idx += u >= cum[rows, a]
+            out = add_block(g, out, vals[rows, idx].sum(axis=1))
+        return out
+
+    return draw_entries
 
 
 def estimate(draw, group, chars, M: int, stream) -> tuple[complex, ...]:

@@ -625,8 +625,7 @@ class TestGridPass:
     @pytest.mark.parametrize("name", sorted(GRID_GROUPS))
     @pytest.mark.parametrize("equal", [True, False], ids=["equal-rows", "ragged-rows"])
     def test_general_rows(self, name, equal):
-        # rows of equal entry counts are folded on a reshape, others one
-        # slice per row
+        # rows of equal entry counts join one block, others run alone
         g = GRID_GROUPS[name]
         rng = np.random.default_rng(11)
         grid = (2, 3, 5, 8, 13, 21, 34)
@@ -636,9 +635,10 @@ class TestGridPass:
 
     @pytest.mark.parametrize("g", [torus_group(), solenoid_group(3, 6)], ids=["torus", "solenoid"])
     def test_rows_straddling_the_block_bound(self, g, monkeypatch):
-        # 5 characters: rows of 200, 800 and 1,200 atoms join (11,000 values),
-        # 4,000 atoms run alone in chunks of 4 characters and 18,000 atoms
-        # one character at a time
+        # 5 characters: rows of 200, 800 and 1,200 atoms would fit in one
+        # block (11,000 values) but run alone, as their entry counts differ;
+        # 4,000 atoms run in chunks of 4 characters and 18,000 atoms one
+        # character at a time
         rng = np.random.default_rng(3)
         grid = (100, 400, 600, 2_000, 9_000)
 
@@ -662,7 +662,9 @@ class TestGridPass:
 
         monkeypatch.setattr(measures, "char_eval_block", counting)
         row_ft_exact(arr, grid, chars)
-        assert passes == [(5, 2_200), (4, 4_000), (1, 4_000)] + [(1, 18_000)] * 5
+        assert passes == [(5, 200), (5, 800), (5, 1_200), (4, 4_000), (1, 4_000)] + [
+            (1, 18_000)
+        ] * 5
         _assert_grid_equals_points(arr, grid, chars, nbhds)
 
     @pytest.mark.parametrize("name", sorted(GRID_GROUPS))

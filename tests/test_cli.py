@@ -705,7 +705,8 @@ class TestExitCodeContract:
         (tmp_path / "cfg.json").write_text(text)
         argv = ["verify", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 2
-        assert "error: invalid config: config is not valid JSON: " in capsys.readouterr().err
+        message = f"config is not valid JSON: an integer literal is longer than {_MAX_DIGITS} digits"
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.skipif(_MAX_DIGITS == 0, reason="no limit on integer digits")

@@ -1,6 +1,7 @@
 """Every import in the package sits at module level: an import inside a
 function or branch hides an import cycle instead of removing it.  No
-module imports another module's private name.  The package exports
+module imports another module's private name, nor reads a private
+attribute of anything but `self`.  The package exports
 exactly its public names.  And no group operation keeps a
 scalar body beside its block kernel, which would have to be kept equal to
 it by hand."""
@@ -39,6 +40,20 @@ def test_no_private_names_imported(path):
         if alias.name.startswith("_")
     ]
     assert private == [], f"{path.name}: imports private names {private}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_attributes_read_off_self(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [
+        f"{ast.unparse(node)} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert reads == [], f"{path.name}: reads private attributes {reads}"
 
 
 def _called(node) -> set[str]:

@@ -1,5 +1,8 @@
 import math
+import os
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from lcalim.cli import load_config_text
 from lcalim.config import parse_config
 from lcalim.groups import (
     CompactSubgroup,
+    block_dtype,
     char_eval_block,
     character,
     cyclic_subgroup,
@@ -38,6 +42,7 @@ from lcalim.groups import (
 )
 from lcalim.measures import (
     LimitLaw,
+    PackedRow,
     QuadraticFormParam,
     compound_poisson_law,
     dirac_law,
@@ -569,3 +574,110 @@ class TestDistinctDraws:
             want = ref.estimate(draw, cfg.group, chars, 2000, stream)
             monkeypatch.setattr(sampling, "char_eval_block", spy)
             assert np.array(got.estimates).tobytes() == np.array(want).tobytes()
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+# every padic bundled example and branch config, by name
+PADIC_CONFIGS = {name: name for name in ("padic_poisson", "padic_haar", "bernoulli_mismatch")} | {
+    name: os.path.join(GOLDEN, name, "config.json")
+    for name in ("padic_gaiser", "padic_rademacher_clt")
+}
+# the chi-square tail below which a sampler fails; at the bundled seeds the
+# smallest tail is 0.005 (bernoulli_mismatch's row sums)
+CHI2_TAIL = 1e-3
+
+
+def _chi2_tail(observed, probs, M: int) -> float:
+    """The chi-square tail of the observed class counts against M draws of
+    the probabilities, over the classes with at least 5 expected draws."""
+    expected = probs * M
+    keep = expected >= 5
+    stat = float(((observed[keep] - expected[keep]) ** 2 / expected[keep]).sum())
+    df = int(keep.sum()) - 1
+    if df == 0:  # one class holds the whole law
+        return 1.0 if stat == 0.0 else 0.0
+    return float(mpmath.gammainc(df / 2, stat / 2, regularized=True))
+
+
+@pytest.mark.parametrize("sampler", ["row", "law"])
+@pytest.mark.parametrize("name", PADIC_CONFIGS)
+def test_draws_follow_the_exact_law_mod_p_to_the_r(name, sampler):
+    # the draws mod p^r, drawn from the bundled seed in blocks as _estimate
+    # draws them, against the exact law: the inverse DFT of the FT at the
+    # p^r characters chi_{r-1,l}
+    cfg = parse_config(load_config_text(PADIC_CONFIGS[name]))
+    g, n, M = cfg.group, cfg.mc.n_points[0], 200_000
+    r = max(r for r in range(1, g.depth + 2) if g.p**r <= 4096)
+    chars = [character(g, l, r - 1) for l in range(g.p**r)]
+    if sampler == "row":
+        draw, stream = _row_sampler(cfg.array, n), SeededStream(cfg.mc.seed).child(0, n)
+        fts = row_ft_exact(cfg.array, (n,), chars)[0]
+    else:
+        draw, stream = _law_sampler(cfg.law), SeededStream(cfg.mc.seed).child(1)
+        fts = limit_law_ft(cfg.law, chars)
+    probs = np.fft.fft(np.array(fts)).real / g.p**r
+    drawn = np.concatenate([
+        draw(stream.child(j // BLOCK_SIZE).generator(), min(BLOCK_SIZE, M - j))
+        for j in range(0, M, BLOCK_SIZE)
+    ])
+    observed = np.bincount(np.asarray(drawn % g.p**r, dtype=np.int64), minlength=g.p**r)
+    assert _chi2_tail(observed, probs, M) > CHI2_TAIL
+
+
+def _ragged_row(g, widths, seed, copies=1) -> PackedRow:
+    """A table of entries with the given atom counts, at seeded random
+    atoms with positive weights."""
+    rng = np.random.default_rng(seed)
+    size = sum(widths)
+    if g.kind == "padic":
+        values = [int(v) * 7**20 % g.modulus for v in rng.integers(0, 2**62, size)]
+    else:
+        values = rng.uniform(-0.5, 0.5, size)
+    starts = np.cumsum([0] + list(widths[:-1]))
+    return PackedRow(g, np.array(values, dtype=block_dtype(g)), rng.uniform(0.05, 1.0, size),
+                     starts, copies)
+
+
+def _skewed_row() -> PackedRow:
+    """999 two-atom torus entries, then one entry of 1,000 atoms."""
+    return _ragged_row(T, [2] * 999 + [1_000], 8)
+
+
+MIXED_WIDTHS = [1 + k * 7 % 5 for k in range(230)]  # atom counts 1 to 5, interleaved
+RAGGED_ROWS = {
+    "torus-mixed": _ragged_row(T, MIXED_WIDTHS, 1),
+    "solenoid-mixed": _ragged_row(S, MIXED_WIDTHS, 2),
+    "padic-mixed": _ragged_row(P, MIXED_WIDTHS, 3),
+    "object-padic": _ragged_row(BIG, MIXED_WIDTHS[:90], 4),
+    "two-entries-50-copies": _ragged_row(T, [2, 3], 5, copies=50),
+    "skewed": _skewed_row(),
+}
+
+
+class TestRaggedRows:
+    @pytest.mark.parametrize("size", [1, 700, 1024])
+    @pytest.mark.parametrize("case", sorted(RAGGED_ROWS))
+    def test_direct_path_draws_what_padded_tables_draw(self, case, size):
+        # the same bits, and the generator left in the same state
+        row = RAGGED_ROWS[case]
+        array = TriangularArray(row.group, "general", lambda n: row)
+        gen, ref_gen = SeededStream(6).generator(), SeededStream(6).generator()
+        got = _row_sampler(array, 1)(gen, size)
+        want = ref.padded_direct_draw(row, array.row_count(1))(ref_gen, size)
+        assert got.dtype == want.dtype
+        if got.dtype == object:
+            assert got.tolist() == want.tolist()
+        else:
+            assert got.tobytes() == want.tobytes()
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_one_wide_entry_keeps_the_tables_small(self):
+        row = _skewed_row()
+        array = TriangularArray(T, "general", lambda n: row)
+        tracemalloc.start()
+        try:
+            _row_sampler(array, 1)(SeededStream(7).generator(), BLOCK_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
