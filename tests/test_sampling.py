@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import tracemalloc
@@ -24,6 +25,7 @@ from lcalim.cli import load_config_text
 from lcalim.config import parse_config
 from lcalim.groups import (
     CompactSubgroup,
+    _coordinates_block,
     block_dtype,
     char_eval_block,
     character,
@@ -587,6 +589,15 @@ PADIC_CONFIGS = {name: name for name in ("padic_poisson", "padic_haar", "bernoul
 CHI2_TAIL = 1e-3
 
 
+def _block_draws(draw, stream: SeededStream, M: int) -> np.ndarray:
+    """M draws, block j of BLOCK_SIZE from stream.child(j), as _estimate
+    draws them."""
+    return np.concatenate([
+        draw(stream.child(j // BLOCK_SIZE).generator(), min(BLOCK_SIZE, M - j))
+        for j in range(0, M, BLOCK_SIZE)
+    ])
+
+
 def _chi2_tail(observed, probs, M: int) -> float:
     """The chi-square tail of the observed class counts against M draws of
     the probabilities, over the classes with at least 5 expected draws."""
@@ -616,11 +627,75 @@ def test_draws_follow_the_exact_law_mod_p_to_the_r(name, sampler):
         draw, stream = _law_sampler(cfg.law), SeededStream(cfg.mc.seed).child(1)
         fts = limit_law_ft(cfg.law, chars)
     probs = np.fft.fft(np.array(fts)).real / g.p**r
-    drawn = np.concatenate([
-        draw(stream.child(j // BLOCK_SIZE).generator(), min(BLOCK_SIZE, M - j))
-        for j in range(0, M, BLOCK_SIZE)
-    ])
+    drawn = _block_draws(draw, stream, M)
     observed = np.bincount(np.asarray(drawn % g.p**r, dtype=np.int64), minlength=g.p**r)
+    assert _chi2_tail(observed, probs, M) > CHI2_TAIL
+
+
+# every i.i.d. torus and solenoid bundled example and branch config, by name
+ANGLE_CONFIGS = {name: name for name in ("torus_clt", "torus_haar", "solenoid_clt")} | {
+    name: os.path.join(GOLDEN, name, "config.json") for name in ("symmetric_clt", "symmetric_haar")
+}
+ARCS = 64  # equal arcs of y_0
+
+
+def _arcs(g, values: np.ndarray) -> np.ndarray:
+    """The arc of y_0 that each element of a torus or solenoid block lies
+    in, arc a being [a / ARCS - 1/2, (a + 1) / ARCS - 1/2) turns."""
+    y0 = _coordinates_block(g, values, 0)[0]
+    return np.floor((y0 + 0.5) * ARCS).astype(np.int64) % ARCS
+
+
+def _row_sum_arcs(g, row: PackedRow) -> np.ndarray:
+    """The exact law on the arcs of the sum of row.copies i.i.d. draws of
+    the row's one entry: every multinomial count vector of its atoms, with
+    its probability, taken to a group value by sampling._combine, the map
+    of the draws."""
+    K, m = row.copies, len(row.values)
+    counts = np.array([
+        c + (K - sum(c),) for c in itertools.product(range(K + 1), repeat=m - 1) if sum(c) <= K
+    ])
+    weights = [mpmath.mpf(w) for w in row.weights.tolist()]
+    probs = []
+    for c in counts.tolist():
+        coef, left = 1, K
+        for ca in c:
+            coef, left = coef * math.comb(left, ca), left - ca
+        probs.append(float(coef * mpmath.fprod(w**ca for w, ca in zip(weights, c))))
+    values = sampling._combine(g, counts, row.values)
+    return np.bincount(_arcs(g, values), weights=probs, minlength=ARCS)
+
+
+def _limit_law_arcs(law: LimitLaw) -> np.ndarray:
+    """The law on the arcs of full Haar (uniform) or of the Gauss factor:
+    the wrapped normal of y_0 = theta / 2 pi, theta of variance b, with the
+    normal CDF summed over the wraps."""
+    if law.H.is_full():
+        return np.full(ARCS, 1.0 / ARCS)
+    assert law.H.is_trivial() and not len(law.eta.weights) and law.a == identity(law.group)
+    sigma = math.sqrt(law.b.b) / (2 * math.pi)  # in turns
+    edges = [mpmath.mpf(a) / ARCS - 0.5 for a in range(ARCS + 1)]
+    wraps = range(-math.ceil(10 * sigma) - 1, math.ceil(10 * sigma) + 2)
+    cdf = [sum(mpmath.ncdf(t + k, 0, sigma) for k in wraps) for t in edges]
+    return np.array([float(hi - lo) for lo, hi in zip(cdf, cdf[1:])])
+
+
+@pytest.mark.parametrize("sampler", ["row", "law"])
+@pytest.mark.parametrize("name", ANGLE_CONFIGS)
+def test_draws_follow_the_exact_law_on_arcs_of_y0(name, sampler):
+    # the draws' arcs of y_0, drawn from the bundled seed in blocks as
+    # _estimate draws them, against the exact law of the i.i.d. row sum at
+    # the first mc.n point, or of the limit law
+    cfg = parse_config(load_config_text(ANGLE_CONFIGS[name]))
+    g, n, M = cfg.group, cfg.mc.n_points[0], 200_000
+    if sampler == "row":
+        draw, stream = _row_sampler(cfg.array, n), SeededStream(cfg.mc.seed).child(0, n)
+        probs = _row_sum_arcs(g, cfg.array.packed(n))
+    else:
+        draw, stream = _law_sampler(cfg.law), SeededStream(cfg.mc.seed).child(1)
+        probs = _limit_law_arcs(cfg.law)
+    assert abs(probs.sum() - 1.0) <= 1e-12
+    observed = np.bincount(_arcs(g, _block_draws(draw, stream, M)), minlength=ARCS)
     assert _chi2_tail(observed, probs, M) > CHI2_TAIL
 
 
