@@ -45,7 +45,6 @@ from .arrays import (
 from .measures import (
     LimitLaw,
     cylinder_mass,
-    gauss_law,
     limit_law_ft,
     qform_eval,
     tail_mass_measure,
@@ -404,50 +403,3 @@ def _levy_tail_conditions(array, law: LimitLaw, settings: VerifySettings):
         targets = cylinder_mass(law.eta, cylinders)
         out += settings.family("cylinder", sum_cylinder, array, cylinders, labels, targets)
     return out
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Outcome of running the three equivalent characterizations of a
-    symmetric i.i.d. array converging to the Gauss law with parameter b."""
-
-    b: float
-    ft_passed: bool
-    moment_conditions: tuple[ConditionVerdict, ...]
-    variance_conditions: tuple[ConditionVerdict, ...]
-    tail_conditions: tuple[ConditionVerdict, ...]
-
-    @property
-    def moment_passed(self) -> bool:
-        return all(c.passed for c in self.moment_conditions)
-
-    @property
-    def levy_passed(self) -> bool:
-        return all(c.passed for c in self.variance_conditions) and all(
-            c.passed for c in self.tail_conditions
-        )
-
-    @property
-    def consistent(self) -> bool:
-        return self.ft_passed == self.moment_passed == self.levy_passed
-
-
-def crosscheck_gensym2(
-    array: TriangularArray, b: float, settings: VerifySettings | None = None
-) -> EquivalenceReport:
-    """The three equivalent statements for a symmetric i.i.d. array and the
-    Gauss law with parameter b, judged on one grid by check_theorem's
-    symmetric-CLT branch: the FT distance to the law vanishes; the moment
-    gaps (char_gap) converge to half the quadratic form; the variance sums
-    (var_sum) converge to it while the tail sums (tail_sum) vanish.
-    Reports whether the three verdicts agree."""
-    if not is_symmetric_array(array):
-        raise ConfigError("the equivalence crosscheck needs a symmetric i.i.d. array")
-    report = check_theorem(array, gauss_law(array.group, b), settings)
-
-    def family(name: str) -> tuple[ConditionVerdict, ...]:
-        return tuple(c for c in report.conditions if c.name.startswith(name + "["))
-
-    return EquivalenceReport(
-        b, report.ft_passed, family("char_gap"), family("var_sum"), family("tail_sum")
-    )

@@ -45,7 +45,6 @@ from lcalim.verify import (
     VerifySettings,
     check_theorem,
     compound_growth,
-    crosscheck_gensym2,
     default_characters,
     default_neighborhoods,
     ft_sup_distance,
@@ -456,27 +455,30 @@ def _two_point(x, lam):
     return discrete_measure(x.group, [(x, lam / 2), (neg(x), lam / 2)])
 
 
+def _routes(report) -> tuple[bool, bool, bool]:
+    """The three equivalent routes of a symmetric-CLT report: the FT
+    distance, the moment gaps (char_gap), and the Levy conditions (var_sum
+    and tail_sum)."""
+
+    def route(*families):
+        return all(c.passed for c in report.conditions if c.name.partition("[")[0] in families)
+
+    return report.ft_passed, route("char_gap"), route("var_sum", "tail_sum")
+
+
 class TestCrosscheck:
     def test_clt_instance_all_pass(self):
-        report = crosscheck_gensym2(clt_array(), 1.0)
-        assert report.ft_passed and report.moment_passed and report.levy_passed
-        assert report.consistent
+        report = check_theorem(clt_array(), gauss_law(T, 1.0))
+        assert report.theorem == "rademacher-clt"
+        assert _routes(report) == (True, True, True)
 
     def test_haar_instance_all_fail(self):
-        report = crosscheck_gensym2(clt_array(exp=-0.25), 1.0)
-        assert not report.ft_passed
-        assert not report.moment_passed
-        assert not report.levy_passed
-        assert report.consistent
+        report = check_theorem(clt_array(exp=-0.25), gauss_law(T, 1.0))
+        assert _routes(report) == (False, False, False)
 
     def test_degenerate_instance_b_zero(self):
         dist = row_distribution(T, [(identity(T), 1.0)])
         arr = iid_symmetric_array(T, lambda n: dist, K=linear(1.0))
-        report = crosscheck_gensym2(arr, 0.0)
-        assert report.ft_passed and report.moment_passed and report.levy_passed
-
-    def test_rejects_asymmetric_arrays(self):
-        g = padic_group(2)
-        arr = bernoulli_array(g, from_int(g, 1), p=power(1.0, -1.0), K=linear(1.0))
-        with pytest.raises(ConfigError, match="symmetric"):
-            crosscheck_gensym2(arr, 0.0)
+        report = check_theorem(arr, gauss_law(T, 0.0))
+        assert report.theorem == "symmetric-clt"
+        assert _routes(report) == (True, True, True)
