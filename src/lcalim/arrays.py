@@ -112,6 +112,27 @@ def row_distribution(group: GroupId, atoms) -> DiscreteMeasure:
     return mu
 
 
+def _row_laws(row: PackedRow, n: int, entries: bool = False) -> PackedRow:
+    """The table, once each entry is a law by row_distribution's rule: at
+    least one atom, positive weights, and a total mass within 1e-12 of 1.
+    The error names n, and the entry's index when entries is set."""
+    counts, masses = row.counts, row.masses()
+    entry = np.repeat(np.arange(len(counts)), counts)
+    unweighted = np.bincount(entry, weights=~(row.weights > 0.0), minlength=len(counts))
+    bad = (counts == 0) | (unweighted > 0) | ~(np.abs(masses - 1.0) <= 1e-12)
+    if not bad.any():
+        return row
+    k = int(np.argmax(bad))
+    if not counts[k]:
+        fault = "has no atom"
+    elif unweighted[k]:
+        fault = "has a weight that is not positive"
+    else:
+        fault = f"has total mass {masses[k].item()!r}, expected 1"
+    where = f"of entry {k} at n={n}" if entries else f"at n={n}"
+    raise ValueError(f"row distribution {where} {fault}")
+
+
 def _positive_k(value: float, n: int) -> int:
     k = round(value) if math.isfinite(value) else 0
     if k < 1 or abs(value - k) > 1e-9 * max(1.0, abs(value)):
@@ -255,10 +276,11 @@ def _is_symmetric(mu: DiscreteMeasure) -> bool:
 def iid_symmetric_array(
     group: GroupId, dist_rule: Callable[[int], DiscreteMeasure], K: Schedule
 ) -> TriangularArray:
-    """Rows are i.i.d. with a symmetric distribution produced by a rule."""
+    """Rows are i.i.d. with a symmetric distribution produced by a rule,
+    a law by row_distribution's rule."""
 
     def dist(n: int) -> DiscreteMeasure:
-        d = dist_rule(n)
+        d = _row_laws(dist_rule(n), n)
         if not _is_symmetric(d):
             raise ValueError(f"row distribution at n={n} is not symmetric")
         return d
@@ -296,8 +318,11 @@ def plain_entries(row: PackedRow) -> np.ndarray:
 def general_array(
     group: GroupId, laws: Callable[[int], tuple[DiscreteMeasure, ...]]
 ) -> TriangularArray:
-    """Rowwise-independent rows: row n has one entry per law of laws(n)."""
-    return TriangularArray(group, "general", lambda n: pack_rows(group, laws(n)))
+    """Rowwise-independent rows: row n has one entry per law of laws(n),
+    each a law by row_distribution's rule."""
+    return TriangularArray(
+        group, "general", lambda n: _row_laws(pack_rows(group, laws(n)), n, entries=True)
+    )
 
 
 def is_symmetric_array(array: TriangularArray) -> bool:

@@ -51,6 +51,7 @@ from lcalim.groups import (
 )
 from lcalim.groups import char_eval_block
 from lcalim.arrays import check_null_rule
+from lcalim.sampling import SeededStream, empirical_ft
 from lcalim.verify import default_characters, default_neighborhoods
 
 import reference as ref
@@ -163,6 +164,47 @@ class TestRowDist:
         with pytest.raises(ValueError, match=message):
             row_ft_exact(arr, (3,), (character(T, 1),))
         assert arr._packed == {}  # a rejected row is not kept
+
+
+def _assert_row_rejected(arr, message):
+    """Row 3 is refused by the exact engine and the sampler alike, and not
+    kept."""
+    chars = (character(T, 0), character(T, 1))
+    with pytest.raises(ValueError, match=message):
+        row_ft_exact(arr, (3,), chars)
+    with pytest.raises(ValueError, match=message):
+        empirical_ft(arr, 3, chars, 2000, SeededStream(1))
+    assert arr._packed == {}
+
+
+class TestRowLaws:
+    # general_array and iid_symmetric_array take row laws only, by
+    # row_distribution's rule
+    x = from_angle(T, 0.3)
+
+    def test_general_entry_without_an_atom(self):
+        arr = general_array(T, lambda n: (measures.zero_measure(T), measures.point_mass(self.x)))
+        _assert_row_rejected(arr, r"^row distribution of entry 0 at n=3 has no atom$")
+
+    def test_general_entries_of_mass_one_half(self):
+        half = measures.scale_measure(measures.point_mass(self.x), 0.5)
+        arr = general_array(T, lambda n: (half, half))
+        _assert_row_rejected(arr, r"^row distribution of entry 0 at n=3 has total mass 0.5, expected 1$")
+
+    def test_general_weight_that_is_not_positive(self):
+        values = measures.point_mass(self.x).values.repeat(2)
+        signed = measures.DiscreteMeasure(T, values, np.array([1.5, -0.5]))
+        arr = general_array(T, lambda n: (measures.point_mass(self.x), signed))
+        _assert_row_rejected(arr, r"^row distribution of entry 1 at n=3 has a weight that is not positive$")
+
+    def test_symmetric_rule_of_mass_one_half(self):
+        half = measures.discrete_measure(T, [(self.x, 0.25), (neg(self.x), 0.25)])
+        arr = iid_symmetric_array(T, lambda n: half, K=linear(1.0))
+        _assert_row_rejected(arr, r"^row distribution at n=3 has total mass 0.5, expected 1$")
+
+    def test_symmetric_rule_without_an_atom(self):
+        arr = iid_symmetric_array(T, lambda n: measures.zero_measure(T), K=linear(1.0))
+        _assert_row_rejected(arr, r"^row distribution at n=3 has no atom$")
 
 
 class TestCharMoment:

@@ -2,9 +2,9 @@
 function or branch hides an import cycle instead of removing it.  No
 module imports another module's private name, nor reads a private
 attribute of anything but `self`.  The package exports
-exactly its public names.  And no group operation keeps a
-scalar body beside its block kernel, which would have to be kept equal to
-it by hand."""
+exactly its public names, and the README's library example runs on
+them.  And no group operation keeps a scalar body beside its block
+kernel, which would have to be kept equal to it by hand."""
 
 import ast
 import pathlib
@@ -115,3 +115,15 @@ def test_public_names_stay_exported():
     }
     assert sorted(exported - set(PUBLIC_NAMES)) == []
     assert lcalim.RowDistribution is lcalim.LevyMeasure is lcalim.DiscreteMeasure
+
+
+def test_readme_library_example_runs():
+    # the python block of README.md's "Library" section, run as written, so
+    # that a removed or renamed export breaks the suite, not only the docs
+    text = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert (scope["report"].overall, scope["report"].theorem) == ("pass", "rademacher-clt")
+    assert scope["gen"].row_count(100) == 100
