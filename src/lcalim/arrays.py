@@ -106,31 +106,29 @@ def table(values: dict[int, float]) -> Schedule:
 
 def row_distribution(group: GroupId, atoms) -> DiscreteMeasure:
     """The law of one entry of an array: a discrete probability measure."""
-    mu = discrete_measure(group, atoms)
-    if not mu.is_probability():
-        raise ValueError(f"row distribution has total mass {mu.total_mass()!r}, expected 1")
-    return mu
+    return _row_laws(discrete_measure(group, atoms))
 
 
-def _row_laws(row: PackedRow, n: int, entries: bool = False) -> PackedRow:
-    """The table, once each entry is a law by row_distribution's rule: at
-    least one atom, positive weights, and a total mass within 1e-12 of 1.
-    The error names n, and the entry's index when entries is set."""
-    counts, masses = row.counts, row.masses()
+def _row_laws(row: PackedRow, n: int | None = None) -> PackedRow:
+    """The table, once each entry is a law: at least one atom, positive
+    weights, and a total mass within 1e-12 of 1.  The error names the
+    entry's index and n, or neither for a law on its own (n None)."""
+    masses = row.masses()
+    whole = np.abs(masses - 1.0) <= 1e-12
+    if whole.all() and (row.weights > 0.0).all():
+        return row
+    counts = row.counts
     entry = np.repeat(np.arange(len(counts)), counts)
     unweighted = np.bincount(entry, weights=~(row.weights > 0.0), minlength=len(counts))
-    bad = (counts == 0) | (unweighted > 0) | ~(np.abs(masses - 1.0) <= 1e-12)
-    if not bad.any():
-        return row
-    k = int(np.argmax(bad))
+    k = int(np.argmax((counts == 0) | (unweighted > 0) | ~whole))
     if not counts[k]:
         fault = "has no atom"
     elif unweighted[k]:
         fault = "has a weight that is not positive"
     else:
         fault = f"has total mass {masses[k].item()!r}, expected 1"
-    where = f"of entry {k} at n={n}" if entries else f"at n={n}"
-    raise ValueError(f"row distribution {where} {fault}")
+    where = "" if n is None else f" of entry {k} at n={n}"
+    raise ValueError(f"row distribution{where} {fault}")
 
 
 def _positive_k(value: float, n: int) -> int:
@@ -179,13 +177,22 @@ class TriangularArray:
     p: Callable[[int], float] | None = None
     _packed: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("rademacher", "bernoulli", "symmetric", "general"):
+            raise ValueError(f"unknown array kind {self.kind!r}")
+        if self.kind in ("rademacher", "bernoulli") and self.x is None:
+            raise ValueError(f"a {self.kind} array needs its element rule x")
+        if self.kind == "bernoulli" and self.p is None:
+            raise ValueError("a bernoulli array needs its rate rule p")
+
     def row_count(self, n: int) -> int:
         row = self.packed(n)
         return row.copies * len(row.starts)
 
     def packed(self, n: int) -> PackedRow:
         """Row n as one table, built, checked and kept the first time row n
-        is used."""
+        is used: on the array's group, with at least one entry, and each
+        entry a law (see _row_laws), whoever built the array."""
         row = self._packed.get(n)
         if row is None:
             row = self.rule(n)
@@ -193,7 +200,7 @@ class TriangularArray:
                 raise GroupMismatchError("row rule produced a row on another group")
             if not len(row.starts):
                 raise ValueError(f"row count K_n must be a positive integer; got 0 at n={n}")
-            self._packed[n] = row
+            self._packed[n] = _row_laws(row, n)
         return row
 
 
@@ -235,7 +242,7 @@ def rademacher_array(
 
     def dist(n: int) -> DiscreteMeasure:
         xn = x(n)
-        return row_distribution(group, [(xn, 0.5), (neg(xn), 0.5)])
+        return discrete_measure(group, [(xn, 0.5), (neg(xn), 0.5)])
 
     return _iid_array(group, "rademacher", dist, K, x=x)
 
@@ -255,7 +262,7 @@ def bernoulli_array(group: GroupId, x: GroupElement, p: Schedule, K: Schedule) -
 
     def dist(n: int) -> DiscreteMeasure:
         pn = rate(n)
-        return row_distribution(group, [(x, pn), (identity(group), 1.0 - pn)])
+        return discrete_measure(group, [(x, pn), (identity(group), 1.0 - pn)])
 
     return _iid_array(group, "bernoulli", dist, K, x=lambda n: x, p=rate)
 
@@ -276,11 +283,10 @@ def _is_symmetric(mu: DiscreteMeasure) -> bool:
 def iid_symmetric_array(
     group: GroupId, dist_rule: Callable[[int], DiscreteMeasure], K: Schedule
 ) -> TriangularArray:
-    """Rows are i.i.d. with a symmetric distribution produced by a rule,
-    a law by row_distribution's rule."""
+    """Rows are i.i.d. with a symmetric distribution produced by a rule."""
 
     def dist(n: int) -> DiscreteMeasure:
-        d = _row_laws(dist_rule(n), n)
+        d = dist_rule(n)
         if not _is_symmetric(d):
             raise ValueError(f"row distribution at n={n} is not symmetric")
         return d
@@ -318,11 +324,8 @@ def plain_entries(row: PackedRow) -> np.ndarray:
 def general_array(
     group: GroupId, laws: Callable[[int], tuple[DiscreteMeasure, ...]]
 ) -> TriangularArray:
-    """Rowwise-independent rows: row n has one entry per law of laws(n),
-    each a law by row_distribution's rule."""
-    return TriangularArray(
-        group, "general", lambda n: _row_laws(pack_rows(group, laws(n)), n, entries=True)
-    )
+    """Rowwise-independent rows: row n has one entry per law of laws(n)."""
+    return TriangularArray(group, "general", lambda n: pack_rows(group, laws(n)))
 
 
 def is_symmetric_array(array: TriangularArray) -> bool:

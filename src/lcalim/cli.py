@@ -1,6 +1,7 @@
 """Command line entry point.
 
-    lcalim <verify|sample|conditions|selftest> --config <path> [--out DIR] [--seed U64]
+    lcalim <verify|sample|conditions> --config <path> [--out DIR] [--seed U64]
+    lcalim selftest
 
 ``--config`` takes a file path or the name of a bundled example config
 (see ``lcalim.examples``).
@@ -52,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="config file or bundled example name")
         cmd.add_argument("--out", default=None, help="output directory (default: from config)")
         cmd.add_argument("--seed", type=int, default=None, help="override the master seed")
-    sel = sub.add_parser("selftest", help="run the acceptance suite")
-    sel.add_argument("--config", default=None, help=argparse.SUPPRESS)
+    sub.add_parser("selftest", help="run the acceptance suite")
     return parser
 
 

@@ -514,7 +514,8 @@ class CompactSubgroup:
 
     torus: trivial, cyclic(r) (r-th roots of unity) or full; padic:
     trivial or lambda(r) (lambda(0) is the whole group); solenoid:
-    trivial or full.
+    trivial or full.  Each subgroup has one spelling, so == is subgroup
+    equality: a padic "full" is stored as lambda(0), cyclic(1) as trivial.
     """
 
     group: GroupId
@@ -525,8 +526,7 @@ class CompactSubgroup:
         if self.kind in (SUBGROUP_TRIVIAL, SUBGROUP_FULL):
             if self.r:
                 raise ValueError(f"{self.kind} subgroup takes no parameter r")
-            return
-        if self.kind == SUBGROUP_CYCLIC:
+        elif self.kind == SUBGROUP_CYCLIC:
             if self.group.kind != TORUS:
                 raise ValueError("cyclic subgroups only supported on the torus")
             if self.r < 1:
@@ -538,11 +538,14 @@ class CompactSubgroup:
                 raise ValueError("lambda rank must be >= 0")
         else:
             raise ValueError(f"unknown subgroup kind {self.kind!r}")
+        if self.kind == SUBGROUP_FULL and self.group.kind == PADIC:
+            object.__setattr__(self, "kind", SUBGROUP_LAMBDA)
+        elif self.kind == SUBGROUP_CYCLIC and self.r == 1:
+            object.__setattr__(self, "kind", SUBGROUP_TRIVIAL)
+            object.__setattr__(self, "r", 0)
 
     def is_trivial(self) -> bool:
-        return self.kind == SUBGROUP_TRIVIAL or (
-            self.kind == SUBGROUP_CYCLIC and self.r == 1
-        )
+        return self.kind == SUBGROUP_TRIVIAL
 
     def is_full(self) -> bool:
         return self.kind == SUBGROUP_FULL or (
@@ -560,8 +563,6 @@ def trivial_subgroup(group: GroupId) -> CompactSubgroup:
 
 
 def full_subgroup(group: GroupId) -> CompactSubgroup:
-    if group.kind == PADIC:
-        return CompactSubgroup(group, SUBGROUP_LAMBDA, 0)
     return CompactSubgroup(group, SUBGROUP_FULL)
 
 

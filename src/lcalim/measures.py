@@ -24,8 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import (  # ATOM_TOL_TURNS stays importable from here
-    ATOM_TOL_TURNS,
+from .groups import (
     PADIC,
     Character,
     CompactSubgroup,
@@ -147,9 +146,6 @@ class DiscreteMeasure(PackedRow):
 
     def total_mass(self) -> float:
         return self.masses().item()
-
-    def is_probability(self) -> bool:
-        return abs(self.total_mass() - 1.0) <= 1e-12
 
 
 def _measure(group: GroupId, pairs) -> DiscreteMeasure:

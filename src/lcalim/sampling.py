@@ -138,7 +138,7 @@ def _haar_block(H: CompactSubgroup, gen: np.random.Generator, size: int) -> np.n
     g = H.group
     if H.is_trivial():
         return np.zeros(size, dtype=block_dtype(g))
-    if g.kind == PADIC:  # a "full" padic subgroup has r = 0
+    if g.kind == PADIC:  # the full padic group is lambda(0)
         # digits r..depth, `width` digits per draw: numpy draws integers
         # below at most 2^63, so p^(depth + 1 - r) up to that is one draw
         out, unit, left = np.zeros(size, dtype=block_dtype(g)), g.p**H.r, g.depth + 1 - H.r

@@ -166,6 +166,29 @@ class TestRowDist:
         assert arr._packed == {}  # a rejected row is not kept
 
 
+class TestConstruction:
+    # a kind that no theorem reads, and i.i.d. kinds without their rules,
+    # are refused when the array is made
+    rule = staticmethod(lambda n: None)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match=r"^unknown array kind 'foo'$"):
+            TriangularArray(T, "foo", self.rule)
+
+    def test_rademacher_without_x(self):
+        with pytest.raises(ValueError, match="rademacher array needs its element rule x"):
+            TriangularArray(T, "rademacher", self.rule)
+
+    def test_bernoulli_without_x(self):
+        with pytest.raises(ValueError, match="bernoulli array needs its element rule x"):
+            TriangularArray(T, "bernoulli", self.rule, p=lambda n: 0.1)
+
+    def test_bernoulli_without_p(self):
+        x = from_angle(T, 0.3)
+        with pytest.raises(ValueError, match="bernoulli array needs its rate rule p"):
+            TriangularArray(T, "bernoulli", self.rule, x=lambda n: x)
+
+
 def _assert_row_rejected(arr, message):
     """Row 3 is refused by the exact engine and the sampler alike, and not
     kept."""
@@ -178,9 +201,22 @@ def _assert_row_rejected(arr, message):
 
 
 class TestRowLaws:
-    # general_array and iid_symmetric_array take row laws only, by
-    # row_distribution's rule
+    # TriangularArray.packed takes row laws only, by row_distribution's
+    # rule, whoever built the array
     x = from_angle(T, 0.3)
+
+    def test_raw_general_entries_of_mass_one_half(self):
+        # two entries of mass 0.5 at 0.1 turn: the exact engine would read
+        # |FT| 0.25 at l = 0, the sampler (dividing by the mass) 1.0
+        row = PackedRow(T, np.array([0.1, 0.1]), np.array([0.5, 0.5]), np.array([0, 1]))
+        arr = TriangularArray(T, "general", lambda n: row)
+        _assert_row_rejected(arr, r"^row distribution of entry 0 at n=3 has total mass 0.5, expected 1$")
+
+    def test_row_distribution_messages_name_no_entry(self):
+        with pytest.raises(ValueError, match=r"^row distribution has total mass 0.7, expected 1$"):
+            row_distribution(T, [(self.x, 0.7)])
+        with pytest.raises(ValueError, match=r"^row distribution has no atom$"):
+            row_distribution(T, [])
 
     def test_general_entry_without_an_atom(self):
         arr = general_array(T, lambda n: (measures.zero_measure(T), measures.point_mass(self.x)))
@@ -200,11 +236,11 @@ class TestRowLaws:
     def test_symmetric_rule_of_mass_one_half(self):
         half = measures.discrete_measure(T, [(self.x, 0.25), (neg(self.x), 0.25)])
         arr = iid_symmetric_array(T, lambda n: half, K=linear(1.0))
-        _assert_row_rejected(arr, r"^row distribution at n=3 has total mass 0.5, expected 1$")
+        _assert_row_rejected(arr, r"^row distribution of entry 0 at n=3 has total mass 0.5, expected 1$")
 
     def test_symmetric_rule_without_an_atom(self):
         arr = iid_symmetric_array(T, lambda n: measures.zero_measure(T), K=linear(1.0))
-        _assert_row_rejected(arr, r"^row distribution at n=3 has no atom$")
+        _assert_row_rejected(arr, r"^row distribution of entry 0 at n=3 has no atom$")
 
 
 class TestCharMoment:

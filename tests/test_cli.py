@@ -421,6 +421,12 @@ class TestCLI:
         assert rc == 1
         assert "FAIL  criterion-x" in capsys.readouterr().out
 
+    def test_selftest_takes_no_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", "--config", "torus_clt"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config torus_clt" in capsys.readouterr().err
+
     def test_bundled_names_listed(self):
         names = cli.bundled_example_names()
         assert "torus_clt" in names

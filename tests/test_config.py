@@ -34,6 +34,7 @@ from lcalim.config import (
     parse_element,
 )
 from lcalim.groups import (
+    ATOM_TOL_TURNS,
     PADIC,
     TWO_PI,
     GroupId,
@@ -44,7 +45,6 @@ from lcalim.groups import (
     solenoid_group,
     torus_group,
 )
-from lcalim.measures import ATOM_TOL_TURNS
 from lcalim.verify import ConfigError, default_neighborhoods
 
 import reference as ref
@@ -439,7 +439,7 @@ def test_zero_atom_entries_are_not_plain(group):
     # a table of entries with no atoms is sorted as an entries x 0 array
     empty = np.empty(0, dtype=block_dtype(group))
     assert _plain(group, empty, np.empty(0), [0, 0]).tolist() == [False, False]
-    with pytest.raises(ConfigError, match=r"^row\[0\]: row distribution has total mass 0.0"):
+    with pytest.raises(ConfigError, match=r"^row\[0\]: row distribution has no atom$"):
         _general_row([[], []], group, "row")
 
 

@@ -6,7 +6,8 @@ array model was refactored (`sample` before the second array class was
 folded into the first).  Rerunning them must reproduce every byte,
 including the sign of printed zeros (for example the `-0` imaginary parts
 in padic_haar/verify/ft_table.csv) and every Monte Carlo estimate in
-mc_table.csv.
+mc_table.csv, return the exit code that summary.json records, and print
+nothing to stderr.
 
 The bundled examples reach four theorem branches.  The other branches are
 pinned by small configs stored beside their reports as
@@ -17,6 +18,7 @@ padic_rademacher_clt.  Their `sample` reports were captured before each
 character came to be evaluated once per distinct draw.
 """
 
+import json
 import os
 
 import pytest
@@ -31,7 +33,13 @@ BRANCH_CONFIGS = sorted(
 )
 
 
-def _assert_matches(tmp_path, expected_dir, label):
+def _assert_matches(tmp_path, capsys, argv, expected_dir, label):
+    """cli.main(argv + --out tmp_path) writes exactly the golden files,
+    returns the golden summary's exit code and prints nothing to stderr."""
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    with open(os.path.join(expected_dir, "summary.json"), encoding="utf-8") as fh:
+        assert code == json.load(fh)["exit_code"], label
+    assert capsys.readouterr().err == "", label
     expected = sorted(os.listdir(expected_dir))
     assert sorted(os.listdir(tmp_path)) == expected
     for name in expected:
@@ -42,14 +50,15 @@ def _assert_matches(tmp_path, expected_dir, label):
 
 @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
 @pytest.mark.parametrize("example", cli.bundled_example_names())
-def test_reports_match_golden_files(tmp_path, example, command):
-    cli.main([command, "--config", example, "--out", str(tmp_path)])
-    _assert_matches(tmp_path, os.path.join(GOLDEN, example, command), f"{example}/{command}")
+def test_reports_match_golden_files(tmp_path, capsys, example, command):
+    argv = [command, "--config", example]
+    _assert_matches(tmp_path, capsys, argv, os.path.join(GOLDEN, example, command),
+                    f"{example}/{command}")
 
 
 @pytest.mark.parametrize("command", ["verify", "conditions", "sample"])
 @pytest.mark.parametrize("name", BRANCH_CONFIGS)
-def test_branch_reports_match_golden_files(tmp_path, name, command):
-    config = os.path.join(GOLDEN, name, "config.json")
-    cli.main([command, "--config", config, "--out", str(tmp_path)])
-    _assert_matches(tmp_path, os.path.join(GOLDEN, name, command), f"{name}/{command}")
+def test_branch_reports_match_golden_files(tmp_path, capsys, name, command):
+    argv = [command, "--config", os.path.join(GOLDEN, name, "config.json")]
+    _assert_matches(tmp_path, capsys, argv, os.path.join(GOLDEN, name, command),
+                    f"{name}/{command}")

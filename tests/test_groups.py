@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lcalim.groups import (
     TWO_PI,
     Character,
+    CompactSubgroup,
     DepthOverflowError,
     GroupId,
     GroupMismatchError,
@@ -736,6 +737,37 @@ class TestAnnihilator:
         assert not annihilator_contains(full_subgroup(g), character(g, 1, 2))
         # l = p*l' at depth d equals l' at depth d-1, still nontrivial
         assert not annihilator_contains(full_subgroup(g), character(g, 2, 1))
+
+
+class TestSubgroupSpelling:
+    # one spelling per subgroup, so == is subgroup equality
+    def test_padic_full_is_lambda_0(self):
+        g = padic_group(2, 6)
+        H = CompactSubgroup(g, "full")
+        assert H == full_subgroup(g) == lambda_subgroup(g, 0)
+        assert H.describe() == "lambda(0)" and H.is_full() and not H.is_trivial()
+
+    def test_cyclic_1_is_trivial(self):
+        H = cyclic_subgroup(T, 1)
+        assert H == trivial_subgroup(T) and H.describe() == "trivial" and H.is_trivial()
+        assert cyclic_subgroup(T, 2) != trivial_subgroup(T)
+
+    def test_angle_group_spellings_unchanged(self):
+        assert full_subgroup(T).describe() == "full"
+        assert full_subgroup(solenoid_group(2, 3)).describe() == "full"
+        assert cyclic_subgroup(T, 3).describe() == "cyclic(3)"
+
+    @pytest.mark.parametrize(
+        "g, kind, r, message",
+        [
+            (padic_group(2), "cyclic", 1, "only supported on the torus"),
+            (T, "full", 1, "takes no parameter r"),
+            (padic_group(2), "full", 1, "takes no parameter r"),
+        ],
+    )
+    def test_checked_before_respelling(self, g, kind, r, message):
+        with pytest.raises(ValueError, match=message):
+            CompactSubgroup(g, kind, r)
 
 
 class TestScale:

@@ -701,7 +701,7 @@ def test_draws_follow_the_exact_law_on_arcs_of_y0(name, sampler):
 
 def _ragged_row(g, widths, seed, copies=1) -> PackedRow:
     """A table of entries with the given atom counts, at seeded random
-    atoms with positive weights."""
+    atoms with positive weights, each entry's weights scaled to mass 1."""
     rng = np.random.default_rng(seed)
     size = sum(widths)
     if g.kind == "padic":
@@ -709,8 +709,9 @@ def _ragged_row(g, widths, seed, copies=1) -> PackedRow:
     else:
         values = rng.uniform(-0.5, 0.5, size)
     starts = np.cumsum([0] + list(widths[:-1]))
-    return PackedRow(g, np.array(values, dtype=block_dtype(g)), rng.uniform(0.05, 1.0, size),
-                     starts, copies)
+    weights = rng.uniform(0.05, 1.0, size)
+    weights /= np.repeat(np.add.reduceat(weights, starts), widths)
+    return PackedRow(g, np.array(values, dtype=block_dtype(g)), weights, starts, copies)
 
 
 def _skewed_row() -> PackedRow:
