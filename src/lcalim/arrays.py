@@ -296,19 +296,14 @@ def iid_symmetric_array(
 
 def plain_entries(row: PackedRow) -> np.ndarray:
     """For each entry of a table of atoms, whether row_distribution keeps
-    its atoms exactly as given and accepts them: every weight finite and
-    positive, the total mass within 1e-12 of 1 with room for rounding, and
-    no two atoms one element (groups.same_block).  An entry marked False
-    may still be valid; only row_distribution can tell."""
-    values, weights, counts = row.values, row.weights, row.counts
+    its atoms exactly as given and accepts them: every weight positive,
+    the total mass within 1e-12 of 1 by _row_laws' own sum, and no two
+    atoms one element (groups.same_block).  An entry marked False may
+    still be valid; only row_distribution can tell."""
+    values, counts = row.values, row.counts
     entry = np.repeat(np.arange(len(counts)), counts)
-    bad = ~(np.isfinite(weights) & (weights > 0.0))
-    plain = np.bincount(entry, weights=bad, minlength=len(counts)) == 0
-    # any two sums of count positive weights near 1, in any order, differ
-    # by less than count * eps; an entry inside that margin of the bound is
-    # left to row_distribution, whose total_mass decides it
-    mass = np.bincount(entry, weights=np.where(bad, 0.0, weights), minlength=len(counts))
-    plain &= np.abs(mass - 1.0) <= 1e-12 - 2 * counts * np.finfo(float).eps
+    plain = np.bincount(entry, weights=~(row.weights > 0.0), minlength=len(counts)) == 0
+    plain &= np.abs(row.masses() - 1.0) <= 1e-12
     # rounding is monotone, so when any two atoms of a sorted entry are one
     # element, so are two neighbours or the first and the last (across the
     # wrap); the entries of each atom count m are sorted in one call
@@ -468,16 +463,14 @@ def bernoulli_rate(array: TriangularArray, n: int) -> float:
 def generating_subgroup(x: GroupElement):
     """Smallest closed subgroup containing x, where determinable.
 
-    padic: lambda(r) with r the index of the first nonzero digit; torus:
-    the cyclic group of order r when the turn count is (numerically) a
-    reduced fraction j/r, the full torus otherwise.  Returns None on the
-    solenoid (not determinable in this representation).
+    padic: lambda(r) with r the index of the first nonzero digit (depth
+    + 1 for 0); torus: the cyclic group of order r when the turn count is
+    (numerically) a reduced fraction j/r, the full torus otherwise.
+    Returns None on the solenoid (not determinable in this representation).
     """
     g = x.group
     if g.kind == PADIC:
-        if x.residue == 0:
-            return trivial_subgroup(g)
-        return lambda_subgroup(g, next(j for j, d in enumerate(digits_of(x)) if d))
+        return lambda_subgroup(g, next((j for j, d in enumerate(digits_of(x)) if d), g.depth + 1))
     if g.kind == TORUS:
         if x.turns == 0.0:
             return trivial_subgroup(g)

@@ -20,11 +20,15 @@ from .arrays import (
     TriangularArray,
     bernoulli_array,
     check_null_rule,
+    constant,
     iid_symmetric_array,
+    linear,
     pack_rows,
     plain_entries,
+    power,
     rademacher_array,
     row_distribution,
+    table,
 )
 from .groups import (
     PADIC,
@@ -241,14 +245,13 @@ def parse_schedule(doc, context: str) -> Schedule:
         return _float(_get(doc, key, context), f"{context}.{key}")
 
     if kind == "constant":
-        return Schedule("constant", coef=num("value"))
+        return constant(num("value"))
     if kind == "linear":
-        return Schedule("linear", coef=num("coef"))
+        return linear(num("coef"))
     if kind == "power":
-        return Schedule("power", coef=num("coef"), exp=num("exp"))
+        return power(num("coef"), num("exp"))
     if kind == "table":
-        table = _by_index(_get(doc, "values", context), f"{context}.values", _float)
-        return Schedule("table", table=tuple(sorted(table.items())))
+        return table(_by_index(_get(doc, "values", context), f"{context}.values", _float))
     raise ConfigError(f"{context}: unknown schedule kind {kind!r}")
 
 

@@ -515,7 +515,8 @@ class CompactSubgroup:
     torus: trivial, cyclic(r) (r-th roots of unity) or full; padic:
     trivial or lambda(r) (lambda(0) is the whole group); solenoid:
     trivial or full.  Each subgroup has one spelling, so == is subgroup
-    equality: a padic "full" is stored as lambda(0), cyclic(1) as trivial.
+    equality: a padic "full" is stored as lambda(0), and cyclic(1) and
+    lambda(r) with r > depth (0 alone mod p^(depth+1)) as trivial.
     """
 
     group: GroupId
@@ -540,7 +541,7 @@ class CompactSubgroup:
             raise ValueError(f"unknown subgroup kind {self.kind!r}")
         if self.kind == SUBGROUP_FULL and self.group.kind == PADIC:
             object.__setattr__(self, "kind", SUBGROUP_LAMBDA)
-        elif self.kind == SUBGROUP_CYCLIC and self.r == 1:
+        elif (self.r == 1) if self.kind == SUBGROUP_CYCLIC else (self.r > self.group.depth):
             object.__setattr__(self, "kind", SUBGROUP_TRIVIAL)
             object.__setattr__(self, "r", 0)
 

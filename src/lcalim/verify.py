@@ -99,7 +99,10 @@ def trend_classify(
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("sequence must be sorted by strictly increasing n")
     tail = [v for _, v in seq[-window:]]
-    mean = sum(tail) / window
+    total = 0.0
+    for v in tail:  # left to right: builtin sum() compensates from Python 3.12
+        total += v
+    mean = total / window
     if max(tail) - min(tail) <= tol * max(1.0, abs(mean)):
         return TrendVerdict(CONVERGES, mean, tuple(tail))
     if all(b > a for a, b in zip(tail, tail[1:])) and tail[-1] > divergence_threshold:

@@ -845,6 +845,21 @@ class TestExitCodeContract:
             assert _run_cli(tmp_path_factory.mktemp("fuzz"), "sample", doc) in (0, 1, 2, 3)
 
 
+def test_padic_lambda_past_depth_verifies_as_trivial(tmp_path):
+    # padic_poisson has depth 16: lambda(17) is the trivial subgroup, so it
+    # writes the trivial run's reports byte for byte; lambda(16) is not
+    doc = _bundled_doc("padic_poisson")
+    runs = {}
+    for name, H in (("trivial", {"kind": "trivial"}), ("lambda17", {"kind": "lambda", "r": 17})):
+        out = tmp_path / name
+        out.mkdir()
+        assert _run_cli(out, "verify", dict(doc, law=dict(doc["law"], H=H))) == 0
+        runs[name] = {f.name: f.read_bytes() for f in (out / "o").iterdir()}
+    assert runs["lambda17"] == runs["trivial"]
+    doc = dict(doc, law=dict(doc["law"], H={"kind": "lambda", "r": 16}))
+    assert _run_cli(tmp_path, "verify", doc) == 2
+
+
 # every subgroup kind the config grammar accepts on each group, and an atom
 # of each group for the Levy measure
 _LAW_H = {

@@ -261,32 +261,43 @@ def _plain(group, values, weights, counts):
     return plain_entries(PackedRow(group, values, weights, np.cumsum(counts) - counts))
 
 
-def test_plain_masses_hold_in_any_summation_order():
-    # total_mass adds in atom order, but an entry taken as given must have
-    # its mass within 1e-12 of 1 in any summation order, compensated
-    # (math.fsum, and sum() from Python 3.12 on) or not
+def test_plain_masses_are_row_distributions_masses():
+    # plain_entries tests each mass with _row_laws' own sum, so with masses
+    # a few rounding errors from 1 +- 1e-12 an entry is plain exactly when
+    # row_distribution keeps it as given
     rng = np.random.default_rng(13)
     counts = rng.integers(1, 40, 4000)
     weights = rng.random(counts.sum())
     entry = np.repeat(np.arange(len(counts)), counts)
     totals = np.bincount(entry, weights=weights)
     weights = weights / totals[entry]
-    # masses a few rounding errors from 1 +- 1e-12
     last = np.cumsum(counts) - 1
     off = rng.choice([-1e-12, 1e-12], len(counts))
     weights[last] += off + rng.integers(-40, 41, len(counts)) * 1e-16
     values = reduce_turns_block(np.arange(len(weights)) * 0.618)  # no two close
-    plain = _plain(torus_group(), values, weights, counts)
+    g = torus_group()
+    plain = _plain(g, values, weights, counts)
     bounds = np.append(np.cumsum(counts) - counts, len(weights)).tolist()
-    sums = 0
     for k, ok in enumerate(plain.tolist()):
-        w = weights[bounds[k] : bounds[k + 1]].tolist()
-        if ok:
-            for mass in (sum(w), sum(reversed(w)), math.fsum(w)):
-                assert abs(mass - 1.0) <= 1e-12
-            sums += 1
-    assert 0 < sums < len(counts)
+        v, w = values[bounds[k] : bounds[k + 1]], weights[bounds[k] : bounds[k + 1]]
+        try:
+            law = row_distribution(g, [(ref.element(g, x), y) for x, y in zip(v, w)])
+        except ValueError:
+            assert not ok
+        else:
+            assert ok
+            _assert_same_table(law, PackedRow(g, v, w, np.zeros(1, dtype=law.starts.dtype)))
+    assert 0 < plain.sum() < len(counts)
 
+
+def test_a_mass_inside_the_old_margin_is_plain():
+    # mass - 1 is 9.9987e-13: within 1e-12, but inside the 2 * count * eps
+    # margin that plain_entries once kept for other summation orders
+    g, atoms = torus_group(), [(0.1, 0.5), (0.3, 0.5000000000009999)]
+    row = _general_row([[{"x": {"turns": x}, "weight": w} for x, w in atoms]], g, "row")
+    assert plain_entries(row).tolist() == [True]
+    law = row_distribution(g, [(ref.element(g, x), w) for x, w in atoms])
+    _assert_same_table(row, pack_rows(g, [law]))
 
 
 def _argsort_plain_entries(group, values, weights, counts):
@@ -296,10 +307,12 @@ def _argsort_plain_entries(group, values, weights, counts):
     atoms, not only its sorted neighbours and its first and last atoms."""
     counts = np.asarray(counts, dtype=np.intp)
     entry = np.repeat(np.arange(len(counts)), counts)
-    bad = ~(np.isfinite(weights) & (weights > 0.0))
-    plain = np.bincount(entry, weights=bad, minlength=len(counts)) == 0
-    mass = np.bincount(entry, weights=np.where(bad, 0.0, weights), minlength=len(counts))
-    plain &= np.abs(mass - 1.0) <= 1e-12 - 2 * counts * np.finfo(float).eps
+    first = np.append(np.cumsum(counts) - counts, len(weights)).tolist()
+    # positive weights whose sum, added left to right from 0, is within 1e-12 of 1
+    tables = [weights[a:b].tolist() for a, b in zip(first, first[1:])]
+    plain = np.array(
+        [all(w > 0.0 for w in t) and abs(ref._sum(t) - 1.0) <= 1e-12 for t in tables], dtype=bool
+    )
     order = np.argsort(values, kind="stable")
     order = order[np.argsort(entry[order], kind="stable")]
     v, e = values[order], entry[order]

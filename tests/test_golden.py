@@ -62,3 +62,24 @@ def test_branch_reports_match_golden_files(tmp_path, capsys, name, command):
     argv = [command, "--config", os.path.join(GOLDEN, name, "config.json")]
     _assert_matches(tmp_path, capsys, argv, os.path.join(GOLDEN, name, command),
                     f"{name}/{command}")
+
+
+def test_golden_trend_values_are_left_to_right_means():
+    # every converging condition's value is its evidence added left to right
+    # from 0.0 over the window: the same bits on every Python (builtin sum()
+    # compensates from 3.12 on), checked with json alone
+    checked = 0
+    for folder, _, files in sorted(os.walk(GOLDEN)):
+        if "summary.json" not in files:
+            continue
+        with open(os.path.join(folder, "summary.json"), encoding="utf-8") as fh:
+            conditions = json.load(fh).get("conditions", [])
+        for c in conditions:
+            if c.get("evidence") is None or c.get("value") is None:
+                continue
+            total = 0.0
+            for v in c["evidence"]:
+                total += v
+            assert total / len(c["evidence"]) == c["value"], (folder, c["name"])
+            checked += 1
+    assert checked == 274

@@ -752,6 +752,14 @@ class TestSubgroupSpelling:
         assert H == trivial_subgroup(T) and H.describe() == "trivial" and H.is_trivial()
         assert cyclic_subgroup(T, 2) != trivial_subgroup(T)
 
+    def test_padic_lambda_past_depth_is_trivial(self):
+        # lambda(r) with r > depth holds only 0 mod p^(depth + 1)
+        g = padic_group(2, 16)
+        H = lambda_subgroup(g, 17)
+        assert H == trivial_subgroup(g) and H.describe() == "trivial" and H.is_trivial()
+        assert lambda_subgroup(g, 16) != trivial_subgroup(g)
+        assert lambda_subgroup(g, 16).describe() == "lambda(16)"
+
     def test_angle_group_spellings_unchanged(self):
         assert full_subgroup(T).describe() == "full"
         assert full_subgroup(solenoid_group(2, 3)).describe() == "full"

@@ -110,6 +110,12 @@ class TestTrendClassify:
         assert v.value == 5.0
         assert v.evidence == (5.0, 5.0, 5.0)
 
+    def test_window_mean_adds_left_to_right(self):
+        # builtin sum() compensates from Python 3.12 on and reads
+        # 0.005833333333333334 here; the reports keep one value on every Python
+        v = trend_classify([(1, 0.01), (2, 0.005), (3, 0.0025)], tol=1e-2)
+        assert v.kind == "converges" and v.value == 0.005833333333333333
+
 
 class TestJudge:
     # every hypothesis verdict reads the settings' trend tolerance, window
