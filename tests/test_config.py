@@ -261,7 +261,7 @@ def _plain(group, values, weights, counts):
     return plain_entries(PackedRow(group, values, weights, np.cumsum(counts) - counts))
 
 
-def test_plain_masses_are_row_distributions_masses():
+def test_near_bound_masses_are_plain_exactly_when_kept():
     # plain_entries tests each mass with _row_laws' own sum, so with masses
     # a few rounding errors from 1 +- 1e-12 an entry is plain exactly when
     # row_distribution keeps it as given
